@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import laplace, matnorm, optimal_bc, sobolev_trace as st, ld_trace as ld
 from .config import ConfigError, RunConfig, load_config
-from .fields import ScalarField, SymTensorField, VectorField
+from .fields import ScalarField, SymTensorField, VectorField, sym_index_pairs, write_csv
 from .geometry import Domain, GeometryError, build_domain
 from .laplace import SolverError
 
@@ -139,7 +139,8 @@ def _richardson(h_levels, values) -> float | None:
     return (r * v2 - v1) / (r - 1.0)
 
 
-def _task_sobolev(domains, config: RunConfig, checks: _Checks) -> dict:
+def _task_sobolev(domains, config: RunConfig,
+                  checks: _Checks) -> tuple[dict, st.NormalField]:
     out = {"levels": []}
     b_values = []
     for h, domain in domains:
@@ -158,18 +159,17 @@ def _task_sobolev(domains, config: RunConfig, checks: _Checks) -> dict:
         checks.add("sobolev.B_above_isoperimetric", B >= iso_bound * 0.98,
                    value=B - iso_bound, tolerance=0.02 * iso_bound, h=h,
                    detail="B >= |bnd|/|Omega| up to 2% equality tolerance")
-        domain._cache["normal_field"] = nf
     out["richardson_B"] = _richardson([h for h, _ in domains], b_values)
-    return out
+    return out, nf
 
 
-def _task_ld(domains, config: RunConfig, checks: _Checks, outdir: str) -> dict:
+def _task_ld(domains, config: RunConfig, checks: _Checks,
+             outdir: str) -> tuple[dict, ld.LDBoundReport]:
     out = {"levels": []}
     b_values = []
     csv_rows = [ld.LD_CSV_HEADER]
     for h, domain in domains:
         rep = ld.ld_bounds(domain, config.norm)
-        domain._cache["ld_report"] = rep
         b_values.append(rep.B)
         out["levels"].append(rep.as_dict())
         csv_rows.append(ld.ld_report_csv_row(rep, kind=config.domain.kind))
@@ -190,12 +190,15 @@ def _task_ld(domains, config: RunConfig, checks: _Checks, outdir: str) -> dict:
     out["richardson_B"] = _richardson([h for h, _ in domains], b_values)
     with open(os.path.join(outdir, "ld_bounds.csv"), "w") as fh:
         fh.write("\n".join(csv_rows) + "\n")
-    return out
+    return out, rep
 
 
-def _task_battery(domains, config: RunConfig, checks: _Checks) -> dict:
-    h, domain = domains[-1]  # finest level
-    nf = domain._cache.get("normal_field") or st.harmonic_normal_field(domain)
+def _task_battery(domains, config: RunConfig, checks: _Checks,
+                  nf: st.NormalField | None, ld_rep: ld.LDBoundReport | None) -> dict:
+    """Batteries on the finest level, reusing its sobolev and ld task results
+    (nf, ld_rep) when those tasks ran."""
+    h, domain = domains[-1]
+    nf = nf or st.harmonic_normal_field(domain)
     B = st.sobolev_B(domain, nf)
     w11 = []
     for name, phi in w11_battery_fields(domain):
@@ -204,9 +207,7 @@ def _task_battery(domains, config: RunConfig, checks: _Checks) -> dict:
         checks.add(f"battery.w11.{name}", rep.slack >= -rep.eps_disc,
                    value=rep.slack, tolerance=rep.eps_disc, h=h,
                    detail="trace inequality slack >= -eps_disc")
-    ld_rep = domain._cache.get("ld_report")
-    if ld_rep is None or ld_rep.norm != config.norm:
-        ld_rep = ld.ld_bounds(domain, config.norm)
+    ld_rep = ld_rep or ld.ld_bounds(domain, config.norm)
     vec = []
     for name, w in ld_battery_fields(domain):
         rep = ld.verify_ld_trace_inequality(domain, w, ld_rep)
@@ -240,12 +241,9 @@ def _task_sweep(config: RunConfig, checks: _Checks, outdir: str) -> dict:
     for norm, d in sweeps:
         sweep = optimal_bc.sweep_theta(norm, steps=config.steps, dim=d,
                                        brute_force=True)
-        path = os.path.join(outdir, f"theta_sweep_{norm}.csv")
-        with open(path, "w") as fh:
-            fh.write("theta,closed_form,brute_force\n")
-            for i in range(config.steps):
-                fh.write(f"{sweep['theta'][i]!r},{sweep['closed_form'][i]!r},"
-                         f"{sweep['brute_force'][i]!r}\n")
+        write_csv(os.path.join(outdir, f"theta_sweep_{norm}.csv"),
+                  ["theta", "closed_form", "brute_force"],
+                  zip(sweep["theta"], sweep["closed_form"], sweep["brute_force"]))
         out[norm] = {
             "max_closed_form": sweep["max_closed_form"],
             "max_entry_gap": sweep["max_entry_gap"],
@@ -307,12 +305,14 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
         if needs_domain:
             for h in config.h_levels:
                 domains.append((h, build_domain(config.domain_at(h))))
+        nf = ld_rep = None
         if "sobolev" in config.tasks:
-            report["tasks"]["sobolev"] = _task_sobolev(domains, config, checks)
+            report["tasks"]["sobolev"], nf = _task_sobolev(domains, config, checks)
         if "ld" in config.tasks:
-            report["tasks"]["ld"] = _task_ld(domains, config, checks, outdir)
+            report["tasks"]["ld"], ld_rep = _task_ld(domains, config, checks, outdir)
         if "battery" in config.tasks:
-            report["tasks"]["battery"] = _task_battery(domains, config, checks)
+            report["tasks"]["battery"] = _task_battery(domains, config, checks,
+                                                       nf, ld_rep)
         if "matnorm-verify" in config.tasks:
             report["tasks"]["matnorm_verify"] = _task_matnorm(config, checks, outdir)
         if "optimal-bc-sweep" in config.tasks:
@@ -365,35 +365,22 @@ def export_plot_data(field, path) -> None:
     None or empty: header-only file.
     """
     if field is None:
-        with open(path, "w") as fh:
-            fh.write("x,y,value\n")
+        write_csv(path, ["x", "y", "value"], [])
         return
     if isinstance(field, ScalarField):
         domain = field.domain
         cols = list("xyz"[: domain.dim]) + ["value"]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for m in range(domain.n_interior):
-                row = [repr(float(v)) for v in domain.interior_coords[m]]
-                fh.write(",".join(row + [repr(float(field.interior[m]))]) + "\n")
+        write_csv(path, cols, np.column_stack([domain.interior_coords, field.interior]))
         return
     if isinstance(field, (VectorField, SymTensorField)):
         domain = field.domain
         if isinstance(field, VectorField):
-            values = field.boundary_matrix()
-            names = [f"v{k}" for k in range(values.shape[1])]
+            names = [f"v{k}" for k in range(domain.dim)]
         else:
-            mats = field.boundary_matrices()
-            pairs = [(i, j) for i in range(field.dim) for j in range(i, field.dim)]
-            values = np.stack([mats[:, i, j] for i, j in pairs], axis=1)
-            names = [f"sigma_{i}{j}" for i, j in pairs]
+            names = [f"sigma_{i}{j}" for i, j in sym_index_pairs(field.dim)]
+        values = np.stack([c.boundary for c in field.components], axis=1)
         cols = list("xyz"[: domain.dim]) + names
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for m in range(domain.n_boundary):
-                row = [repr(float(v)) for v in domain.boundary_pos[m]]
-                row += [repr(float(v)) for v in values[m]]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, cols, np.hstack([domain.boundary_pos, values]))
         return
     raise TypeError(f"cannot export {type(field).__name__}")
 
@@ -471,14 +458,8 @@ def main(argv: list[str] | None = None) -> int:
         sweep = optimal_bc.sweep_theta(args.norm, steps=args.steps, dim=dim,
                                        brute_force=args.brute_force)
         if args.output:
-            with open(args.output, "w") as fh:
-                cols = "theta,closed_form" + (",brute_force" if args.brute_force else "")
-                fh.write(cols + "\n")
-                for i in range(args.steps):
-                    row = f"{sweep['theta'][i]!r},{sweep['closed_form'][i]!r}"
-                    if args.brute_force:
-                        row += f",{sweep['brute_force'][i]!r}"
-                    fh.write(row + "\n")
+            cols = ["theta", "closed_form"] + (["brute_force"] if args.brute_force else [])
+            write_csv(args.output, cols, zip(*(sweep[c] for c in cols)))
         print(f"max closed-form value: {sweep['max_closed_form']!r}")
         if args.brute_force:
             print(f"max entrywise gap vs brute force: {sweep['max_entry_gap']!r}")

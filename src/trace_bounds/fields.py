@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "SymTensorField",
     "sym_index_pairs",
     "field_to_csv",
+    "write_csv",
     "to_grid_binary",
     "read_grid_binary",
 ]
@@ -183,22 +184,27 @@ def _field_components(field) -> list[ScalarField]:
     return list(field.components)
 
 
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The CSV format of every export: a comma-joined header line, then one
+    line per row; string cells are written as they are, numbers as
+    repr(float), so values round-trip exactly."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else repr(float(c))
+                              for c in row) + "\n")
+
+
 def field_to_csv(field, path) -> None:
     """Node coordinates + one column per component, interior then boundary."""
     comps = _field_components(field)
     domain = comps[0].domain
     dim = domain.dim
     headers = list("xyz"[:dim]) + ["node_type"] + [f"c{k}" for k in range(len(comps))]
-    with open(path, "w") as fh:
-        fh.write(",".join(headers) + "\n")
-        for pos, kind, rows in ((domain.interior_coords, "interior",
-                                 [c.interior for c in comps]),
-                                (domain.boundary_pos, "boundary",
-                                 [c.boundary for c in comps])):
-            for m in range(pos.shape[0]):
-                cells = [repr(float(x)) for x in pos[m]] + [kind]
-                cells += [repr(float(r[m])) for r in rows]
-                fh.write(",".join(cells) + "\n")
+    pos = np.concatenate([domain.interior_coords, domain.boundary_pos])
+    kinds = ["interior"] * domain.n_interior + ["boundary"] * domain.n_boundary
+    values = np.stack([np.concatenate([c.interior, c.boundary]) for c in comps], axis=1)
+    write_csv(path, headers, ([*x, kind, *v] for x, kind, v in zip(pos, kinds, values)))
 
 
 _BIN_MAGIC = b"TBGRID01"

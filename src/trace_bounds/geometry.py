@@ -348,6 +348,7 @@ class Domain:
     arm_boundary: np.ndarray           # (2*dim, N) crossing boundary id or -1
     volume: float
     area: float
+    # derived from the fields above; written only by laplace (operator, extensions)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property

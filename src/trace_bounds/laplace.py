@@ -10,6 +10,11 @@ The linear system is solved by a sparse direct factorization, computed once
 per domain and reused by every component solve on that domain (the matrix
 depends only on the geometry). Residuals are verified against the 1e-10
 relative tolerance after every solve.
+
+Every harmonic object the trace bounds need is a linear combination of
+harmonic extensions of monomials in the outward normal: H[nu_a] (the normal
+field) and H[nu_a nu_b nu_c] (the optimal e_k stresses). Each such extension
+is solved once per domain and memoized next to the operator.
 """
 
 from __future__ import annotations
@@ -121,21 +126,29 @@ class _Operator:
             raise SolverError(
                 f"linear solve residual {residual:.3e} exceeds {SOLVER_TOL:.0e}",
                 residual=residual)
-        # discrete maximum principle: interior values stay inside the data range
-        constrained = g[domain.boundary_is_axis]
-        gscale = max(np.abs(constrained).max(), 1e-300) if constrained.size else 1e-300
-        violation = 0.0
-        if u.size and constrained.size:
-            violation = max(u.max() - constrained.max(), constrained.min() - u.min())
-            violation = max(0.0, violation / gscale)
         solver_stats["solves"] += 1
         solver_stats["max_residual"] = max(solver_stats["max_residual"], residual)
-        solver_stats["max_principle_violation"] = max(
-            solver_stats["max_principle_violation"], violation)
-        if violation > _MAX_PRINCIPLE_TOL:
-            raise SolverError(
-                f"discrete maximum principle violated by {violation:.3e}")
-        return ScalarField(domain, u, g)
+        field = ScalarField(domain, u, g)
+        _check_max_principle(field)
+        return field
+
+
+def _check_max_principle(field: ScalarField) -> float:
+    """Relative amount by which interior values leave the data range at the axis
+    crossings (the Dirichlet constraint points); recorded, and fatal above tolerance."""
+    u = field.interior
+    constrained = field.boundary[field.domain.boundary_is_axis]
+    gscale = max(np.abs(constrained).max(), 1e-300) if constrained.size else 1e-300
+    violation = 0.0
+    if u.size and constrained.size:
+        violation = max(u.max() - constrained.max(), constrained.min() - u.min())
+        violation = max(0.0, violation / gscale)
+    solver_stats["max_principle_violation"] = max(
+        solver_stats["max_principle_violation"], violation)
+    if violation > _MAX_PRINCIPLE_TOL:
+        raise SolverError(
+            f"discrete maximum principle violated by {violation:.3e}")
+    return violation
 
 
 def _operator(domain: Domain) -> _Operator:
@@ -149,6 +162,17 @@ def _operator(domain: Domain) -> _Operator:
 def solve_dirichlet(domain: Domain, boundary_values) -> ScalarField:
     """Solve lap(u)=0 with u = boundary_values on the boundary nodes."""
     return _operator(domain).solve(np.asarray(boundary_values, dtype=float))
+
+
+def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> ScalarField:
+    """Harmonic extension H[nu_a nu_b ...] of a product of normal components,
+    memoized per domain under the sorted axis tuple: one solve per monomial."""
+    key = tuple(sorted(axes))
+    memo = domain._cache.setdefault("normal_monomials", {})
+    if key not in memo:
+        values = np.prod(domain.boundary_normal[:, list(key)], axis=1)
+        memo[key] = solve_dirichlet(domain, values)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------

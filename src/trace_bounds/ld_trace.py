@@ -10,13 +10,18 @@ B = sum_k sup_bnd |div sigma^k|, where sigma^k is the harmonic extension of
 the optimal e_k boundary tensor. Vector sup-norms of divergences are taken
 componentwise (max_i sup |(div sigma)_i|), matching the estimate they enter.
 
+Harmonic extension H is linear and sigma^k = -nu_k nu (x) nu + nu (x) e_k +
+e_k (x) nu, so each component combines the normal-monomial extensions that
+the laplace module memoizes once per domain:
+H[sigma^k_ij] = -H[nu_i nu_j nu_k] + delta_jk H[nu_i] + delta_ik H[nu_j].
+
 Tensor-field L1 norms use the all-ordered-pairs convention (off-diagonal
 components count twice), consistent with the Frobenius identification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -91,11 +96,12 @@ def strain(w: VectorField) -> SymTensorField:
 
 
 def rigid_projection(domain: Domain, w: VectorField, region: str = "interior") -> RigidField:
-    """Project onto rigid fields: a = mean of w over U, b = I^{-1} int x cross w.
+    """Project onto rigid fields: b = I^{-1} int (x - c) cross w, a = mean(w) - b x c.
 
     U is the interior (volume quadrature) or the boundary (surface
-    quadrature). Moments are taken about the origin, so the projection is
-    exact on rigid inputs for centred domains (all canonical shapes here).
+    quadrature). Moments are taken about the quadrature centroid c of U, so
+    the projection is exact on rigid inputs wherever the domain sits; the
+    returned field is expressed about the origin.
     """
     dim = domain.dim
     if region == "interior":
@@ -110,26 +116,30 @@ def rigid_projection(domain: Domain, w: VectorField, region: str = "interior") -
         raise ValueError(f"unknown region {region!r}")
 
     measure = quad(np.ones(pos.shape[0]))
-    a = np.array([quad(vals[:, i]) for i in range(dim)]) / measure
+    mean = np.array([quad(vals[:, i]) for i in range(dim)]) / measure
+    centroid = np.array([quad(pos[:, i]) for i in range(dim)]) / measure
+    pos = pos - centroid
     if dim == 2:
         inertia = quad(np.sum(pos * pos, axis=1))
         if inertia <= 1e-300:
             raise ValueError("degenerate region: singular moment of inertia")
-        cross = quad(pos[:, 0] * vals[:, 1] - pos[:, 1] * vals[:, 0])
-        return RigidField(a=a, b=cross / inertia)
-    inertia = np.zeros((3, 3))
-    for i in range(3):
-        for m in range(3):
-            integrand = -pos[:, i] * pos[:, m]
-            if i == m:
-                integrand = integrand + np.sum(pos * pos, axis=1)
-            inertia[i, m] = quad(integrand)
-    cross = np.cross(pos, vals)
-    moments = np.array([quad(cross[:, i]) for i in range(3)])
-    try:
-        b = np.linalg.solve(inertia, moments)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("degenerate region: singular moment of inertia") from exc
+        b = quad(pos[:, 0] * vals[:, 1] - pos[:, 1] * vals[:, 0]) / inertia
+    else:
+        inertia = np.zeros((3, 3))
+        for i in range(3):
+            for m in range(3):
+                integrand = -pos[:, i] * pos[:, m]
+                if i == m:
+                    integrand = integrand + np.sum(pos * pos, axis=1)
+                inertia[i, m] = quad(integrand)
+        cross = np.cross(pos, vals)
+        moments = np.array([quad(cross[:, i]) for i in range(3)])
+        try:
+            b = np.linalg.solve(inertia, moments)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("degenerate region: singular moment of inertia") from exc
+    # w = mean + b x (x - c) about the centroid c, so about the origin a = mean - b x c
+    a = mean - RigidField(a=np.zeros(dim), b=b).evaluate(centroid[None, :])[0]
     return RigidField(a=a, b=b)
 
 
@@ -174,7 +184,8 @@ class EkTensorDiagnostics:
 
 
 def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[SymTensorField, EkTensorDiagnostics]:
-    """Componentwise harmonic extension of the optimal e_k boundary tensor.
+    """Harmonic extension of the optimal e_k boundary tensor, assembled from the
+    memoized normal-monomial extensions with the exact tensor as boundary values.
 
     Asserts the attainment structure: boundary compatibility, the
     componentwise maximum principle (so no interior entry exceeds its
@@ -194,7 +205,13 @@ def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[SymTensorField, EkTensor
     comps = []
     gap = 0.0
     for (i, j) in sym_index_pairs(domain.dim):
-        comps.append(laplace.solve_dirichlet(domain, tensors[:, i, j]))
+        interior = -laplace._normal_monomial(domain, (i, j, k)).interior
+        if j == k:
+            interior = interior + laplace._normal_monomial(domain, (i,)).interior
+        if i == k:
+            interior = interior + laplace._normal_monomial(domain, (j,)).interior
+        comps.append(ScalarField(domain, interior, tensors[:, i, j]))
+        laplace._check_max_principle(comps[-1])
         sup_b = np.abs(comps[-1].boundary).max()
         sup_c = max(sup_b, np.abs(comps[-1].interior).max())
         gap = max(gap, sup_c - sup_b)
@@ -255,21 +272,7 @@ class LDBoundReport:
             "A": self.A,
             "B": self.B,
             "trace_norm_bound": self.trace_norm_bound,
-            "per_k": [
-                {
-                    "k": d.k,
-                    "compat_error": d.compat_error,
-                    "sup_entry_boundary": d.sup_entry_boundary,
-                    "sup_entry_closure": d.sup_entry_closure,
-                    "sup_vec2_boundary": d.sup_vec2_boundary,
-                    "sup_vec2_closure": d.sup_vec2_closure,
-                    "sup_frame_inf_boundary": d.sup_frame_inf_boundary,
-                    "div_sup_boundary": d.div_sup_boundary,
-                    "div_sup_closure": d.div_sup_closure,
-                    "max_principle_gap": d.max_principle_gap,
-                }
-                for d in self.per_k
-            ],
+            "per_k": [asdict(d) for d in self.per_k],
         }
 
 
@@ -319,25 +322,28 @@ def verify_ld_trace_inequality(domain: Domain, w: VectorField,
                        eps_disc=eps, h=domain.h)
 
 
+def _virtual_work_integrands(domain: Domain, sigma: SymTensorField,
+                             w: VectorField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrands of the three terms: weighted sigma_ij eps_ij (one interior row
+    per component pair), boundary flux sigma_ij w_i nu_j, interior (div sigma) . w."""
+    eps = strain(w)
+    contraction = np.stack([
+        (1.0 if i == j else 2.0) * sigma.component(i, j).interior
+        * eps.component(i, j).interior
+        for (i, j) in sym_index_pairs(domain.dim)])
+    flux = np.einsum("mij,mi,mj->m", sigma.boundary_matrices(), w.boundary_matrix(),
+                     domain.boundary_normal)
+    div = laplace.tensor_divergence(sigma)
+    work = np.sum(div.interior_matrix() * w.interior_matrix(), axis=1)
+    return contraction, flux, work
+
+
 def virtual_work_terms(domain: Domain, sigma: SymTensorField,
                        w: VectorField) -> tuple[float, float, float]:
     """(int sigma:eps(w), int_bnd sigma_ij w_i nu_j, int (div sigma) . w)."""
-    eps = strain(w)
-    contraction = np.zeros(domain.n_interior)
-    for (i, j) in sym_index_pairs(domain.dim):
-        weight = 1.0 if i == j else 2.0
-        contraction += weight * sigma.component(i, j).interior * eps.component(i, j).interior
-    lhs = integrate_volume(domain, contraction)
-
-    sig_b = sigma.boundary_matrices()
-    w_b = w.boundary_matrix()
-    flux = np.einsum("mij,mi,mj->m", sig_b, w_b, domain.boundary_normal)
-    boundary_term = integrate_boundary(domain, flux)
-
-    div = laplace.tensor_divergence(sigma)
-    div_term = integrate_volume(
-        domain, np.sum(div.interior_matrix() * w.interior_matrix(), axis=1))
-    return lhs, boundary_term, div_term
+    contraction, flux, work = _virtual_work_integrands(domain, sigma, w)
+    return (integrate_volume(domain, contraction.sum(axis=0)),
+            integrate_boundary(domain, flux), integrate_volume(domain, work))
 
 
 def virtual_work_residual(domain: Domain, sigma: SymTensorField,
@@ -351,18 +357,7 @@ def virtual_work_scale(domain: Domain, sigma: SymTensorField,
                        w: VectorField) -> float:
     """Absolute-integrand mass of the three terms; the right yardstick for
     relative residuals when the signed integrals cancel by symmetry."""
-    eps = strain(w)
-    contraction = np.zeros(domain.n_interior)
-    for (i, j) in sym_index_pairs(domain.dim):
-        weight = 1.0 if i == j else 2.0
-        contraction += weight * np.abs(sigma.component(i, j).interior
-                                       * eps.component(i, j).interior)
-    total = integrate_volume(domain, contraction)
-    sig_b = sigma.boundary_matrices()
-    w_b = w.boundary_matrix()
-    flux = np.abs(np.einsum("mij,mi,mj->m", sig_b, w_b, domain.boundary_normal))
-    total += integrate_boundary(domain, flux)
-    div = laplace.tensor_divergence(sigma)
-    total += integrate_volume(
-        domain, np.abs(np.sum(div.interior_matrix() * w.interior_matrix(), axis=1)))
-    return float(total)
+    contraction, flux, work = _virtual_work_integrands(domain, sigma, w)
+    return float(integrate_volume(domain, np.abs(contraction).sum(axis=0))
+                 + integrate_boundary(domain, np.abs(flux))
+                 + integrate_volume(domain, np.abs(work)))

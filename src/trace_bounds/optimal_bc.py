@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matnorm
+from .fields import sym_index_pairs, write_csv
 from .geometry import Domain
 
 __all__ = [
@@ -251,12 +252,14 @@ def sweep_theta(norm: str, steps: int = 91, dim: int = 3,
     return out
 
 
-def worst_case_D(norm: str, dim: int = 3, steps: int = 361) -> float:
-    """sup over unit tractions of the optimal stress norm (D_2 = sqrt 2, D_inf = 1)."""
-    if norm not in ("vec2", "vecInf"):
-        raise ValueError(f"worst_case_D supports vec2 and vecInf, not {norm!r}")
-    sweep = sweep_theta(norm, steps=steps, dim=dim)
-    return sweep["max_closed_form"]
+def worst_case_D(norm: str, dim: int = 3) -> float:
+    """sup over unit tractions of the optimal stress norm in 2D and 3D: the closed
+    forms D_2 = sqrt 2 and D_inf = 1, checked against the sweep_theta maximum."""
+    if norm == "vec2":
+        return math.sqrt(2.0)
+    if norm == "vecInf":
+        return 1.0
+    raise ValueError(f"worst_case_D supports vec2 and vecInf, not {norm!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +298,9 @@ def ek_frame_inf_values(domain: Domain, k: int) -> np.ndarray:
 def boundary_tensor_csv(domain: Domain, tensors: np.ndarray, path) -> None:
     """One row per boundary node: position, normal, upper-triangle entries."""
     n = domain.dim
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    pairs = sym_index_pairs(n)
     cols = (list("xyz"[:n]) + [f"nu_{c}" for c in "xyz"[:n]]
             + [f"sigma_{i}{j}" for i, j in pairs])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for m in range(domain.n_boundary):
-            row = [repr(float(v)) for v in domain.boundary_pos[m]]
-            row += [repr(float(v)) for v in domain.boundary_normal[m]]
-            row += [repr(float(tensors[m, i, j])) for i, j in pairs]
-            fh.write(",".join(row) + "\n")
+    entries = np.stack([tensors[:, i, j] for i, j in pairs], axis=1)
+    write_csv(path, cols, np.hstack([domain.boundary_pos, domain.boundary_normal,
+                                     entries]))

@@ -1,8 +1,10 @@
 """Harmonic normal fields and the scalar trace inequality.
 
-The outward unit normal extends into the domain by solving one Dirichlet
-problem per component; the resulting field n0 is the unique harmonic normal
-field, and the trace constant is the boundary sup of its divergence:
+The outward unit normal extends into the domain componentwise: component j
+of the unique harmonic normal field n0 is the memoized normal-monomial
+extension H[nu_j] of the laplace module, solved once per domain and shared
+with the e_k stresses of ld_trace. The trace constant is the boundary sup of
+the divergence of n0:
 
     int_bnd |phi|  <=  int |grad phi|  +  B * int |phi|,
     B = sup_bnd |div n0|.
@@ -15,7 +17,7 @@ the boundary; both sups are computed and compared. The quotient
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,13 +62,10 @@ class NormalField:
 
 
 def harmonic_normal_field(domain: Domain) -> NormalField:
-    """Solve one Dirichlet problem per normal component and validate Def.-style
+    """Assemble n0 from the harmonic extensions H[nu_j] and validate Def.-style
     normal-field conditions: boundary values equal nu, |n0| <= 1 (+5h) on the
     closure, and the divergence attains its closure sup on the boundary."""
-    comps = tuple(
-        laplace.solve_dirichlet(domain, domain.boundary_normal[:, j])
-        for j in range(domain.dim)
-    )
+    comps = tuple(laplace._normal_monomial(domain, (j,)) for j in range(domain.dim))
     n0 = VectorField(comps)
 
     bnd_err = np.abs(n0.boundary_matrix() - domain.boundary_normal).max()
@@ -121,15 +120,7 @@ class TraceReport:
         return self.grad_term + self.mass_term
 
     def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "grad_term": self.grad_term,
-            "mass_term": self.mass_term,
-            "B_used": self.B_used,
-            "slack": self.slack,
-            "eps_disc": self.eps_disc,
-            "h": self.h,
-        }
+        return asdict(self)
 
 
 def discretization_estimate(h: float, *magnitudes: float) -> float:

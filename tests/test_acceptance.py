@@ -147,8 +147,8 @@ def test_criterion_5_optimal_bc_oracle():
         check(lines, f"gap_{norm}_3d", sweep["max_entry_gap"] <= 1e-3,
               f"closed form vs brute force entrywise gap "
               f"{sweep['max_entry_gap']:.2e} <= 1e-3 over 91 angles")
-    d2 = O.worst_case_D("vec2")
-    dinf = O.worst_case_D("vecInf")
+    d2 = O.sweep_theta("vec2", steps=361, dim=3)["max_closed_form"]
+    dinf = O.sweep_theta("vecInf", steps=361, dim=3)["max_closed_form"]
     check(lines, "D2_exact", abs(d2 - math.sqrt(2)) <= 1e-15,
           f"D_2 = {d2!r} = sqrt(2) from the sweep maximum")
     check(lines, "Dinf_exact", abs(dinf - 1.0) <= 1e-15,

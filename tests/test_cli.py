@@ -176,7 +176,12 @@ steps = 31
         sweep = report["tasks"]["optimal_bc_sweep"]
         assert abs(sweep["vec2"]["max_closed_form"] - np.sqrt(2)) < 1e-12
         assert sweep["vec2"]["max_entry_gap"] <= 1e-3
-        assert (tmp_path / "theta_sweep_vec2.csv").exists()
+        lines = (tmp_path / "theta_sweep_vec2.csv").read_text().splitlines()
+        assert lines[0] == "theta,closed_form,brute_force"
+        # plain float cells, so the sweep reads back exactly
+        rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (31, 3)
+        assert rows[:, 1].max() == sweep["vec2"]["max_closed_form"]
 
 
 class TestMain:

@@ -73,6 +73,26 @@ class TestSolve:
         assert L.solver_stats["max_principle_violation"] <= 1e-8
 
 
+class TestMaxPrinciple:
+    def test_violation_beyond_tolerance_reported(self, disk_coarse):
+        g = disk_coarse.boundary_normal[:, 0]
+        data = g[disk_coarse.boundary_is_axis]
+        lo, hi, scale = data.min(), data.max(), np.abs(data).max()
+        n = disk_coarse.n_interior
+        saved = dict(L.solver_stats)
+        try:
+            for inside in (0.5 * (lo + hi), lo, hi, hi + 0.5e-8 * scale,
+                           lo - 0.5e-8 * scale):
+                field = ScalarField(disk_coarse, np.full(n, inside), g)
+                assert L._check_max_principle(field) <= 1e-8
+            for outside in (hi + 2e-8 * scale, lo - 2e-8 * scale):
+                field = ScalarField(disk_coarse, np.full(n, outside), g)
+                with pytest.raises(L.SolverError):
+                    L._check_max_principle(field)
+        finally:
+            L.solver_stats.update(saved)
+
+
 class TestOperators:
     def test_gradient_linear(self, disk):
         f = ScalarField.from_function(disk, lambda p: p[:, 0])

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from trace_bounds import geometry as G, ld_trace as LD
-from trace_bounds.fields import ScalarField, SymTensorField, VectorField
+from trace_bounds import (geometry as G, laplace as L, ld_trace as LD,
+                          optimal_bc as O, sobolev_trace as S)
+from trace_bounds.fields import ScalarField, SymTensorField, VectorField, sym_index_pairs
 
 
 @pytest.fixture(scope="module")
@@ -17,9 +18,13 @@ def ball_bounds(ball):
     return LD.ld_bounds(ball, "vec2")
 
 
+@pytest.fixture(scope="module")
+def ellipsoid():
+    return G.build_domain(G.DomainSpec.ellipsoid(1.0, 0.8, 0.6, 0.1))
+
+
 def identity_tensor(domain):
     comps = []
-    from trace_bounds.fields import sym_index_pairs
     for (i, j) in sym_index_pairs(domain.dim):
         comps.append(ScalarField.constant(domain, 1.0 if i == j else 0.0))
     return SymTensorField(tuple(comps), domain.dim)
@@ -101,6 +106,19 @@ class TestRigidProjection:
         with pytest.raises(ValueError):
             LD.rigid_projection(disk, w, region="edge")
 
+    @pytest.mark.parametrize("region", ["interior", "boundary"])
+    @pytest.mark.parametrize("spec, rigid", [
+        (G.DomainSpec.levelset("(x-0.7)^2+(y+0.4)^2-1", 0.02, 2, (-1.5, 1.9)),
+         LD.RigidField(a=np.array([0.3, -0.2]), b=1.0)),
+        (G.DomainSpec.levelset("(x-0.4)^2+(y+0.3)^2+(z-0.2)^2-1", 0.1, 3, (-1.5, 1.6)),
+         LD.RigidField(a=np.array([0.1, 0.2, -0.3]), b=np.array([1.0, -0.5, 0.25]))),
+    ], ids=["disk", "ball"])
+    def test_recovers_rigid_off_centre(self, spec, rigid, region):
+        dom = G.build_domain(spec)
+        proj = LD.rigid_projection(dom, rigid.as_vector_field(dom), region=region)
+        assert np.abs(proj.a - rigid.a).max() <= 1e-10
+        assert np.abs(proj.b - rigid.b).max() <= 1e-10
+
 
 class TestLdNorm:
     def test_zero(self, disk):
@@ -153,6 +171,20 @@ class TestHarmonicEkTensor:
         _, diag = LD.harmonic_ek_tensor(disk, 0)
         assert abs(diag.div_sup_boundary - 3.5) <= 0.02 * 3.5
 
+    @pytest.mark.parametrize("fixture", ["ellipse", "ellipsoid"])
+    def test_components_match_direct_solves(self, fixture, request):
+        # reference: one Dirichlet solve of the exact boundary tensor per component
+        dom = request.getfixturevalue(fixture)
+        for k in range(dom.dim):
+            sigma, _ = LD.harmonic_ek_tensor(dom, k)
+            tensors = O.ek_boundary_tensor(dom, k)
+            for (i, j) in sym_index_pairs(dom.dim):
+                direct = L.solve_dirichlet(dom, tensors[:, i, j])
+                np.testing.assert_array_equal(sigma.component(i, j).boundary,
+                                              direct.boundary)
+                assert np.abs(sigma.component(i, j).interior
+                              - direct.interior).max() <= 1e-12
+
     def test_ball_divergence_oracle(self, ball):
         # solid-harmonics oracle: 22/5 per axis
         _, diag = LD.harmonic_ek_tensor(ball, 2)
@@ -192,6 +224,20 @@ class TestLdBounds:
     def test_norm_validation(self, disk):
         with pytest.raises(ValueError):
             LD.ld_bounds(disk, "op1")
+
+    @pytest.mark.parametrize("spec, solves", [
+        (G.DomainSpec.disk(1.0, 0.04), 6),    # 2 normals + 4 cubic monomials
+        (G.DomainSpec.ball(1.0, 0.1), 13),    # 3 normals + 10 cubic monomials
+    ], ids=["disk", "ball"])
+    def test_one_solve_per_normal_monomial(self, spec, solves):
+        # a fresh domain: the session fixtures share their memo across tests
+        dom = G.build_domain(spec)
+        L.reset_solver_stats()
+        S.harmonic_normal_field(dom)
+        LD.ld_bounds(dom, "vec2")
+        assert L.solver_stats["solves"] == solves
+        LD.ld_bounds(dom, "vec2")
+        assert L.solver_stats["solves"] == solves
 
 
 class TestLdTraceInequality:

@@ -147,6 +147,11 @@ class TestWorstCase:
         assert O.worst_case_D("vecInf") == 1.0
         assert O.worst_case_D("vec2", dim=2) == math.sqrt(2)
         assert O.worst_case_D("vecInf", dim=2) == 1.0
+        # the closed forms are exactly the sweep maximum
+        for norm in ("vec2", "vecInf"):
+            for d in (2, 3):
+                sweep = O.sweep_theta(norm, steps=361, dim=d)
+                assert sweep["max_closed_form"] == O.worst_case_D(norm)
 
     def test_unsupported_norm(self):
         with pytest.raises(ValueError):
