@@ -167,7 +167,7 @@ def _task_ld(domains, config: RunConfig, checks: _Checks,
              outdir: str) -> tuple[dict, ld.LDBoundReport]:
     out = {"levels": []}
     b_values = []
-    csv_rows = [ld.LD_CSV_HEADER]
+    csv_rows = []
     for h, domain in domains:
         rep = ld.ld_bounds(domain, config.norm)
         b_values.append(rep.B)
@@ -188,8 +188,7 @@ def _task_ld(domains, config: RunConfig, checks: _Checks,
                    value=drift, tolerance=0.10, h=domains[-1][0],
                    detail="B at h and h/2 agree within 10%")
     out["richardson_B"] = _richardson([h for h, _ in domains], b_values)
-    with open(os.path.join(outdir, "ld_bounds.csv"), "w") as fh:
-        fh.write("\n".join(csv_rows) + "\n")
+    write_csv(os.path.join(outdir, "ld_bounds.csv"), ld.LD_CSV_HEADER, csv_rows)
     return out, rep
 
 

@@ -20,7 +20,7 @@ ld, matnorm-verify, optimal-bc-sweep, battery), ``output`` (directory),
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .geometry import DomainSpec, GeometryError
 
@@ -58,11 +58,7 @@ class RunConfig:
             raise ConfigError(f"norm must be vec2 or vecInf, not {self.norm!r}")
 
     def domain_at(self, h: float) -> DomainSpec:
-        base = self.domain
-        return DomainSpec(kind=base.kind, h=h, dim=base.dim, radius=base.radius,
-                          a=base.a, b=base.b, c=base.c, r_in=base.r_in,
-                          r_out=base.r_out, expression=base.expression,
-                          bbox=base.bbox)
+        return replace(self.domain, h=h)
 
 
 def _parse_pairs(text: str) -> dict[str, str]:

@@ -149,15 +149,6 @@ class SymTensorField:
             i, j = j, i
         return self.components[sym_index_pairs(self.dim).index((i, j))]
 
-    @staticmethod
-    def from_boundary_matrices(domain: Domain, boundary: np.ndarray,
-                               interior: np.ndarray) -> "SymTensorField":
-        """Build from (m, dim, dim) matrix stacks for boundary and interior nodes."""
-        comps = []
-        for (i, j) in sym_index_pairs(domain.dim):
-            comps.append(ScalarField(domain, interior[:, i, j], boundary[:, i, j]))
-        return SymTensorField(tuple(comps), domain.dim)
-
     def interior_matrices(self) -> np.ndarray:
         """(n_interior, dim, dim) symmetric matrices."""
         m = np.zeros((self.domain.n_interior, self.dim, self.dim))

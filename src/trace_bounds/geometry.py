@@ -18,8 +18,10 @@ quadrature weights of segment half-lengths (2D) or triangle-area thirds (3D).
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,140 +56,59 @@ class GeometryError(ValueError):
 # level-set expression language:  + - * / ^  min  max  sqrt  abs  x y z
 # ---------------------------------------------------------------------------
 
-_TOKEN_OPS = set("+-*/^(),")
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_FUNCS = {"sqrt": (1, np.sqrt), "abs": (1, np.abs),
+          "min": (2, np.minimum), "max": (2, np.maximum)}
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in _TOKEN_OPS:
-            tokens.append(c)
-            i += 1
-        elif c.isdigit() or c == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE" or
-                                     (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise GeometryError(f"unexpected character {c!r} in level-set expression")
-    return tokens
-
-
-class _ExprParser:
-    """Recursive-descent parser producing a vectorized closure."""
-
-    _FUNCS = {
-        "sqrt": (1, np.sqrt),
-        "abs": (1, np.abs),
-        "min": (2, np.minimum),
-        "max": (2, np.maximum),
-    }
-
-    def __init__(self, text: str, dim: int):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.vars = "xyz"[:dim]
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self):
-        tok = self._peek()
-        if tok is None:
-            raise GeometryError("unexpected end of level-set expression")
-        self.pos += 1
-        return tok
-
-    def _expect(self, tok):
-        got = self._next()
-        if got != tok:
-            raise GeometryError(f"expected {tok!r}, got {got!r} in level-set expression")
-
-    def parse(self) -> Callable[[np.ndarray], np.ndarray]:
-        node = self._expr()
-        if self._peek() is not None:
-            raise GeometryError(f"trailing input {self._peek()!r} in level-set expression")
-        return node
-
-    def _expr(self):
-        node = self._term()
-        while self._peek() in ("+", "-"):
-            op = self._next()
-            rhs = self._term()
-            if op == "+":
-                node = (lambda a, b: lambda p: a(p) + b(p))(node, rhs)
-            else:
-                node = (lambda a, b: lambda p: a(p) - b(p))(node, rhs)
-        return node
-
-    def _term(self):
-        node = self._power()
-        while self._peek() in ("*", "/"):
-            op = self._next()
-            rhs = self._power()
-            if op == "*":
-                node = (lambda a, b: lambda p: a(p) * b(p))(node, rhs)
-            else:
-                node = (lambda a, b: lambda p: a(p) / b(p))(node, rhs)
-        return node
-
-    def _power(self):
-        base = self._unary()
-        if self._peek() == "^":
-            self._next()
-            exp = self._power()  # right associative
-            return (lambda a, b: lambda p: a(p) ** b(p))(base, exp)
-        return base
-
-    def _unary(self):
-        if self._peek() == "-":
-            self._next()
-            node = self._unary()
-            return (lambda a: lambda p: -a(p))(node)
-        return self._primary()
-
-    def _primary(self):
-        tok = self._next()
-        if tok == "(":
-            node = self._expr()
-            self._expect(")")
-            return node
-        if tok in self._FUNCS:
-            nargs, fn = self._FUNCS[tok]
-            self._expect("(")
-            args = [self._expr()]
-            while self._peek() == ",":
-                self._next()
-                args.append(self._expr())
-            self._expect(")")
-            if len(args) != nargs:
-                raise GeometryError(f"{tok} takes {nargs} argument(s)")
-            return (lambda f, a: lambda p: f(*[g(p) for g in a]))(fn, args)
-        if tok in self.vars:
-            axis = self.vars.index(tok)
-            return (lambda ax: lambda p: p[..., ax])(axis)
-        try:
-            value = float(tok)
-        except ValueError:
-            raise GeometryError(f"unknown symbol {tok!r} in level-set expression") from None
-        return (lambda v: lambda p: np.full(p.shape[:-1], v))(value)
+def _compile(node: ast.AST, names: tuple[str, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized closure for one whitelisted AST node; GeometryError otherwise."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        op = _BINOPS[type(node.op)]
+        a, b = _compile(node.left, names), _compile(node.right, names)
+        return lambda p: op(a(p), b(p))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        a = _compile(node.operand, names)
+        return lambda p: -a(p)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS):
+        nargs, fn = _FUNCS[node.func.id]
+        if len(node.args) != nargs or node.keywords:
+            raise GeometryError(f"{node.func.id} takes {nargs} positional argument(s)")
+        args = [_compile(arg, names) for arg in node.args]
+        return lambda p: fn(*[g(p) for g in args])
+    if isinstance(node, ast.Name):
+        if node.id not in names:
+            raise GeometryError(f"unknown symbol {node.id!r} in level-set expression")
+        axis = names.index(node.id)
+        return lambda p: p[..., axis]
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = float(node.value)
+        return lambda p: np.full(p.shape[:-1], value)
+    raise GeometryError(f"unsupported {type(node).__name__} in level-set expression")
 
 
 def parse_levelset_expression(text: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile an expression in x,y[,z] to a callable on point arrays (..., dim)."""
-    return _ExprParser(text, dim).parse()
+    """Compile an expression in x,y[,z] to a callable on point arrays (..., dim).
+
+    The language is + - * / ^, unary minus, parentheses, sqrt(a), abs(a),
+    min(a, b), max(a, b), the coordinates and numbers. ``^`` is the power,
+    right-associative and binding tighter than unary minus, so -x^2 is -(x^2)
+    and 2^-1 is 0.5. It is parsed with Python's ``ast`` (``^`` read as ``**``)
+    and only the nodes above are compiled; anything else, including a literal
+    ``**`` or input nested too deeply, raises GeometryError.
+    """
+    if "**" in text:
+        raise GeometryError("use ^ for powers in level-set expressions, not **")
+    try:
+        # strip: ast reads leading blanks as an indentation error
+        tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
+        return _compile(tree.body, tuple("xyz"[:dim]))
+    except (SyntaxError, OverflowError) as exc:
+        raise GeometryError(f"invalid level-set expression: {exc}") from None
+    except RecursionError:
+        raise GeometryError("level-set expression is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +238,7 @@ class DomainSpec:
 # domain
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Domain:
     """Discretized domain; immutable after construction (safe for concurrent reads).
 
@@ -334,7 +255,6 @@ class Domain:
     shape: tuple[int, ...]             # grid node counts per axis
     phi: np.ndarray                    # level-set values on the grid (snapped)
     interior_flat: np.ndarray          # (N,) flat grid indices of interior nodes
-    interior_id: np.ndarray            # grid-shaped, id into interior arrays or -1
     interior_coords: np.ndarray        # (N, dim)
     volume_weights: np.ndarray         # (N,) nodal volume quadrature weights
     boundary_pos: np.ndarray           # (M, dim)
@@ -348,7 +268,8 @@ class Domain:
     arm_boundary: np.ndarray           # (2*dim, N) crossing boundary id or -1
     volume: float
     area: float
-    # derived from the fields above; written only by laplace (operator, extensions)
+    # the one mutable part: derived from the fields above, written only by
+    # laplace (operator, extensions)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -635,7 +556,6 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
         shape=shape,
         phi=phi,
         interior_flat=interior_flat,
-        interior_id=interior_id_flat.reshape(shape),
         interior_coords=interior_coords,
         volume_weights=volume_weights,
         boundary_pos=boundary_pos,

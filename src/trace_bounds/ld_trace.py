@@ -276,17 +276,16 @@ class LDBoundReport:
         }
 
 
-LD_CSV_HEADER = ("kind,dim,h,norm,A,B,trace_norm_bound,"
-                 "div_sup_k0,div_sup_k1,div_sup_k2")
+LD_CSV_HEADER = ("kind", "dim", "h", "norm", "A", "B", "trace_norm_bound",
+                 "div_sup_k0", "div_sup_k1", "div_sup_k2")
 
 
-def ld_report_csv_row(report: LDBoundReport, kind: str = "") -> str:
-    """Flat one-line form of a report, for batch sweeps over domains."""
+def ld_report_csv_row(report: LDBoundReport, kind: str = "") -> list:
+    """Flat write_csv row of a report, for batch sweeps over domains."""
     per_k = list(report.per_k) + [None] * (3 - len(report.per_k))
-    cells = [kind, str(report.dim), repr(report.h), report.norm,
-             repr(report.A), repr(report.B), repr(report.trace_norm_bound)]
-    cells += ["" if d is None else repr(d.div_sup_boundary) for d in per_k]
-    return ",".join(cells)
+    return [kind, str(report.dim), report.h, report.norm, report.A, report.B,
+            report.trace_norm_bound] + ["" if d is None else d.div_sup_boundary
+                                        for d in per_k]
 
 
 def ld_bounds(domain: Domain, norm: str = "vec2") -> LDBoundReport:

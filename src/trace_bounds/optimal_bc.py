@@ -252,7 +252,7 @@ def sweep_theta(norm: str, steps: int = 91, dim: int = 3,
     return out
 
 
-def worst_case_D(norm: str, dim: int = 3) -> float:
+def worst_case_D(norm: str) -> float:
     """sup over unit tractions of the optimal stress norm in 2D and 3D: the closed
     forms D_2 = sqrt 2 and D_inf = 1, checked against the sweep_theta maximum."""
     if norm == "vec2":

@@ -1,9 +1,73 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.spatial import ConvexHull
 
 from trace_bounds import geometry as G
+
+
+# Expression trees for the parser property test: ("var", name), ("num", value),
+# ("neg", a), ("pow", base, k), ("call", name, args) and (op, a, b) for + - * /.
+_LEAVES = st.one_of(st.sampled_from([("var", "x"), ("var", "y")]),
+                    st.sampled_from([0, 1, 2, 3, 0.5, 1.25]).map(lambda v: ("num", v)))
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children),
+        st.tuples(st.just("neg"), children),
+        st.tuples(st.just("pow"), children, st.integers(0, 3)),
+        st.tuples(st.just("call"), st.just("abs"), st.tuples(children)),
+        st.tuples(st.just("call"), st.sampled_from(["min", "max"]),
+                  st.tuples(children, children)))
+
+
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=12)
+
+# binding strength: + - < * / < unary minus < ^ < atoms
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4}
+
+
+def render(tree):
+    """(text, binding strength) with only the parentheses precedence needs."""
+    def operand(sub, need):
+        text, prec = render(sub)
+        return text if prec >= need else f"({text})"
+
+    kind = tree[0]
+    if kind == "var":
+        return tree[1], 5
+    if kind == "num":
+        return repr(tree[1]), 5
+    if kind == "call":
+        return f"{tree[1]}({', '.join(render(a)[0] for a in tree[2])})", 5
+    if kind == "neg":
+        return "-" + operand(tree[1], 3), 3
+    if kind == "pow":  # right-associative, so a power base needs parentheses
+        return f"{operand(tree[1], 5)}^{tree[2]}", 4
+    prec = _PREC[kind]  # left-associative binary operator
+    return f"{operand(tree[1], prec)} {kind} {operand(tree[2], prec + 1)}", prec
+
+
+def evaluate(tree, x, y):
+    """Direct NumPy evaluation of a tree."""
+    kind = tree[0]
+    if kind == "var":
+        return x if tree[1] == "x" else y
+    if kind == "num":
+        return np.full_like(x, tree[1])
+    if kind == "neg":
+        return -evaluate(tree[1], x, y)
+    if kind == "pow":
+        return evaluate(tree[1], x, y) ** float(tree[2])
+    if kind == "call":
+        fn = {"abs": np.abs, "min": np.minimum, "max": np.maximum}[tree[1]]
+        return fn(*(evaluate(a, x, y) for a in tree[2]))
+    a, b = evaluate(tree[1], x, y), evaluate(tree[2], x, y)
+    return {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[kind](a, b)
 
 
 def ellipse_perimeter(a, b):
@@ -47,9 +111,32 @@ class TestDomainSpec:
         assert fn2(np.zeros((1, 2)))[0] == -2.0
         fn3 = G.parse_levelset_expression("2^3^2", 2)  # right assoc
         assert fn3(np.zeros((1, 2)))[0] == 512.0
+        # ^ binds tighter than unary minus
+        at_half = np.array([[0.5, 0.0]])
+        for text, value in (("-x^2", -0.25), ("-x^2+1", 0.75), ("-2^2", -4.0),
+                            ("2^-1", 0.5)):
+            assert G.parse_levelset_expression(text, 2)(at_half)[0] == value
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_parser_matches_tree_evaluation(self, tree):
+        x, y = (c.ravel() for c in np.meshgrid(np.linspace(-1.7, 1.9, 7),
+                                               np.linspace(-1.3, 2.1, 7)))
+        text = render(tree)[0]
+        with np.errstate(all="ignore"):
+            got = G.parse_levelset_expression(text, 2)(np.stack([x, y], axis=-1))
+            want = evaluate(tree, x, y)
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite, err_msg=text)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, err_msg=text)
 
     def test_expression_errors(self):
-        for bad in ("x +", "foo(x)", "x ~ y", "min(x)", "(x", "x) y"):
+        for bad in ("x +", "foo(x)", "x ~ y", "min(x)", "(x", "x) y",
+                    # only whitelisted syntax, never Python
+                    "x**2", '__import__("os")', "x.real", "x[0]", "1j", "True",
+                    "lambda: 1", "x < y", "min(x, y=1)",
+                    # too deep for the parser or the compiler
+                    "(" * 300 + "x" + ")" * 300, "+".join(["x"] * 2000)):
             with pytest.raises(G.GeometryError):
                 G.parse_levelset_expression(bad, 2)
         with pytest.raises(G.GeometryError):
@@ -89,6 +176,10 @@ class TestBuildDomain:
         exact = dom.boundary_pos / np.linalg.norm(dom.boundary_pos, axis=1,
                                                   keepdims=True)
         assert np.abs(dom.boundary_normal - exact).max() < 1e-7
+
+    def test_domain_is_frozen(self, disk):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            disk.h = 0.01
 
     def test_normals_are_unit(self, disk, ball, ellipse, annulus):
         for dom in (disk, ball, ellipse, annulus):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,31 @@ def quadratic_eigs(a, b, c):
     disc = np.sqrt((a - c) ** 2 / 4 + b * b)
     mid = (a + c) / 2
     return np.array([mid - disc, mid + disc])
+
+
+def smith_eigs(A):
+    """Independent 3x3 oracle: Smith's trigonometric closed form (CACM 4(4):168,
+    1961) for a stack of symmetric matrices, ascending."""
+    q = np.trace(A, axis1=1, axis2=2) / 3
+    B = A - q[:, None, None] * np.eye(3)
+    p = np.sqrt((B * B).sum(axis=(1, 2)) / 6)
+    safe = np.where(p > 0, p, 1.0)
+    r = np.where(p > 0, np.linalg.det(B / safe[:, None, None]) / 2, 0.0)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3
+    top = q + 2 * p * np.cos(phi)
+    bottom = q + 2 * p * np.cos(phi + 2 * np.pi / 3)
+    return np.stack([bottom, 3 * q - top - bottom, top], axis=1)
+
+
+def rotation(alpha, beta, gamma):
+    """Z-Y-Z rotation from explicit Euler angles."""
+    def about(axis, t):
+        c, s = np.cos(t), np.sin(t)
+        i, j = [k for k in range(3) if k != axis]
+        R = np.eye(3)
+        R[i, i], R[i, j], R[j, i], R[j, j] = c, -s, s, c
+        return R
+    return about(2, alpha) @ about(1, beta) @ about(2, gamma)
 
 
 def random_symmetric(rng, n, count=1):
@@ -37,12 +64,25 @@ class TestEigenvalues:
                                        quadratic_eigs(T[0, 0], T[0, 1], T[1, 1]),
                                        atol=1e-13)
 
-    def test_against_numpy_oracle(self, rng):
-        for n in (2, 3):
-            A = random_symmetric(rng, n, 500)
-            mine = M.eigenvalues_stack(A)
-            ref = np.sort(np.linalg.eigvalsh(A), axis=1)
-            assert np.abs(mine - ref).max() < 1e-12
+    def test_against_closed_form_oracle(self, rng):
+        A = random_symmetric(rng, 2, 500)
+        ref = quadratic_eigs(A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]).T
+        assert np.abs(M.eigenvalues_stack(A) - ref).max() < 1e-12
+        A = random_symmetric(rng, 3, 500)
+        assert np.abs(M.eigenvalues_stack(A) - smith_eigs(A)).max() < 1e-12
+
+    def test_rotated_diagonal_oracle(self):
+        # Q diag(lam) Q^T has eigenvalues lam exactly, repeated ones included
+        angles = np.linspace(0.3, 5.9, 4)
+        for lam in ([-1.0, 0.5, 2.0], [0.3, 0.3, -1.2], [1.0, -2.0, 1.0], [0.7] * 3):
+            for alpha, beta, gamma in itertools.product(angles, repeat=3):
+                Q = rotation(alpha, beta, gamma)
+                T = Q @ np.diag(lam) @ Q.T
+                np.testing.assert_allclose(M.eigenvalues(T), np.sort(lam), atol=1e-14)
+                # anchor the Smith oracle too; its arccos keeps only about half
+                # the digits at a double eigenvalue
+                np.testing.assert_allclose(smith_eigs(T[None])[0], np.sort(lam),
+                                           atol=1e-7)
 
     def test_characteristic_polynomial_residual(self, rng):
         for T in random_symmetric(rng, 3, 100):
@@ -51,7 +91,6 @@ class TestEigenvalues:
                 assert abs(np.linalg.det(T - lam * np.eye(3))) <= 1e-10 * scale
 
     def test_offdiagonal_convergence(self, rng):
-        # the iteration's own contract: off-diagonal norm below 1e-13 * fro
         A = random_symmetric(rng, 3, 50)
         eigs = M.eigenvalues_stack(A)
         assert np.isfinite(eigs).all()

@@ -145,8 +145,6 @@ class TestWorstCase:
     def test_exact_values(self):
         assert O.worst_case_D("vec2") == math.sqrt(2)
         assert O.worst_case_D("vecInf") == 1.0
-        assert O.worst_case_D("vec2", dim=2) == math.sqrt(2)
-        assert O.worst_case_D("vecInf", dim=2) == 1.0
         # the closed forms are exactly the sweep maximum
         for norm in ("vec2", "vecInf"):
             for d in (2, 3):
