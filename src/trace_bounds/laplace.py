@@ -6,10 +6,15 @@ and read the boundary value there. The resulting system is an M-matrix, so
 the discrete maximum principle holds; every solve verifies it, along with
 the algebraic residual, and records both in ``solver_stats``.
 
-The linear system is solved by a sparse direct factorization, computed once
-per domain and reused by every component solve on that domain (the matrix
-depends only on the geometry). Residuals are verified against the 1e-10
-relative tolerance after every solve.
+The matrix depends only on the geometry and is assembled once per domain,
+in the format its backend uses. 2D systems are solved by a sparse direct
+factorization, computed on the first solve and reused by every later one.
+3D systems are solved by BiCGSTAB (van der Vorst 1992) with a Jacobi
+(inverse-diagonal) preconditioner: LU fill grows much faster in 3D, and
+measured over the resolutions the tool runs, the Krylov solve wins at every
+3D size and the factorization at every 2D size. Residuals are verified
+against the 1e-10 relative tolerance after every solve, whichever backend
+produced it; Krylov iterations are counted in ``solver_stats``.
 
 Every harmonic object the trace bounds need is a linear combination of
 harmonic extensions of monomials in the outward normal: H[nu_a] (the normal
@@ -42,11 +47,19 @@ SOLVER_TOL = 1e-10
 # slack for the discrete maximum principle check (algebraic, not O(h))
 _MAX_PRINCIPLE_TOL = 1e-8
 
-solver_stats = {"solves": 0, "max_residual": 0.0, "max_principle_violation": 0.0}
+# BiCGSTAB stopping tolerance, relative to |rhs|. At 1e-13 the assembled
+# sigma^k on an ellipsoid differ from direct solves by 1.2e-11, more than the
+# 1e-12 round-off bound the LD tests hold them to; at 1e-15 they agree, and
+# the true residuals stay near 3e-15, far inside SOLVER_TOL.
+KRYLOV_RTOL = 1e-15
+
+solver_stats = {"solves": 0, "max_residual": 0.0, "max_principle_violation": 0.0,
+                "iterations": 0}
 
 
 def reset_solver_stats() -> None:
     solver_stats["solves"] = 0
+    solver_stats["iterations"] = 0
     solver_stats["max_residual"] = 0.0
     solver_stats["max_principle_violation"] = 0.0
 
@@ -88,12 +101,16 @@ class _Operator:
         rows.append(idx)
         cols.append(idx)
         vals.append(diag)
-        self.neg_laplacian = sp.csc_matrix(
+        # CSC feeds splu; CSR is the faster layout for the Krylov matvecs
+        krylov = dim == 3
+        matrix = sp.csr_matrix if krylov else sp.csc_matrix
+        self.neg_laplacian = matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n))
         self.boundary_coupling = sp.csc_matrix(
             (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
             shape=(n, domain.n_boundary))
+        self._jacobi = sp.diags(1.0 / diag) if krylov else None
         self._lu = None
 
     @property
@@ -104,6 +121,33 @@ class _Operator:
             except RuntimeError as exc:
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
         return self._lu
+
+    def _residual(self, u: np.ndarray, rhs: np.ndarray) -> float:
+        scale = max(np.abs(rhs).max(), np.abs(u).max(), 1e-300)
+        return np.abs(self.neg_laplacian @ u - rhs).max() / scale
+
+    def _bicgstab(self, rhs: np.ndarray) -> np.ndarray:
+        # SciPy's breakdown tests are absolute (eps^2), so solve for data
+        # scaled to unit norm; a power of two keeps the rescaling exact
+        exponent = np.frexp(np.linalg.norm(rhs))[1]
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        u, info = spla.bicgstab(self.neg_laplacian, np.ldexp(rhs, -exponent),
+                                rtol=KRYLOV_RTOL, atol=0.0, M=self._jacobi,
+                                callback=count)
+        u = np.ldexp(u, exponent)
+        if info != 0:
+            residual = self._residual(u, rhs)
+            reason = (f"did not converge in {info} iterations" if info > 0 else
+                      f"broke down (info {info}) after {iterations} iterations")
+            raise SolverError(f"BiCGSTAB {reason}, residual {residual:.3e}",
+                              residual=residual)
+        solver_stats["iterations"] += iterations
+        return u
 
     def apply_laplacian(self, field: ScalarField) -> np.ndarray:
         """Discrete Laplacian at interior nodes, using the field's boundary values."""
@@ -119,9 +163,8 @@ class _Operator:
         if not np.isfinite(g).all():
             raise GeometryError("boundary data contains non-finite values")
         rhs = self.boundary_coupling @ g
-        u = self.lu.solve(rhs)
-        scale = max(np.abs(rhs).max(), np.abs(u).max(), 1e-300)
-        residual = np.abs(self.neg_laplacian @ u - rhs).max() / scale
+        u = self.lu.solve(rhs) if self._jacobi is None else self._bicgstab(rhs)
+        residual = self._residual(u, rhs)
         if not np.isfinite(u).all() or residual > SOLVER_TOL:
             raise SolverError(
                 f"linear solve residual {residual:.3e} exceeds {SOLVER_TOL:.0e}",

@@ -135,6 +135,7 @@ norm = vec2
         ld_level = report["tasks"]["ld"]["levels"][0]
         assert ld_level["A"] == 3 * np.sqrt(2)
         assert abs(ld_level["B"] - 13.2) < 0.05 * 13.2
+        assert report["solver_stats"]["iterations"] > 0
 
     def test_ld_task_writes_csv(self, tmp_path):
         cfg = C.parse_config("""
@@ -189,6 +190,18 @@ class TestMain:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(DISK_CONFIG + f"output = {tmp_path}/out\n")
         assert cli.main(["run", str(cfg_file)]) == cli.EXIT_OK
+
+    def test_krylov_failure_exits_3(self, tmp_path, monkeypatch):
+        from trace_bounds import laplace
+        monkeypatch.setattr(laplace.spla, "bicgstab",
+                            lambda A, b, **kwargs: (np.zeros_like(b), 417))
+        cfg_file = tmp_path / "ball.cfg"
+        cfg_file.write_text("kind = ball\nradius = 1.0\nh = 0.25\n"
+                            f"tasks = sobolev\noutput = {tmp_path}/out\n")
+        assert cli.main(["run", str(cfg_file)]) == cli.EXIT_SOLVER
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["error"]["type"] == "solver"
+        assert "417 iterations" in report["error"]["message"]
 
     def test_malformed_config_exits_2(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"

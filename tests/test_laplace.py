@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from trace_bounds import geometry as G, laplace as L
 from trace_bounds.fields import ScalarField, VectorField
@@ -71,6 +74,58 @@ class TestSolve:
         assert L.solver_stats["solves"] == 1
         assert L.solver_stats["max_residual"] <= L.SOLVER_TOL
         assert L.solver_stats["max_principle_violation"] <= 1e-8
+        # 2D systems are factorized, not iterated
+        assert L.solver_stats["iterations"] == 0
+
+
+OFF_CENTRE_ELLIPSOID = "((x-0.13)/1.0)^2 + ((y+0.21)/0.8)^2 + ((z-0.07)/0.6)^2 - 1"
+
+
+class TestKrylov:
+    """3D systems are solved by Jacobi-preconditioned BiCGSTAB."""
+
+    @pytest.mark.parametrize("expression", [None, OFF_CENTRE_ELLIPSOID],
+                             ids=["ball", "off_centre_ellipsoid"])
+    def test_normal_monomials_match_splu(self, expression, ball):
+        dom = ball if expression is None else G.build_domain(
+            G.DomainSpec.levelset(expression, 0.1, dim=3))
+        op = L._operator(dom)
+        oracle = spla.splu(op.neg_laplacian.tocsc())
+        monomials = [(a,) for a in range(3)] + list(
+            itertools.combinations_with_replacement(range(3), 3))
+        L.reset_solver_stats()
+        for axes in monomials:
+            g = np.prod(dom.boundary_normal[:, list(axes)], axis=1)
+            u = L.solve_dirichlet(dom, g)
+            rhs = op.boundary_coupling @ g
+            expect = oracle.solve(rhs)
+            assert np.abs(u.interior - expect).max() <= 1e-12 * np.abs(expect).max()
+            scale = max(np.abs(rhs).max(), np.abs(u.interior).max())
+            residual = np.abs(op.neg_laplacian @ u.interior - rhs).max()
+            assert residual <= L.SOLVER_TOL * scale
+        assert L.solver_stats["solves"] == 13
+        assert L.solver_stats["max_residual"] <= L.SOLVER_TOL
+        assert L.solver_stats["max_principle_violation"] <= 1e-8
+        assert L.solver_stats["iterations"] >= 13
+
+    def test_scale_invariant(self, ball):
+        # SciPy's breakdown tests are absolute; tiny data must still converge
+        g = np.prod(ball.boundary_normal, axis=1)
+        u = L.solve_dirichlet(ball, g).interior
+        for factor in (1e-12, 1e12):
+            scaled = L.solve_dirichlet(ball, factor * g).interior / factor
+            assert np.abs(scaled - u).max() <= 1e-12 * np.abs(u).max()
+
+    @pytest.mark.parametrize("info, message", [
+        (417, "did not converge in 417 iterations"), (-10, "broke down")])
+    def test_failure_is_named(self, ball, monkeypatch, info, message):
+        monkeypatch.setattr(L.spla, "bicgstab",
+                            lambda A, b, **kwargs: (np.zeros_like(b), info))
+        solves = L.solver_stats["solves"]
+        with pytest.raises(L.SolverError, match=message) as err:
+            L.solve_dirichlet(ball, ball.boundary_normal[:, 0])
+        assert err.value.residual > L.SOLVER_TOL
+        assert L.solver_stats["solves"] == solves
 
 
 class TestMaxPrinciple:

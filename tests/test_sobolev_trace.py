@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from trace_bounds import geometry as G, sobolev_trace as S
+from trace_bounds import geometry as G, laplace as L, sobolev_trace as S
 from trace_bounds.fields import ScalarField, VectorField
 
 NECK_EXPR = ("min(min((x-1.1)^2+y^2-1,(x+1.1)^2+y^2-1),"
@@ -100,6 +101,22 @@ class TestIsoperimetricBound:
         B = S.sobolev_B(dom, nf)
         iso_bound = S.isoperimetric_lower_bound(dom)
         assert B >= 1.25 * iso_bound
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.tuples(*[st.floats(0.6, 1.4)] * 3))
+    @example((0.6, 0.6, 0.6))
+    def test_random_ellipsoid_above_bound(self, axes):
+        h = 0.15
+        dom = G.build_domain(G.DomainSpec.ellipsoid(*axes, h))
+        L.reset_solver_stats()
+        B = S.sobolev_B(dom)
+        # equality holds on spheres, where the discrete |bnd|/|Omega| exceeds
+        # the exact 3/r by about 0.7 (h/r)^2
+        assert B >= S.isoperimetric_lower_bound(dom) * (1 - (h / min(axes)) ** 2)
+        assert L.solver_stats["solves"] == 3
+        assert L.solver_stats["max_residual"] <= L.SOLVER_TOL
+        assert L.solver_stats["max_principle_violation"] <= 1e-8
+        assert L.solver_stats["iterations"] > 0
 
 
 class TestTraceInequality:
