@@ -388,6 +388,13 @@ def export_plot_data(field, path) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trace-bounds",
@@ -401,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mat = sub.add_parser("verify-matnorm",
                            help="verify the matrix-norm equivalence constants")
     p_mat.add_argument("--dim", type=int, choices=(2, 3), required=True)
-    p_mat.add_argument("--samples", type=int, default=10000)
+    p_mat.add_argument("--samples", type=_positive_int, default=10000)
     p_mat.add_argument("--seed", type=int, default=20240401)
     p_mat.add_argument("--output", help="CSV output path")
 
@@ -409,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="sweep the optimal-stress angle")
     p_sweep.add_argument("--norm", choices=("vec2", "vecInf", "op2"),
                          required=True)
-    p_sweep.add_argument("--steps", type=int, default=91)
+    p_sweep.add_argument("--steps", type=_positive_int, default=91)
     p_sweep.add_argument("--dim", type=int, choices=(2, 3), default=3)
     p_sweep.add_argument("--output", help="CSV output path")
     p_sweep.add_argument("--brute-force", action="store_true",

@@ -20,13 +20,18 @@ ld, matnorm-verify, optimal-bc-sweep, battery), ``output`` (directory),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
-from .geometry import DomainSpec, GeometryError
+from .geometry import DomainSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
 TASKS = ("sobolev", "ld", "matnorm-verify", "optimal-bc-sweep", "battery")
+# canonical kind -> (dim, shape keys)
+_SHAPE_KEYS = {"disk": (2, ("radius",)), "ball": (3, ("radius",)),
+               "ellipse": (2, ("a", "b")), "ellipsoid": (3, ("a", "b", "c")),
+               "annulus": (2, ("r_in", "r_out"))}
 
 
 class ConfigError(ValueError):
@@ -54,8 +59,12 @@ class RunConfig:
             raise ConfigError("at least one grid level h is required")
         if any(b >= a for a, b in zip(self.h_levels, self.h_levels[1:])):
             raise ConfigError("h levels must be strictly descending")
+        if not all(math.isfinite(h) and h > 0 for h in self.h_levels):
+            raise ConfigError("h levels must be positive and finite")
         if self.norm not in ("vec2", "vecInf"):
             raise ConfigError(f"norm must be vec2 or vecInf, not {self.norm!r}")
+        if self.samples < 1 or self.steps < 1:
+            raise ConfigError("samples and steps must be at least 1")
 
     def domain_at(self, h: float) -> DomainSpec:
         return replace(self.domain, h=h)
@@ -97,40 +106,24 @@ def parse_config(text: str) -> RunConfig:
     if not h_levels:
         raise ConfigError("missing required key 'h'")
 
-    spec_kwargs = dict(kind=kind, h=h_levels[0])
-    if kind in ("disk", "ball"):
-        spec_kwargs["radius"] = float(take("radius", 0) or 0)
-        spec_kwargs["dim"] = 2 if kind == "disk" else 3
-    elif kind in ("ellipse", "ellipsoid"):
-        spec_kwargs["a"] = float(take("a", 0) or 0)
-        spec_kwargs["b"] = float(take("b", 0) or 0)
-        spec_kwargs["dim"] = 2
-        if kind == "ellipsoid":
-            spec_kwargs["c"] = float(take("c", 0) or 0)
-            spec_kwargs["dim"] = 3
-    elif kind == "annulus":
-        spec_kwargs["r_in"] = float(take("r_in", 0) or 0)
-        spec_kwargs["r_out"] = float(take("r_out", 0) or 0)
-        spec_kwargs["dim"] = 2
-    elif kind == "levelset":
-        spec_kwargs["expression"] = take("expression", "")
-        spec_kwargs["dim"] = int(take("dim", "2"))
-        bbox = _floats(take("bbox", "-2, 2"))
-        if len(bbox) != 2:
-            raise ConfigError("bbox must be 'lo, hi'")
-        spec_kwargs["bbox"] = bbox
-    else:
-        raise ConfigError(f"unknown kind {kind!r}")
-
+    # float/int parse errors and GeometryError are ValueErrors too
     try:
-        domain = DomainSpec(**spec_kwargs)
-    except GeometryError as exc:
-        raise ConfigError(str(exc)) from exc
+        spec_kwargs = dict(kind=kind, h=h_levels[0])
+        if kind in _SHAPE_KEYS:
+            spec_kwargs["dim"], keys = _SHAPE_KEYS[kind]
+            spec_kwargs.update((key, float(take(key, 0) or 0)) for key in keys)
+        elif kind == "levelset":
+            bbox = _floats(take("bbox", "-2, 2"))
+            if len(bbox) != 2:
+                raise ConfigError("bbox must be 'lo, hi'")
+            spec_kwargs.update(expression=take("expression", ""),
+                               dim=int(take("dim", "2")), bbox=bbox)
+        else:
+            raise ConfigError(f"unknown kind {kind!r}")
 
-    tasks = tuple(t.strip() for t in take("tasks", "sobolev").split(",") if t.strip())
-    try:
+        tasks = tuple(t.strip() for t in take("tasks", "sobolev").split(",") if t.strip())
         config = RunConfig(
-            domain=domain,
+            domain=DomainSpec(**spec_kwargs),
             h_levels=h_levels,
             norm=take("norm", "vec2"),
             tasks=tasks,

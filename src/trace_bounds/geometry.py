@@ -12,7 +12,12 @@ boundary points.
 
 Volume is computed from the exact sub-simplex volume of the linear
 interpolant of the level set (a boundary-cell correction on top of node
-counting); surface measure is the total facet measure, with per-vertex
+counting). The facets come from one constant table, ``_FACETS``: with its
+corners sorted stably so that its k inside corners come first, a mixed simplex
+is cut on the corner pairs (i, j) with i < k <= j, in lexicographic order, and
+its facet is one segment (2D), one triangle (3D, k = 1 or 3), or the quad of
+pairs AC, AD, BC, BD split into the pair triangles [0, 1, 3] and [0, 3, 2]
+(3D, k = 2). Surface measure is the total facet measure, with per-vertex
 quadrature weights of segment half-lengths (2D) or triangle-area thirds (3D).
 """
 
@@ -136,6 +141,9 @@ class DomainSpec:
             raise GeometryError(f"unknown domain kind {self.kind!r}")
         if not (isinstance(self.h, (int, float)) and self.h > 0):
             raise GeometryError("grid spacing h must be positive")
+        numbers = (self.h, self.radius, self.a, self.b, self.c, self.r_in, self.r_out)
+        if not all(math.isfinite(v) for v in numbers + tuple(self.bbox)):
+            raise GeometryError("domain sizes and the bbox must be finite")
         if self.dim not in (2, 3):
             raise GeometryError("dimension must be 2 or 3")
         expect = {"disk": 2, "ball": 3, "ellipse": 2, "ellipsoid": 3, "annulus": 2}
@@ -240,7 +248,7 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class Domain:
-    """Discretized domain; immutable after construction (safe for concurrent reads).
+    """Discretized domain; immutable except ``_cache``, which laplace fills lazily.
 
     Interior grid nodes carry the PDE unknowns. Boundary nodes are the surface
     mesh vertices: crossings on axis-aligned grid edges (``boundary_is_axis``,
@@ -288,20 +296,16 @@ _TRIANGLES_2D = (
 )
 
 
-def _kuhn_tets():
-    tets = []
-    for perm in itertools.permutations(range(3)):
-        corner = np.zeros(3, dtype=int)
-        verts = [tuple(corner)]
-        for axis in perm:
-            corner = corner.copy()
-            corner[axis] = 1
-            verts.append(tuple(corner))
-        tets.append(tuple(verts))
-    return tuple(tets)
+# corner n of the tet for axis order perm has offset 1 on the axes perm[:n]
+_TETS_3D = tuple(tuple(tuple(int(ax in perm[:n]) for ax in range(3)) for n in range(4))
+                 for perm in itertools.permutations(range(3)))
 
-
-_TETS_3D = _kuhn_tets()
+# facet table (module docstring): dim -> inside-corner count k -> facets as
+# index tuples into the simplex's cut corner pairs
+_FACETS = {
+    2: {1: ((0, 1),), 2: ((0, 1),)},
+    3: {1: ((0, 1, 2),), 2: ((0, 1, 3), (0, 3, 2)), 3: ((0, 1, 2),)},
+}
 
 
 def _simplex_inside_fraction(values: np.ndarray) -> np.ndarray:
@@ -379,14 +383,7 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
     inside = phi < 0
     if not inside.any():
         raise GeometryError("grid too coarse: no interior nodes")
-    shell = np.zeros(shape, dtype=bool)
-    for ax in range(dim):
-        sl = [slice(None)] * dim
-        sl[ax] = 0
-        shell[tuple(sl)] = True
-        sl[ax] = -1
-        shell[tuple(sl)] = True
-    if inside[shell].any():
+    if inside.sum() != inside[(slice(1, -1),) * dim].sum():  # inside on the shell
         raise GeometryError("domain not bounded within bounding box")
 
     phi_flat = phi.ravel()
@@ -434,7 +431,8 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
 
     volume_weights = np.zeros(n_int)
     total_volume = 0.0
-    mixed_corner_sets: list[np.ndarray] = []
+    mixed_corners: list[np.ndarray] = []  # per template: corners, inside first
+    mixed_counts: list[np.ndarray] = []   # per template: inside-corner count k
 
     for verts in simplices:
         offs = np.array([sum(v[ax] * strides[ax] for ax in range(dim)) for v in verts])
@@ -458,30 +456,25 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
             sel = occupied & neg[:, c]
             np.add.at(volume_weights, interior_id_flat[corner_flat[sel, c]], share[sel])
 
-        if mixed.any():
-            mixed_corner_sets.append(corner_flat[mixed])
+        order = np.argsort(~neg[mixed], axis=1, kind="stable")
+        mixed_corners.append(np.take_along_axis(corner_flat[mixed], order, axis=1))
+        mixed_counts.append(n_neg[mixed])
 
-    # ---- phase 3: facet edges of mixed simplices ----
-    # rows of (in,out) pairs per simplex: 1-in tri (3 pairs), 2-in quad (4),
-    # 3-in tri (3); in 2D always a 2-pair segment
-    facet_rows: list[np.ndarray] = []  # per row: pair indices into the edge list
+    # ---- phase 3: cut corner pairs of mixed simplices, one group per k ----
+    corners, counts = np.concatenate(mixed_corners), np.concatenate(mixed_counts)
+    facet_groups: list[tuple[slice, int, tuple]] = []  # (pair slice, pairs each, facets)
     pair_cursor = sum(p.size for p in edge_in_parts)
-    for corner_flat in mixed_corner_sets:
-        vals = phi_flat[corner_flat]
-        neg = vals < 0
-        for row in range(corner_flat.shape[0]):
-            ins = corner_flat[row, neg[row]]
-            outs = corner_flat[row, ~neg[row]]
-            pairs_in = np.repeat(ins, outs.size)
-            pairs_out = np.tile(outs, ins.size)
-            edge_in_parts.append(pairs_in)
-            edge_out_parts.append(pairs_out)
-            count = pairs_in.size
-            facet_rows.append(np.arange(pair_cursor, pair_cursor + count))
-            pair_cursor += count
+    for k, facets in _FACETS[dim].items():
+        group = corners[counts == k]
+        pairs = np.array([(i, j) for i in range(k) for j in range(k, dim + 1)])
+        edge_in_parts.append(group[:, pairs[:, 0]].ravel())
+        edge_out_parts.append(group[:, pairs[:, 1]].ravel())
+        end = pair_cursor + group.shape[0] * len(pairs)
+        facet_groups.append((slice(pair_cursor, end), len(pairs), facets))
+        pair_cursor = end
 
-    edge_in = np.concatenate(edge_in_parts) if edge_in_parts else np.zeros(0, np.int64)
-    edge_out = np.concatenate(edge_out_parts) if edge_out_parts else np.zeros(0, np.int64)
+    edge_in = np.concatenate(edge_in_parts)
+    edge_out = np.concatenate(edge_out_parts)
     if edge_in.size == 0:
         raise GeometryError("grid too coarse: no boundary crossings found")
 
@@ -510,26 +503,15 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
     # ---- phase 5: facets, surface measure, vertex weights ----
     boundary_weight = np.zeros(n_bnd)
     total_area = 0.0
-    for pair_idx in facet_rows:
-        ids = inverse[pair_idx]
-        if dim == 2:
-            tris = (ids,)  # a segment
-        elif ids.size == 3:
-            tris = (ids,)
-        else:
-            # pairs ordered (A,C),(A,D),(B,C),(B,D); quad in face order ACDB
-            quad = ids[[0, 1, 3, 2]]
-            tris = (quad[[0, 1, 2]], quad[[0, 2, 3]])
-        for tri in tris:
-            pts = boundary_pos[tri]
-            if dim == 2:
-                measure = float(np.linalg.norm(pts[1] - pts[0]))
-                boundary_weight[tri] += 0.5 * measure
-            else:
-                cr = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-                measure = 0.5 * float(np.linalg.norm(cr))
-                boundary_weight[tri] += measure / 3.0
-            total_area += measure
+    for pair_slice, n_pairs, facets in facet_groups:
+        ids = inverse[pair_slice].reshape(-1, n_pairs)
+        for facet in facets:
+            vert = ids[:, facet]
+            edge = boundary_pos[vert[:, 1:]] - boundary_pos[vert[:, :1]]
+            measure = (np.linalg.norm(edge[:, 0], axis=1) if dim == 2 else
+                       0.5 * np.linalg.norm(np.cross(edge[:, 0], edge[:, 1]), axis=1))
+            np.add.at(boundary_weight, vert, (measure / dim)[:, None])
+            total_area += measure.sum()
 
     # ---- phase 6: outward unit normals ----
     normal_fn = spec.normal_function()

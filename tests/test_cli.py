@@ -64,6 +64,14 @@ h = 0.1
         "kind = disk\nradius = 1.0\nh = 0.1\nnorm = op9",   # bad norm
         "kind = disk\nradius = -1\nh = 0.1",         # invalid shape
         "just some words",                            # not key = value
+        "kind = disk\nradius = abc\nh = 0.1",        # non-numeric shape number
+        "kind = disk\nradius = inf\nh = 0.1",        # non-finite shape number
+        "kind = levelset\nexpression = x^2+y^2-1\ndim = three\nh = 0.1",
+        "kind = disk\nradius = 1.0\nh = inf",        # non-finite h
+        "kind = disk\nradius = 1.0\nh = 0.1, nan",   # non-finite finer h
+        "kind = disk\nradius = 1.0\nh = 0.1, 0",     # non-positive finer h
+        "kind = disk\nradius = 1.0\nh = 0.1\nsamples = 0",
+        "kind = disk\nradius = 1.0\nh = 0.1\nsteps = 0",
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(C.ConfigError):
@@ -210,6 +218,11 @@ class TestMain:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.cfg")]) == cli.EXIT_CONFIG
+
+    def test_count_flags_must_be_positive(self, capsys):
+        assert cli.main(["verify-matnorm", "--dim", "2", "--samples", "0"]) == cli.EXIT_CONFIG
+        assert cli.main(["sweep-theta", "--norm", "vec2", "--steps", "0"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.count("must be a positive integer") == 2
 
     def test_verify_matnorm_subcommand(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

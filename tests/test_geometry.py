@@ -169,6 +169,24 @@ class TestBuildDomain:
         assert abs(dom.area - approx_area) / approx_area < 0.03
         assert np.abs(np.linalg.norm(dom.boundary_normal, axis=1) - 1).max() < 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_polyhedron_exact(self, dim, h):
+        # diamond / octahedron |x-c|_1 = r centred on a grid node: the level set
+        # is linear on every simplex, so the facet surface is the polyhedron
+        r, centre = 0.537, np.array([0.1, -0.2, 0.3])[:dim]
+        expr = "+".join(f"abs({v}-({c}))" for v, c in zip("xyz", centre)) + f"-{r}"
+        dom = G.build_domain(G.DomainSpec.levelset(expr, h, dim, (-1.0, 1.0)))
+        area = 4 * np.sqrt(2) * r if dim == 2 else 4 * np.sqrt(3) * r ** 2
+        volume = 2 * r ** 2 if dim == 2 else 4 / 3 * r ** 3
+        assert abs(dom.area - area) <= 1e-12 * area
+        assert abs(dom.boundary_weight.sum() - area) <= 1e-12 * area
+        # first moment: centroid rule on flat facets, then symmetry about c
+        moment = dom.boundary_weight @ dom.boundary_pos
+        assert np.abs(moment - centre * area).max() <= 1e-12 * area
+        # the volume fraction jitters ties by 1e-11
+        assert abs(dom.volume - volume) <= 1e-8 * volume
+
     def test_levelset_sphere_3d(self):
         dom = G.build_domain(G.DomainSpec.levelset("x^2+y^2+z^2-1", 0.15, 3,
                                                    (-1.5, 1.5)))
