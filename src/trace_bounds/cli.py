@@ -292,6 +292,9 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
                     ("r_in", config.domain.r_in),
                     ("r_out", config.domain.r_out),
                     ("expression", config.domain.expression),
+                    # the bbox sets a level set's grid; canonical kinds ignore it
+                    ("bbox", config.domain.kind == "levelset"
+                     and list(config.domain.bbox)),
                 ) if v
             },
         },

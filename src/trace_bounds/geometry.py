@@ -277,7 +277,7 @@ class Domain:
     volume: float
     area: float
     # the one mutable part: derived from the fields above, written only by
-    # laplace (operator, extensions)
+    # laplace (operator, extensions, difference stencils)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property

@@ -19,7 +19,9 @@ produced it; Krylov iterations are counted in ``solver_stats``.
 Every harmonic object the trace bounds need is a linear combination of
 harmonic extensions of monomials in the outward normal: H[nu_a] (the normal
 field) and H[nu_a nu_b nu_c] (the optimal e_k stresses). Each such extension
-is solved once per domain and memoized next to the operator.
+is solved once per domain and memoized next to the operator, as are the
+per-axis sparse difference stencils that every gradient, divergence and
+boundary extrapolation is a product with.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "solve_dirichlet",
     "gradient",
     "divergence",
+    "tensor_divergence",
     "laplacian",
     "sup_norm",
     "extrapolate_to_boundary",
@@ -222,47 +225,49 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> ScalarField:
 # difference operators
 # ---------------------------------------------------------------------------
 
-def _arm_values(field: ScalarField, direction: int) -> np.ndarray:
-    """Field value at the far end of each stencil arm."""
-    domain = field.domain
-    nb_int = domain.arm_interior[direction]
-    nb_bnd = domain.arm_boundary[direction]
-    out = np.empty(domain.n_interior)
-    m = nb_int >= 0
-    out[m] = field.interior[nb_int[m]]
-    out[~m] = field.boundary[nb_bnd[~m]]
-    return out
+def _stencils(domain: Domain) -> list[tuple]:
+    """Every stencil arm resolved once per domain, on the first difference
+    operator call. Per axis, a tuple of: the derivative as an (N, N+M) CSR
+    matrix over the interior then the boundary values; its denominators
+    hp*hm*(hp+hm); the interior-only gradient at each boundary node's nearest
+    interior node as an (M, N) CSR matrix; its divisors (2h central, h
+    one-sided); and the offsets from those nodes to the boundary. Each row
+    lists its terms in the order the difference formulas add them, so the
+    products are bit-identical to evaluating the formulas term by term."""
+    if "stencils" not in domain._cache:
+        n, h, near = domain.n_interior, domain.h, domain.boundary_nearest
+        offset = domain.boundary_pos - domain.interior_coords[near]
+        stencils = []
+        for ax in range(domain.dim):
+            hp, hm = domain.arm_length[2 * ax], domain.arm_length[2 * ax + 1]
+            ip, im = domain.arm_interior[2 * ax], domain.arm_interior[2 * ax + 1]
+            bp, bm = domain.arm_boundary[2 * ax], domain.arm_boundary[2 * ax + 1]
+            # an arm ends at an interior node, or at boundary node b in column n + b
+            cols = np.stack([np.where(ip >= 0, ip, n + bp), np.where(im >= 0, im, n + bm),
+                             np.arange(n)], axis=1)
+            derivative = sp.csr_matrix(
+                (np.stack([hm ** 2, -hp ** 2, hp ** 2 - hm ** 2], axis=1).ravel(),
+                 cols.ravel(), np.arange(0, 3 * n + 1, 3)),
+                shape=(n, n + domain.n_boundary))
+            # +1/-1 rows give vp - vm, vp - v or v - vm; empty without a neighbour
+            has_p, has_m = ip[near] >= 0, im[near] >= 0
+            cols = np.stack([np.where(has_p, ip[near], near),
+                             np.where(has_m, im[near], near)], axis=1)
+            rows = has_p | has_m
+            grad = sp.csr_matrix(
+                (np.tile([1.0, -1.0], int(rows.sum())), cols[rows].ravel(),
+                 np.concatenate([[0], np.cumsum(2 * rows)])),
+                shape=(domain.n_boundary, n))
+            stencils.append((derivative, hp * hm * (hp + hm), grad,
+                             np.where(has_p & has_m, 2 * h, h), offset[:, ax]))
+        domain._cache["stencils"] = stencils
+    return domain._cache["stencils"]
 
 
 def _derivative_interior(field: ScalarField, axis: int) -> np.ndarray:
     """Second-order non-uniform 3-point first derivative along one axis."""
-    domain = field.domain
-    hp = domain.arm_length[2 * axis]
-    hm = domain.arm_length[2 * axis + 1]
-    vp = _arm_values(field, 2 * axis)
-    vm = _arm_values(field, 2 * axis + 1)
-    return (hm ** 2 * vp - hp ** 2 * vm + (hp ** 2 - hm ** 2) * field.interior) \
-        / (hp * hm * (hp + hm))
-
-
-def _interior_only_gradient(domain: Domain, values: np.ndarray) -> np.ndarray:
-    """(N, dim) gradient using interior neighbors only (for extrapolation)."""
-    grad = np.zeros((domain.n_interior, domain.dim))
-    h = domain.h
-    for ax in range(domain.dim):
-        ip = domain.arm_interior[2 * ax]
-        im = domain.arm_interior[2 * ax + 1]
-        has_p = ip >= 0
-        has_m = im >= 0
-        vp = np.where(has_p, values[np.where(has_p, ip, 0)], 0.0)
-        vm = np.where(has_m, values[np.where(has_m, im, 0)], 0.0)
-        both = has_p & has_m
-        grad[both, ax] = (vp[both] - vm[both]) / (2 * h)
-        only_p = has_p & ~has_m
-        grad[only_p, ax] = (vp[only_p] - values[only_p]) / h
-        only_m = has_m & ~has_p
-        grad[only_m, ax] = (values[only_m] - vm[only_m]) / h
-    return grad
+    derivative, denominator, *_ = _stencils(field.domain)[axis]
+    return derivative @ np.concatenate([field.interior, field.boundary]) / denominator
 
 
 def extrapolate_to_boundary(domain: Domain, interior_values: np.ndarray) -> np.ndarray:
@@ -274,41 +279,35 @@ def extrapolate_to_boundary(domain: Domain, interior_values: np.ndarray) -> np.n
     on the boundary itself.
     """
     interior_values = np.asarray(interior_values, dtype=float)
-    grad = _interior_only_gradient(domain, interior_values)
-    near = domain.boundary_nearest
-    offset = domain.boundary_pos - domain.interior_coords[near]
-    return interior_values[near] + np.sum(grad[near] * offset, axis=1)
+    correction = np.column_stack([grad @ interior_values / divisor * offset
+                                  for _, _, grad, divisor, offset in _stencils(domain)])
+    return interior_values[domain.boundary_nearest] + np.sum(correction, axis=1)
+
+
+def _with_boundary(domain: Domain, interior_values: np.ndarray) -> ScalarField:
+    """Interior values plus their extrapolation onto the boundary nodes."""
+    return ScalarField(domain, interior_values,
+                       extrapolate_to_boundary(domain, interior_values))
 
 
 def gradient(field: ScalarField) -> VectorField:
     """Componentwise first derivatives; boundary values linearly extrapolated."""
-    domain = field.domain
-    comps = []
-    for ax in range(domain.dim):
-        vals = _derivative_interior(field, ax)
-        comps.append(ScalarField(domain, vals, extrapolate_to_boundary(domain, vals)))
-    return VectorField(tuple(comps))
+    return VectorField(tuple(_with_boundary(field.domain, _derivative_interior(field, ax))
+                             for ax in range(field.domain.dim)))
 
 
 def divergence(field: VectorField) -> ScalarField:
     """Sum of the componentwise derivatives d(component_i)/dx_i."""
-    domain = field.domain
-    vals = np.zeros(domain.n_interior)
-    for ax in range(domain.dim):
-        vals += _derivative_interior(field.components[ax], ax)
-    return ScalarField(domain, vals, extrapolate_to_boundary(domain, vals))
+    return _with_boundary(field.domain, sum(
+        _derivative_interior(c, ax) for ax, c in enumerate(field.components)))
 
 
 def tensor_divergence(field: SymTensorField) -> VectorField:
     """Row divergence (div sigma)_i = d sigma_ij / dx_j of a symmetric tensor."""
-    domain = field.domain
-    comps = []
-    for i in range(field.dim):
-        vals = np.zeros(domain.n_interior)
-        for j in range(field.dim):
-            vals += _derivative_interior(field.component(i, j), j)
-        comps.append(ScalarField(domain, vals, extrapolate_to_boundary(domain, vals)))
-    return VectorField(tuple(comps))
+    return VectorField(tuple(
+        _with_boundary(field.domain, sum(_derivative_interior(field.component(i, j), j)
+                                         for j in range(field.dim)))
+        for i in range(field.dim)))
 
 
 def laplacian(field: ScalarField) -> np.ndarray:

@@ -87,12 +87,9 @@ def strain(w: VectorField) -> SymTensorField:
     for i in range(domain.dim):
         for ax in range(domain.dim):
             derivs[(i, ax)] = laplace._derivative_interior(w.components[i], ax)
-    comps = []
-    for (i, j) in sym_index_pairs(domain.dim):
-        vals = 0.5 * (derivs[(i, j)] + derivs[(j, i)])
-        comps.append(ScalarField(domain, vals,
-                                 laplace.extrapolate_to_boundary(domain, vals)))
-    return SymTensorField(tuple(comps), domain.dim)
+    return SymTensorField(tuple(
+        laplace._with_boundary(domain, 0.5 * (derivs[(i, j)] + derivs[(j, i)]))
+        for (i, j) in sym_index_pairs(domain.dim)), domain.dim)
 
 
 def rigid_projection(domain: Domain, w: VectorField, region: str = "interior") -> RigidField:

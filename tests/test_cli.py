@@ -88,6 +88,21 @@ class TestRun:
         assert (tmp_path / "report.json").exists()
         on_disk = json.loads((tmp_path / "report.json").read_text())
         assert on_disk["all_passed"] is True
+        assert on_disk["config"]["domain"] == {"radius": 1.0}
+
+    def test_levelset_bbox_recorded(self, tmp_path):
+        # the bbox sets the grid, so two runs that differ only in it differ in B
+        reports = []
+        for bbox in ("-1.5, 1.5", "-3, 3"):
+            cfg = C.parse_config(f"kind = levelset\nexpression = x^2/1.2+y^2-1\n"
+                                 f"bbox = {bbox}\nh = 0.1\ntasks = sobolev")
+            out = tmp_path / bbox
+            assert cli.run_config(cfg, outdir=str(out))[0] == cli.EXIT_OK
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert [r["config"]["domain"]["bbox"] for r in reports] == [[-1.5, 1.5],
+                                                                   [-3.0, 3.0]]
+        B = [r["tasks"]["sobolev"]["levels"][0]["B"] for r in reports]
+        assert B[0] != B[1]
 
     def test_run_two_levels_richardson(self, tmp_path):
         cfg = C.parse_config("""

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from trace_bounds import geometry as G, laplace as L
-from trace_bounds.fields import ScalarField, VectorField
+from trace_bounds import geometry as G, laplace as L, ld_trace as LD
+from trace_bounds.fields import ScalarField, SymTensorField, VectorField, sym_index_pairs
 from trace_bounds.geometry import GeometryError
 
 
@@ -201,6 +201,161 @@ class TestOperators:
             mag2_b = np.sum(n0.boundary_matrix() ** 2, axis=1)
             lap = L.laplacian(ScalarField(dom, mag2_i, mag2_b))
             assert lap.min() >= -1e-6 * max(1.0, np.abs(lap).max())
+
+
+NECK_EXPR = ("min(min((x-1.1)^2+y^2-1,(x+1.1)^2+y^2-1),"
+             "max(x^2-1.21,y^2-0.015625))")
+
+
+@pytest.fixture(scope="module")
+def neck():
+    return G.build_domain(G.DomainSpec.levelset(NECK_EXPR, 0.025, 2, (-2.3, 2.3)))
+
+
+@pytest.fixture(scope="module")
+def off_centre_disk():
+    return G.build_domain(G.DomainSpec.levelset("(x-0.13)^2+(y+0.07)^2-0.81", 0.05))
+
+
+@pytest.fixture(scope="module")
+def off_centre_ellipsoid():
+    # has boundary nodes whose nearest interior node lacks an interior
+    # neighbour on some axis: their extrapolation rows are empty
+    return G.build_domain(G.DomainSpec.levelset(OFF_CENTRE_ELLIPSOID, 0.1, dim=3))
+
+
+def _arm_values(field, direction):
+    """Oracle: field value at the far end of each stencil arm, gathered."""
+    dom = field.domain
+    nb_int, nb_bnd = dom.arm_interior[direction], dom.arm_boundary[direction]
+    out = np.empty(dom.n_interior)
+    m = nb_int >= 0
+    out[m] = field.interior[nb_int[m]]
+    out[~m] = field.boundary[nb_bnd[~m]]
+    return out
+
+
+def _derivative_interior(field, axis):
+    """Oracle: the non-uniform 3-point derivative evaluated on gathered arms."""
+    hp = field.domain.arm_length[2 * axis]
+    hm = field.domain.arm_length[2 * axis + 1]
+    vp, vm = _arm_values(field, 2 * axis), _arm_values(field, 2 * axis + 1)
+    return (hm ** 2 * vp - hp ** 2 * vm + (hp ** 2 - hm ** 2) * field.interior) \
+        / (hp * hm * (hp + hm))
+
+
+def _interior_only_gradient(dom, values):
+    """Oracle: (N, dim) central or one-sided differences over interior neighbours."""
+    grad = np.zeros((dom.n_interior, dom.dim))
+    for ax in range(dom.dim):
+        ip, im = dom.arm_interior[2 * ax], dom.arm_interior[2 * ax + 1]
+        has_p, has_m = ip >= 0, im >= 0
+        vp = np.where(has_p, values[np.where(has_p, ip, 0)], 0.0)
+        vm = np.where(has_m, values[np.where(has_m, im, 0)], 0.0)
+        both = has_p & has_m
+        grad[both, ax] = (vp[both] - vm[both]) / (2 * dom.h)
+        only_p = has_p & ~has_m
+        grad[only_p, ax] = (vp[only_p] - values[only_p]) / dom.h
+        only_m = has_m & ~has_p
+        grad[only_m, ax] = (values[only_m] - vm[only_m]) / dom.h
+    return grad
+
+
+def _extrapolate(dom, values):
+    grad = _interior_only_gradient(dom, values)
+    near = dom.boundary_nearest
+    offset = dom.boundary_pos - dom.interior_coords[near]
+    return values[near] + np.sum(grad[near] * offset, axis=1)
+
+
+def _with_boundary(dom, values):
+    return ScalarField(dom, values, _extrapolate(dom, values))
+
+
+def _sum_derivatives(fields_and_axes, n):
+    vals = np.zeros(n)
+    for f, ax in fields_and_axes:
+        vals += _derivative_interior(f, ax)
+    return vals
+
+
+def _assert_fields_equal(got, expect):
+    for g, e in zip(got, expect, strict=True):
+        assert np.array_equal(g.interior, e.interior)
+        assert np.array_equal(g.boundary, e.boundary)
+
+
+STENCIL_DOMAINS = ["disk", "ball", "annulus", "neck", "off_centre_ellipsoid"]
+
+
+class TestStencils:
+    """The memoized sparse stencils reproduce the gathered-arm formulas bit for bit."""
+
+    @pytest.mark.parametrize("name", STENCIL_DOMAINS)
+    def test_match_gather_oracle(self, name, request):
+        dom = request.getfixturevalue(name)
+        rng = np.random.default_rng(17)
+        n, dim = dom.n_interior, dom.dim
+        rand = lambda: ScalarField(dom, rng.normal(size=n),
+                                   rng.normal(size=dom.n_boundary))
+        f = rand()
+        w = VectorField(tuple(rand() for _ in range(dim)))
+        sigma = SymTensorField(tuple(rand() for _ in sym_index_pairs(dim)), dim)
+        values = rng.normal(size=n)
+        assert np.array_equal(L.extrapolate_to_boundary(dom, values),
+                              _extrapolate(dom, values))
+        _assert_fields_equal(L.gradient(f).components, [
+            _with_boundary(dom, _derivative_interior(f, ax)) for ax in range(dim)])
+        _assert_fields_equal([L.divergence(w)], [_with_boundary(dom, _sum_derivatives(
+            [(w.components[ax], ax) for ax in range(dim)], n))])
+        _assert_fields_equal(L.tensor_divergence(sigma).components, [
+            _with_boundary(dom, _sum_derivatives(
+                [(sigma.component(i, j), j) for j in range(dim)], n))
+            for i in range(dim)])
+        _assert_fields_equal(LD.strain(w).components, [
+            _with_boundary(dom, 0.5 * (_derivative_interior(w.components[i], j)
+                                       + _derivative_interior(w.components[j], i)))
+            for i, j in sym_index_pairs(dim)])
+        stencils = dom._cache["stencils"]
+        L.divergence(w)
+        assert dom._cache["stencils"] is stencils
+
+    def test_built_lazily(self):
+        dom = G.build_domain(G.DomainSpec.disk(1.0, 0.1))
+        u = L.solve_dirichlet(dom, dom.boundary_normal[:, 0])
+        assert "stencils" not in dom._cache
+        L.gradient(u)
+        assert "stencils" in dom._cache
+
+    @pytest.mark.parametrize("name", ["off_centre_disk", "ball", "off_centre_ellipsoid",
+                                      "neck", "annulus"])
+    def test_exact_on_linear_data(self, name, request):
+        """Linear data are differentiated and extrapolated exactly, boundary included."""
+        dom = request.getfixturevalue(name)
+        dim = dom.dim
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=dim)
+        A = rng.normal(size=(dim, dim))
+        S = rng.normal(size=(dim, dim))
+        S = S + S.T
+        linear = lambda p: p @ c + 0.3
+
+        def assert_const(field, value):
+            for part in (field.interior, field.boundary):
+                assert np.abs(part - value).max() <= 1e-10
+
+        grad = L.gradient(ScalarField.from_function(dom, linear))
+        for ax, comp in enumerate(grad.components):
+            assert_const(comp, c[ax])
+        w = VectorField.from_function(dom, lambda p: p @ A.T)
+        assert_const(L.divergence(w), np.trace(A))
+        for (i, j), comp in zip(sym_index_pairs(dim), LD.strain(w).components):
+            assert_const(comp, 0.5 * (A[i, j] + A[j, i]))
+        sigma = SymTensorField(tuple(
+            ScalarField.from_function(dom, lambda p, i=i, j=j: S[i, j] * linear(p) + i)
+            for i, j in sym_index_pairs(dim)), dim)
+        for i, comp in enumerate(L.tensor_divergence(sigma).components):
+            assert_const(comp, S[i] @ c)
 
 
 class TestSupNorm:
