@@ -226,6 +226,21 @@ class TestMain:
         assert report["error"]["type"] == "solver"
         assert "417 iterations" in report["error"]["message"]
 
+    def test_factorization_failure_exits_3(self, tmp_path, monkeypatch):
+        from trace_bounds import laplace
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(laplace.spla, "splu", singular)
+        cfg_file = tmp_path / "disk.cfg"
+        cfg_file.write_text("kind = disk\nradius = 1.0\nh = 0.1\n"
+                            f"tasks = sobolev\noutput = {tmp_path}/out\n")
+        assert cli.main(["run", str(cfg_file)]) == cli.EXIT_SOLVER
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["error"]["type"] == "solver"
+        assert "sparse factorization failed" in report["error"]["message"]
+
     def test_malformed_config_exits_2(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("kind = nosuchshape\nh = 0.1\n")

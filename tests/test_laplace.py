@@ -128,6 +128,57 @@ class TestKrylov:
         assert L.solver_stats["solves"] == solves
 
 
+OFF_CENTRE_ELLIPSE = "((x-0.13)/1.1)^2 + ((y+0.21)/0.7)^2 - 1"
+# the node (0.5, 0) lies 1e-10 = 5e-9*h inside this circle at h = 0.02
+TINY_ARM_RADIUS = 0.5000000001
+
+
+class TestDirect:
+    """2D systems are factorized once, with a symmetric ordering and diagonal
+    pivots; the solutions must match a default (COLAMD, partial pivoting)
+    factorization to round-off."""
+
+    @pytest.mark.parametrize("spec", [
+        G.DomainSpec.disk(1.0, 0.02),
+        G.DomainSpec.annulus(0.5, 1.0, 0.02),
+        G.DomainSpec.levelset(OFF_CENTRE_ELLIPSE, 0.02),
+        G.DomainSpec.disk(TINY_ARM_RADIUS, 0.02),
+    ], ids=["disk", "annulus", "off_centre_ellipse", "tiny_arm_disk"])
+    def test_normal_monomials_match_splu(self, spec):
+        dom = G.build_domain(spec)
+        if spec.radius == TINY_ARM_RADIUS:
+            assert min(arm.min() for arm in dom.arm_length) < 1e-8 * dom.h
+        op = L._operator(dom)
+        pattern = (op.neg_laplacian != 0).astype(int)
+        assert (pattern != pattern.T).nnz == 0
+        assert np.array_equal(op.lu.perm_r, op.lu.perm_c)
+        oracle = spla.splu(op.neg_laplacian)
+        # the minimum-degree ordering of A^T + A: 0.56-0.62 of COLAMD's fill
+        fill = op.lu.L.nnz + op.lu.U.nnz
+        assert fill <= 0.7 * (oracle.L.nnz + oracle.U.nnz)
+        monomials = [(a,) for a in range(2)] + list(
+            itertools.combinations_with_replacement(range(2), 3))
+        L.reset_solver_stats()
+        for axes in monomials:
+            g = np.prod(dom.boundary_normal[:, list(axes)], axis=1)
+            u = L.solve_dirichlet(dom, g).interior
+            expect = oracle.solve(op.boundary_coupling @ g)
+            assert np.abs(u - expect).max() <= 1e-12 * np.abs(u).max()
+        assert L.solver_stats["solves"] == 6
+        assert L.solver_stats["max_residual"] <= L.SOLVER_TOL
+        assert L.solver_stats["max_principle_violation"] <= 1e-8
+        assert L.solver_stats["iterations"] == 0
+
+    def test_failure_is_named(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(L.spla, "splu", singular)
+        dom = G.build_domain(G.DomainSpec.disk(1.0, 0.1))
+        with pytest.raises(L.SolverError, match="sparse factorization failed"):
+            L.solve_dirichlet(dom, dom.boundary_normal[:, 0])
+
+
 class TestMaxPrinciple:
     def test_violation_beyond_tolerance_reported(self, disk_coarse):
         g = disk_coarse.boundary_normal[:, 0]
