@@ -4,6 +4,7 @@ computed on concrete domains via harmonic extensions of boundary data."""
 __version__ = "0.1.0"
 
 from .geometry import (
+    CheckError,
     Domain,
     DomainSpec,
     GeometryError,
@@ -62,6 +63,7 @@ __all__ = [
     "Domain",
     "DomainSpec",
     "GeometryError",
+    "CheckError",
     "build_domain",
     "integrate_boundary",
     "integrate_volume",

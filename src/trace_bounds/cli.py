@@ -28,7 +28,7 @@ from . import __version__
 from . import laplace, matnorm, optimal_bc, sobolev_trace as st, ld_trace as ld
 from .config import ConfigError, RunConfig, load_config
 from .fields import ScalarField, SymTensorField, VectorField, sym_index_pairs, write_csv
-from .geometry import Domain, GeometryError, build_domain
+from .geometry import CheckError, Domain, GeometryError, build_domain
 from .laplace import SolverError
 
 __all__ = ["run_config", "export_plot_data", "main"]
@@ -269,7 +269,6 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
     outdir = outdir or config.output
     os.makedirs(outdir, exist_ok=True)
     checks = _Checks()
-    laplace.reset_solver_stats()
 
     report: dict = {
         "version": __version__,
@@ -324,13 +323,12 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
                            "residual": getattr(exc, "residual", None)}
         _write_report(report, checks, outdir)
         return EXIT_SOLVER, report
-    except (GeometryError, matnorm.NormEquivalenceError,
-            st.NormalFieldError, AssertionError) as exc:
+    except (GeometryError, matnorm.NormEquivalenceError, CheckError) as exc:
         report["error"] = {"type": "check", "message": str(exc)}
         _write_report(report, checks, outdir)
         return EXIT_CHECK_FAILED, report
 
-    stats = dict(laplace.solver_stats)
+    stats = laplace.solver_stats(*(domain for _, domain in domains))
     report["solver_stats"] = stats
     if stats["solves"]:
         checks.add("laplace.max_principle_all_solves",

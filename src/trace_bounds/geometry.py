@@ -36,6 +36,7 @@ __all__ = [
     "DomainSpec",
     "Domain",
     "GeometryError",
+    "CheckError",
     "build_domain",
     "integrate_volume",
     "integrate_boundary",
@@ -55,6 +56,10 @@ DEFAULT_NODE_CAP = 2_200_000
 
 class GeometryError(ValueError):
     pass
+
+
+class CheckError(RuntimeError):
+    """A computed field fails a verification check of the pipeline."""
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +281,9 @@ class Domain:
     arm_boundary: np.ndarray           # (2*dim, N) crossing boundary id or -1
     volume: float
     area: float
-    # the one mutable part: derived from the fields above, written only by
-    # laplace (operator, extensions, difference stencils)
+    # the one mutable part: laplace's operator for this domain, its only
+    # entry, which holds everything derived from the fields above (matrix,
+    # solver set-up, extensions, difference stencils) and the solve record
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property

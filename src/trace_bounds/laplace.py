@@ -4,7 +4,7 @@ Dirichlet problems are discretized with Shortley-Weller stencils: stencil
 arms that would leave the domain are clipped at the level-set zero crossing
 and read the boundary value there. The resulting system is an M-matrix, so
 the discrete maximum principle holds; every solve verifies it, along with
-the algebraic residual, and records both in ``solver_stats``.
+the algebraic residual, and records both in its domain's solve record.
 
 The matrix depends only on the geometry and is assembled once per domain,
 in the format its backend uses. 2D systems are solved by a sparse direct
@@ -18,15 +18,22 @@ with partial pivoting. 3D systems are solved by BiCGSTAB (van der Vorst
 faster in 3D, and measured over the resolutions the tool runs, the Krylov
 solve wins at every 3D size and the factorization at every 2D size.
 Residuals are verified against the 1e-10 relative tolerance after every
-solve, whichever backend produced it; Krylov iterations are counted in
-``solver_stats``.
+solve, whichever backend produced it; Krylov iterations are counted in the
+solve record too.
 
 Every harmonic object the trace bounds need is a linear combination of
 harmonic extensions of monomials in the outward normal: H[nu_a] (the normal
 field) and H[nu_a nu_b nu_c] (the optimal e_k stresses). Each such extension
-is solved once per domain and memoized next to the operator, as are the
-per-axis sparse difference stencils that every gradient, divergence and
-boundary extrapolation is a product with.
+is solved once per domain and memoized on the operator, as are the per-axis
+sparse difference stencils that every gradient, divergence and boundary
+extrapolation is a product with.
+
+One ``_Operator`` per domain, the only entry of ``Domain._cache``, holds
+everything this module derives for that domain: the matrix, the lazy
+factorization or preconditioner, the extensions, the stencils and the solve
+record (solves, Krylov iterations, worst residual, worst maximum-principle
+margin). ``solver_stats(*domains)`` merges the records of the given domains,
+so a run reports exactly the solves on its own domains.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ __all__ = [
     "sup_norm",
     "extrapolate_to_boundary",
     "solver_stats",
-    "reset_solver_stats",
 ]
 
 SOLVER_TOL = 1e-10
@@ -61,16 +67,6 @@ _MAX_PRINCIPLE_TOL = 1e-8
 # the true residuals stay near 3e-15, far inside SOLVER_TOL.
 KRYLOV_RTOL = 1e-15
 
-solver_stats = {"solves": 0, "max_residual": 0.0, "max_principle_violation": 0.0,
-                "iterations": 0}
-
-
-def reset_solver_stats() -> None:
-    solver_stats["solves"] = 0
-    solver_stats["iterations"] = 0
-    solver_stats["max_residual"] = 0.0
-    solver_stats["max_principle_violation"] = 0.0
-
 
 class SolverError(RuntimeError):
     def __init__(self, message: str, residual: float = float("nan")):
@@ -79,7 +75,8 @@ class SolverError(RuntimeError):
 
 
 class _Operator:
-    """Shortley-Weller discretization bound to one domain."""
+    """Shortley-Weller discretization bound to one domain, with everything
+    derived from it and the record of the solves made with it."""
 
     def __init__(self, domain: Domain):
         self.domain = domain
@@ -120,6 +117,10 @@ class _Operator:
             shape=(n, domain.n_boundary))
         self._jacobi = sp.diags(1.0 / diag) if krylov else None
         self._lu = None
+        self._stencils = None
+        self.monomials: dict[tuple[int, ...], ScalarField] = {}
+        self.record = {"solves": 0, "iterations": 0, "max_residual": 0.0,
+                       "max_principle_violation": 0.0}
 
     @property
     def lu(self):
@@ -161,7 +162,7 @@ class _Operator:
                       f"broke down (info {info}) after {iterations} iterations")
             raise SolverError(f"BiCGSTAB {reason}, residual {residual:.3e}",
                               residual=residual)
-        solver_stats["iterations"] += iterations
+        self.record["iterations"] += iterations
         return u
 
     def apply_laplacian(self, field: ScalarField) -> np.ndarray:
@@ -184,8 +185,8 @@ class _Operator:
             raise SolverError(
                 f"linear solve residual {residual:.3e} exceeds {SOLVER_TOL:.0e}",
                 residual=residual)
-        solver_stats["solves"] += 1
-        solver_stats["max_residual"] = max(solver_stats["max_residual"], residual)
+        self.record["solves"] += 1
+        self.record["max_residual"] = max(self.record["max_residual"], residual)
         field = ScalarField(domain, u, g)
         _check_max_principle(field)
         return field
@@ -193,7 +194,8 @@ class _Operator:
 
 def _check_max_principle(field: ScalarField) -> float:
     """Relative amount by which interior values leave the data range at the axis
-    crossings (the Dirichlet constraint points); recorded, and fatal above tolerance."""
+    crossings (the Dirichlet constraint points); recorded in the field's domain
+    record, and fatal above tolerance."""
     u = field.interior
     constrained = field.boundary[field.domain.boundary_is_axis]
     gscale = max(np.abs(constrained).max(), 1e-300) if constrained.size else 1e-300
@@ -201,8 +203,9 @@ def _check_max_principle(field: ScalarField) -> float:
     if u.size and constrained.size:
         violation = max(u.max() - constrained.max(), constrained.min() - u.min())
         violation = max(0.0, violation / gscale)
-    solver_stats["max_principle_violation"] = max(
-        solver_stats["max_principle_violation"], violation)
+    record = _operator(field.domain).record
+    record["max_principle_violation"] = max(record["max_principle_violation"],
+                                            violation)
     if violation > _MAX_PRINCIPLE_TOL:
         raise SolverError(
             f"discrete maximum principle violated by {violation:.3e}")
@@ -217,6 +220,19 @@ def _operator(domain: Domain) -> _Operator:
     return op
 
 
+def solver_stats(*domains: Domain) -> dict:
+    """The solve records of the given domains merged: solve and iteration counts
+    summed, worst residual and maximum-principle margin maxed. A domain never
+    solved on contributes nothing; with no domains every entry is zero."""
+    records = [d._cache["laplace_operator"].record for d in domains
+               if "laplace_operator" in d._cache]
+    return {"solves": sum(r["solves"] for r in records),
+            "iterations": sum(r["iterations"] for r in records),
+            "max_residual": max((r["max_residual"] for r in records), default=0.0),
+            "max_principle_violation": max(
+                (r["max_principle_violation"] for r in records), default=0.0)}
+
+
 def solve_dirichlet(domain: Domain, boundary_values) -> ScalarField:
     """Solve lap(u)=0 with u = boundary_values on the boundary nodes."""
     return _operator(domain).solve(np.asarray(boundary_values, dtype=float))
@@ -226,7 +242,7 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> ScalarField:
     """Harmonic extension H[nu_a nu_b ...] of a product of normal components,
     memoized per domain under the sorted axis tuple: one solve per monomial."""
     key = tuple(sorted(axes))
-    memo = domain._cache.setdefault("normal_monomials", {})
+    memo = _operator(domain).monomials
     if key not in memo:
         values = np.prod(domain.boundary_normal[:, list(key)], axis=1)
         memo[key] = solve_dirichlet(domain, values)
@@ -246,7 +262,8 @@ def _stencils(domain: Domain) -> list[tuple]:
     one-sided); and the offsets from those nodes to the boundary. Each row
     lists its terms in the order the difference formulas add them, so the
     products are bit-identical to evaluating the formulas term by term."""
-    if "stencils" not in domain._cache:
+    op = _operator(domain)
+    if op._stencils is None:
         n, h, near = domain.n_interior, domain.h, domain.boundary_nearest
         offset = domain.boundary_pos - domain.interior_coords[near]
         stencils = []
@@ -272,8 +289,8 @@ def _stencils(domain: Domain) -> list[tuple]:
                 shape=(domain.n_boundary, n))
             stencils.append((derivative, hp * hm * (hp + hm), grad,
                              np.where(has_p & has_m, 2 * h, h), offset[:, ax]))
-        domain._cache["stencils"] = stencils
-    return domain._cache["stencils"]
+        op._stencils = stencils
+    return op._stencils
 
 
 def _derivative_interior(field: ScalarField, axis: int) -> np.ndarray:

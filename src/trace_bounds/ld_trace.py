@@ -27,7 +27,7 @@ import numpy as np
 
 from . import laplace, optimal_bc
 from .fields import ScalarField, SymTensorField, VectorField, sym_index_pairs
-from .geometry import Domain, integrate_boundary, integrate_volume
+from .geometry import CheckError, Domain, integrate_boundary, integrate_volume
 from .sobolev_trace import TraceReport, discretization_estimate
 
 __all__ = [
@@ -184,12 +184,14 @@ def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[SymTensorField, EkTensor
     """Harmonic extension of the optimal e_k boundary tensor, assembled from the
     memoized normal-monomial extensions with the exact tensor as boundary values.
 
-    Asserts the attainment structure: boundary compatibility, the
-    componentwise maximum principle (so no interior entry exceeds its
-    boundary data), the Frobenius chain sup|sigma|_2 = sup|T|_2, and the
-    divergence maximum principle. The frame-relative entrywise sup of the
-    data witnesses D_inf; the std-basis entrywise sup is larger in general
-    (up to ~1.0887 on a sphere) and is reported as a diagnostic.
+    Checks the attainment structure, raising CheckError (SolverError for the
+    maximum principle): boundary compatibility, the componentwise maximum
+    principle (so no interior entry exceeds its boundary data), the
+    Frobenius chain sup|sigma|_2 = sup|T|_2, and the divergence maximum
+    principle; an attainment failure names the interior node where the sup
+    is reached. The frame-relative entrywise sup of the data witnesses
+    D_inf; the std-basis entrywise sup is larger in general (up to ~1.0887
+    on a sphere) and is reported as a diagnostic.
     """
     tensors = optimal_bc.ek_boundary_tensor(domain, k)
     e = np.zeros(domain.dim)
@@ -197,7 +199,7 @@ def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[SymTensorField, EkTensor
     compat = np.abs(np.einsum("mij,mj->mi", tensors, domain.boundary_normal)
                     - e[None, :]).max()
     if compat > 1e-12:
-        raise AssertionError(f"boundary tensor compatibility violated: {compat:.3e}")
+        raise CheckError(f"boundary tensor compatibility violated: {compat:.3e}")
 
     comps = []
     gap = 0.0
@@ -219,21 +221,27 @@ def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[SymTensorField, EkTensor
     sup_entry_b = float(np.abs(boundary).max())
     sup_entry_c = max(sup_entry_b, float(np.abs(interior).max()))
     vec2_b = float(np.sqrt((boundary ** 2).sum(axis=(1, 2))).max())
-    vec2_c = max(vec2_b, float(np.sqrt((interior ** 2).sum(axis=(1, 2))).max()))
+    vec2_interior = np.sqrt((interior ** 2).sum(axis=(1, 2)))
+    vec2_c = max(vec2_b, float(vec2_interior.max()))
     frame_inf_b = float(optimal_bc.ek_frame_inf_values(domain, k).max())
 
     div = laplace.tensor_divergence(sigma)
     div_b = max(laplace.sup_norm(c, "boundary") for c in div.components)
     div_c = max(laplace.sup_norm(c, "closure") for c in div.components)
     tol = 10.0 * domain.h * max(div_c, 1e-300)
+    # a closure sup above the boundary sup is attained at an interior node
     if div_c - div_b > tol:
-        raise AssertionError(
+        div_interior = np.max([np.abs(c.interior) for c in div.components], axis=0)
+        where = domain.interior_coords[int(div_interior.argmax())]
+        raise CheckError(
             f"divergence sup {div_c:.6f} not attained on the boundary "
-            f"(boundary {div_b:.6f}, tol {tol:.2e})")
+            f"(boundary {div_b:.6f}, tol {tol:.2e}) at {where.tolist()}")
     vec2_tol = 10.0 * domain.h * max(vec2_c, 1e-300)
     if vec2_c - vec2_b > vec2_tol:
-        raise AssertionError(
-            f"Frobenius sup {vec2_c:.6f} not attained on the boundary")
+        where = domain.interior_coords[int(vec2_interior.argmax())]
+        raise CheckError(
+            f"Frobenius sup {vec2_c:.6f} not attained on the boundary "
+            f"(boundary {vec2_b:.6f}, tol {vec2_tol:.2e}) at {where.tolist()}")
 
     diag = EkTensorDiagnostics(
         k=k, compat_error=float(compat),

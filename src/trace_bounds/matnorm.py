@@ -140,11 +140,7 @@ def verify_equivalence_constants(n: int, sample_count: int,
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
-    upper = rng.uniform(-1.0, 1.0, size=(sample_count, n, n))
-    iu = np.triu_indices(n)
-    mats = np.zeros_like(upper)
-    for m in range(sample_count):
-        mats[m][iu] = upper[m][iu]
+    mats = np.triu(rng.uniform(-1.0, 1.0, size=(sample_count, n, n)))
     mats = mats + np.swapaxes(mats, 1, 2) - np.eye(n) * np.einsum("mii->mi", mats)[:, :, None]
     mats = np.concatenate([_structured_seeds(n, rng), mats])
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import matnorm
 from .fields import sym_index_pairs, write_csv
-from .geometry import Domain
+from .geometry import CheckError, Domain
 
 __all__ = [
     "TractionProblem",
@@ -136,7 +136,7 @@ def optimal_stress(problem: TractionProblem) -> OptimalBC:
     value = _closed_form_value(cos_t, sin_t, problem.norm)
     bc = OptimalBC(sigma=sigma, value=value, frame=frame)
     if np.abs(sigma @ nu - t).max() > 1e-10:
-        raise AssertionError("compatibility sigma(nu) = t violated")
+        raise CheckError("compatibility sigma(nu) = t violated")
     return bc
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import laplace
 from .fields import ScalarField, VectorField
-from .geometry import Domain, integrate_boundary, integrate_volume
+from .geometry import CheckError, Domain, integrate_boundary, integrate_volume
 
 __all__ = [
     "NormalField",
@@ -44,7 +44,7 @@ __all__ = [
 EPS_DISC_COEFF = 1.0
 
 
-class NormalFieldError(RuntimeError):
+class NormalFieldError(CheckError):
     pass
 
 
@@ -56,7 +56,6 @@ class NormalField:
     divergence: ScalarField
     sup_div_boundary: float
     sup_div_closure: float
-    is_harmonic: bool = True
 
     @property
     def domain(self) -> Domain:

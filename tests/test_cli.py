@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from trace_bounds import cli, config as C
+from trace_bounds import cli, config as C, geometry as G
 from trace_bounds.fields import ScalarField
 from trace_bounds.ld_trace import harmonic_ek_tensor
 from trace_bounds.laplace import solve_dirichlet, divergence
@@ -143,6 +143,12 @@ samples = 500
         assert code == cli.EXIT_OK
         assert (tmp_path / "matnorm_equivalence_dim2.csv").exists()
         assert (tmp_path / "matnorm_equivalence_dim3.csv").exists()
+        # no domain, no solves
+        assert report["solver_stats"] == {"solves": 0, "iterations": 0,
+                                          "max_residual": 0.0,
+                                          "max_principle_violation": 0.0}
+        assert not any(c["name"] == "laplace.max_principle_all_solves"
+                       for c in report["checks"])
 
     def test_run_3d_pipeline(self, tmp_path):
         cfg = C.parse_config("""
@@ -186,6 +192,61 @@ tasks = ld
         assert code == cli.EXIT_SOLVER
         assert report["error"]["type"] == "solver"
         assert report["error"]["residual"] == 1.0
+
+    def test_solver_stats_scoped_to_run(self, tmp_path, monkeypatch):
+        build = cli.build_domain
+        built = []
+
+        def keep(spec):
+            built.append(build(spec))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_domain", keep)
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.08, 0.04\n"
+                             "tasks = sobolev, ld, battery")
+        first = cli.run_config(cfg, outdir=str(tmp_path / "a"))[1]["solver_stats"]
+        # library solves on an unrelated domain between the runs
+        other = build(G.DomainSpec.disk(1.0, 0.04))
+        for j in range(2):
+            solve_dirichlet(other, other.boundary_normal[:, j])
+        second = cli.run_config(cfg, outdir=str(tmp_path / "b"))[1]["solver_stats"]
+        assert first == second
+        assert first["solves"] == 12
+        assert len(built) == 4
+        assert all(list(dom._cache) == ["laplace_operator"] for dom in built)
+
+    def test_failed_check_names_position(self, tmp_path, monkeypatch):
+        from trace_bounds import laplace
+        real = laplace.tensor_divergence
+        spikes = []
+
+        def spiked(field):
+            div = real(field)
+            first = div.components[0]
+            node = first.interior.size // 3
+            spikes.append(field.domain.interior_coords[node].tolist())
+            interior = first.interior.copy()
+            interior[node] = 100.0 * np.abs(first.boundary).max()
+            return VectorField((ScalarField(first.domain, interior, first.boundary),)
+                               + div.components[1:])
+
+        monkeypatch.setattr(laplace, "tensor_divergence", spiked)
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.04\ntasks = ld")
+        code, report = cli.run_config(cfg, outdir=str(tmp_path))
+        assert code == cli.EXIT_CHECK_FAILED
+        assert report["error"]["type"] == "check"
+        assert "not attained on the boundary" in report["error"]["message"]
+        assert f"at {spikes[0]}" in report["error"]["message"]
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        def slip(*args, **kwargs):
+            raise AssertionError("a slip, not a failed check")
+
+        monkeypatch.setattr(cli.optimal_bc, "sweep_theta", slip)
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.1\n"
+                             "tasks = optimal-bc-sweep")
+        with pytest.raises(AssertionError, match="a slip"):
+            cli.run_config(cfg, outdir=str(tmp_path))
 
     def test_sweep_task(self, tmp_path):
         cfg = C.parse_config("""

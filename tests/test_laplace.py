@@ -68,14 +68,15 @@ class TestSolve:
         assert harmonic_oracle_x(disk_coarse) <= 5 * disk_coarse.h
         assert harmonic_oracle_x(disk) <= 5 * disk.h
 
-    def test_solver_stats_track(self, disk):
-        L.reset_solver_stats()
-        L.solve_dirichlet(disk, disk.boundary_normal[:, 0])
-        assert L.solver_stats["solves"] == 1
-        assert L.solver_stats["max_residual"] <= L.SOLVER_TOL
-        assert L.solver_stats["max_principle_violation"] <= 1e-8
+    def test_solver_stats_track(self):
+        dom = G.build_domain(G.DomainSpec.disk(1.0, 0.02))
+        L.solve_dirichlet(dom, dom.boundary_normal[:, 0])
+        stats = L.solver_stats(dom)
+        assert stats["solves"] == 1
+        assert stats["max_residual"] <= L.SOLVER_TOL
+        assert stats["max_principle_violation"] <= 1e-8
         # 2D systems are factorized, not iterated
-        assert L.solver_stats["iterations"] == 0
+        assert stats["iterations"] == 0
 
 
 OFF_CENTRE_ELLIPSOID = "((x-0.13)/1.0)^2 + ((y+0.21)/0.8)^2 + ((z-0.07)/0.6)^2 - 1"
@@ -84,16 +85,16 @@ OFF_CENTRE_ELLIPSOID = "((x-0.13)/1.0)^2 + ((y+0.21)/0.8)^2 + ((z-0.07)/0.6)^2 -
 class TestKrylov:
     """3D systems are solved by Jacobi-preconditioned BiCGSTAB."""
 
-    @pytest.mark.parametrize("expression", [None, OFF_CENTRE_ELLIPSOID],
-                             ids=["ball", "off_centre_ellipsoid"])
-    def test_normal_monomials_match_splu(self, expression, ball):
-        dom = ball if expression is None else G.build_domain(
-            G.DomainSpec.levelset(expression, 0.1, dim=3))
+    @pytest.mark.parametrize("spec", [
+        G.DomainSpec.ball(1.0, 0.1),
+        G.DomainSpec.levelset(OFF_CENTRE_ELLIPSOID, 0.1, dim=3),
+    ], ids=["ball", "off_centre_ellipsoid"])
+    def test_normal_monomials_match_splu(self, spec):
+        dom = G.build_domain(spec)
         op = L._operator(dom)
         oracle = spla.splu(op.neg_laplacian.tocsc())
         monomials = [(a,) for a in range(3)] + list(
             itertools.combinations_with_replacement(range(3), 3))
-        L.reset_solver_stats()
         for axes in monomials:
             g = np.prod(dom.boundary_normal[:, list(axes)], axis=1)
             u = L.solve_dirichlet(dom, g)
@@ -103,10 +104,11 @@ class TestKrylov:
             scale = max(np.abs(rhs).max(), np.abs(u.interior).max())
             residual = np.abs(op.neg_laplacian @ u.interior - rhs).max()
             assert residual <= L.SOLVER_TOL * scale
-        assert L.solver_stats["solves"] == 13
-        assert L.solver_stats["max_residual"] <= L.SOLVER_TOL
-        assert L.solver_stats["max_principle_violation"] <= 1e-8
-        assert L.solver_stats["iterations"] >= 13
+        stats = L.solver_stats(dom)
+        assert stats["solves"] == 13
+        assert stats["max_residual"] <= L.SOLVER_TOL
+        assert stats["max_principle_violation"] <= 1e-8
+        assert stats["iterations"] >= 13
 
     def test_scale_invariant(self, ball):
         # SciPy's breakdown tests are absolute; tiny data must still converge
@@ -121,11 +123,11 @@ class TestKrylov:
     def test_failure_is_named(self, ball, monkeypatch, info, message):
         monkeypatch.setattr(L.spla, "bicgstab",
                             lambda A, b, **kwargs: (np.zeros_like(b), info))
-        solves = L.solver_stats["solves"]
+        before = L.solver_stats(ball)
         with pytest.raises(L.SolverError, match=message) as err:
             L.solve_dirichlet(ball, ball.boundary_normal[:, 0])
         assert err.value.residual > L.SOLVER_TOL
-        assert L.solver_stats["solves"] == solves
+        assert L.solver_stats(ball) == before
 
 
 OFF_CENTRE_ELLIPSE = "((x-0.13)/1.1)^2 + ((y+0.21)/0.7)^2 - 1"
@@ -158,16 +160,16 @@ class TestDirect:
         assert fill <= 0.7 * (oracle.L.nnz + oracle.U.nnz)
         monomials = [(a,) for a in range(2)] + list(
             itertools.combinations_with_replacement(range(2), 3))
-        L.reset_solver_stats()
         for axes in monomials:
             g = np.prod(dom.boundary_normal[:, list(axes)], axis=1)
             u = L.solve_dirichlet(dom, g).interior
             expect = oracle.solve(op.boundary_coupling @ g)
             assert np.abs(u - expect).max() <= 1e-12 * np.abs(u).max()
-        assert L.solver_stats["solves"] == 6
-        assert L.solver_stats["max_residual"] <= L.SOLVER_TOL
-        assert L.solver_stats["max_principle_violation"] <= 1e-8
-        assert L.solver_stats["iterations"] == 0
+        stats = L.solver_stats(dom)
+        assert stats["solves"] == 6
+        assert stats["max_residual"] <= L.SOLVER_TOL
+        assert stats["max_principle_violation"] <= 1e-8
+        assert stats["iterations"] == 0
 
     def test_failure_is_named(self, monkeypatch):
         def singular(*args, **kwargs):
@@ -180,23 +182,56 @@ class TestDirect:
 
 
 class TestMaxPrinciple:
-    def test_violation_beyond_tolerance_reported(self, disk_coarse):
-        g = disk_coarse.boundary_normal[:, 0]
-        data = g[disk_coarse.boundary_is_axis]
+    def test_violation_beyond_tolerance_reported(self):
+        # a fresh domain: the violations below are recorded in its solve record
+        dom = G.build_domain(G.DomainSpec.disk(1.0, 0.04))
+        g = dom.boundary_normal[:, 0]
+        data = g[dom.boundary_is_axis]
         lo, hi, scale = data.min(), data.max(), np.abs(data).max()
-        n = disk_coarse.n_interior
-        saved = dict(L.solver_stats)
-        try:
-            for inside in (0.5 * (lo + hi), lo, hi, hi + 0.5e-8 * scale,
-                           lo - 0.5e-8 * scale):
-                field = ScalarField(disk_coarse, np.full(n, inside), g)
-                assert L._check_max_principle(field) <= 1e-8
-            for outside in (hi + 2e-8 * scale, lo - 2e-8 * scale):
-                field = ScalarField(disk_coarse, np.full(n, outside), g)
-                with pytest.raises(L.SolverError):
-                    L._check_max_principle(field)
-        finally:
-            L.solver_stats.update(saved)
+        n = dom.n_interior
+        for inside in (0.5 * (lo + hi), lo, hi, hi + 0.5e-8 * scale,
+                       lo - 0.5e-8 * scale):
+            field = ScalarField(dom, np.full(n, inside), g)
+            assert L._check_max_principle(field) <= 1e-8
+        for outside in (hi + 2e-8 * scale, lo - 2e-8 * scale):
+            field = ScalarField(dom, np.full(n, outside), g)
+            with pytest.raises(L.SolverError):
+                L._check_max_principle(field)
+        assert L.solver_stats(dom)["max_principle_violation"] > 1e-8
+
+
+class TestSolveRecord:
+    """Each domain's operator holds the record of the solves on that domain."""
+
+    def test_domains_do_not_share_records(self):
+        one = G.build_domain(G.DomainSpec.disk(1.0, 0.04))
+        two = G.build_domain(G.DomainSpec.disk(1.0, 0.04))
+        L.solve_dirichlet(one, one.boundary_normal[:, 0])
+        before = L.solver_stats(one)
+        for j in range(2):
+            L.solve_dirichlet(two, two.boundary_normal[:, j])
+        assert L.solver_stats(one) == before
+        assert L.solver_stats(two)["solves"] == 2
+        assert L.solver_stats(one, two)["solves"] == 3
+
+    def test_merge(self):
+        assert L.solver_stats() == {"solves": 0, "iterations": 0,
+                                    "max_residual": 0.0,
+                                    "max_principle_violation": 0.0}
+        assert [type(v) for v in L.solver_stats().values()] == [int, int, float, float]
+        unsolved = G.build_domain(G.DomainSpec.disk(1.0, 0.1))
+        assert L.solver_stats(unsolved) == L.solver_stats()
+        disk = G.build_domain(G.DomainSpec.disk(1.0, 0.1))
+        ball = G.build_domain(G.DomainSpec.ball(1.0, 0.2))
+        for dom in (disk, ball):
+            L.solve_dirichlet(dom, dom.boundary_normal[:, 0])
+        merged = L.solver_stats(disk, ball, unsolved)
+        parts = [L.solver_stats(disk), L.solver_stats(ball)]
+        for key in ("solves", "iterations"):
+            assert merged[key] == sum(p[key] for p in parts)
+        for key in ("max_residual", "max_principle_violation"):
+            assert merged[key] == max(p[key] for p in parts)
+        assert merged["iterations"] > 0
 
 
 class TestOperators:
@@ -367,16 +402,19 @@ class TestStencils:
             _with_boundary(dom, 0.5 * (_derivative_interior(w.components[i], j)
                                        + _derivative_interior(w.components[j], i)))
             for i, j in sym_index_pairs(dim)])
-        stencils = dom._cache["stencils"]
+        stencils = L._operator(dom)._stencils
+        assert stencils is not None
         L.divergence(w)
-        assert dom._cache["stencils"] is stencils
+        assert L._operator(dom)._stencils is stencils
 
     def test_built_lazily(self):
         dom = G.build_domain(G.DomainSpec.disk(1.0, 0.1))
         u = L.solve_dirichlet(dom, dom.boundary_normal[:, 0])
-        assert "stencils" not in dom._cache
+        op = L._operator(dom)
+        assert op._stencils is None
         L.gradient(u)
-        assert "stencils" in dom._cache
+        assert op._stencils is not None
+        assert list(dom._cache) == ["laplace_operator"]
 
     @pytest.mark.parametrize("name", ["off_centre_disk", "ball", "off_centre_ellipsoid",
                                       "neck", "annulus"])

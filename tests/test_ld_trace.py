@@ -190,6 +190,13 @@ class TestHarmonicEkTensor:
         _, diag = LD.harmonic_ek_tensor(ball, 2)
         assert abs(diag.div_sup_boundary - 4.4) <= 0.02 * 4.4
 
+    def test_compatibility_failure_is_named(self, disk_coarse, monkeypatch):
+        exact = O.ek_boundary_tensor
+        monkeypatch.setattr(O, "ek_boundary_tensor",
+                            lambda domain, k: 2.0 * exact(domain, k))
+        with pytest.raises(G.CheckError, match="boundary tensor compatibility"):
+            LD.harmonic_ek_tensor(disk_coarse, 0)
+
 
 class TestLdBounds:
     def test_ball_A_exact(self, ball_bounds):
@@ -232,12 +239,19 @@ class TestLdBounds:
     def test_one_solve_per_normal_monomial(self, spec, solves):
         # a fresh domain: the session fixtures share their memo across tests
         dom = G.build_domain(spec)
-        L.reset_solver_stats()
         S.harmonic_normal_field(dom)
         LD.ld_bounds(dom, "vec2")
-        assert L.solver_stats["solves"] == solves
+        stats = L.solver_stats(dom)
+        assert stats["solves"] == solves
+        assert stats["max_residual"] <= L.SOLVER_TOL
+        assert stats["max_principle_violation"] <= 1e-8
+        if dom.dim == 2:
+            assert stats["iterations"] == 0
+        else:
+            assert stats["iterations"] >= solves
+        assert list(dom._cache) == ["laplace_operator"]
         LD.ld_bounds(dom, "vec2")
-        assert L.solver_stats["solves"] == solves
+        assert L.solver_stats(dom) == stats
 
 
 class TestLdTraceInequality:

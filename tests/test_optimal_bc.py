@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trace_bounds import optimal_bc as O
+from trace_bounds.geometry import CheckError
 
 
 def random_unit(rng, n):
@@ -68,6 +69,14 @@ class TestClosedForm:
         a = O.optimal_stress(O.TractionProblem(nu=nu, t=nu.copy(), norm="vec2"))
         b = O.optimal_stress(O.TractionProblem(nu=nu, t=nu.copy(), norm="vec2"))
         np.testing.assert_array_equal(a.frame, b.frame)
+
+    def test_compatibility_failure_is_named(self, monkeypatch):
+        # a frame whose second vector is nu itself breaks sigma(nu) = t
+        monkeypatch.setattr(O, "_build_frame",
+                            lambda nu, t: np.stack([nu, nu], axis=1))
+        problem = O.TractionProblem(nu=np.array([1.0, 0.0]), t=np.array([0.0, 1.0]))
+        with pytest.raises(CheckError, match="compatibility"):
+            O.optimal_stress(problem)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
