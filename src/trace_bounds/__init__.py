@@ -34,7 +34,6 @@ from .optimal_bc import (
     brute_force_optimal,
     ek_boundary_tensor,
     optimal_stress,
-    optimal_stress_ek,
     worst_case_D,
 )
 from .sobolev_trace import (
@@ -57,7 +56,7 @@ from .ld_trace import (
     virtual_work_residual,
 )
 from .config import RunConfig, load_config, parse_config
-from .cli import export_plot_data, main, run_config
+from .cli import main, run_config
 
 __all__ = [
     "Domain",
@@ -84,7 +83,6 @@ __all__ = [
     "TractionProblem",
     "OptimalBC",
     "optimal_stress",
-    "optimal_stress_ek",
     "brute_force_optimal",
     "worst_case_D",
     "ek_boundary_tensor",
@@ -107,6 +105,5 @@ __all__ = [
     "parse_config",
     "load_config",
     "run_config",
-    "export_plot_data",
     "main",
 ]

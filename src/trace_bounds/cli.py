@@ -27,11 +27,11 @@ import numpy as np
 from . import __version__
 from . import laplace, matnorm, optimal_bc, sobolev_trace as st, ld_trace as ld
 from .config import ConfigError, RunConfig, load_config
-from .fields import ScalarField, SymTensorField, VectorField, sym_index_pairs, write_csv
-from .geometry import CheckError, Domain, GeometryError, build_domain
+from .fields import ScalarField, VectorField, write_csv
+from .geometry import SHAPES, CheckError, Domain, GeometryError, build_domain
 from .laplace import SolverError
 
-__all__ = ["run_config", "export_plot_data", "main"]
+__all__ = ["run_config", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -282,27 +282,16 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
             "seed": config.seed,
             "samples": config.samples,
             "steps": config.steps,
-            "domain": {
-                k: v for k, v in (
-                    ("radius", config.domain.radius),
-                    ("a", config.domain.a),
-                    ("b", config.domain.b),
-                    ("c", config.domain.c),
-                    ("r_in", config.domain.r_in),
-                    ("r_out", config.domain.r_out),
-                    ("expression", config.domain.expression),
-                    # the bbox sets a level set's grid; canonical kinds ignore it
-                    ("bbox", config.domain.kind == "levelset"
-                     and list(config.domain.bbox)),
-                ) if v
-            },
+            "domain": {key: getattr(config.domain, key)
+                       for key in SHAPES[config.domain.kind][1]},
         },
         "tasks": {},
     }
 
     needs_domain = any(t in config.tasks for t in ("sobolev", "ld", "battery"))
+    domains = []
+    code = EXIT_OK
     try:
-        domains = []
         if needs_domain:
             for h in config.h_levels:
                 domains.append((h, build_domain(config.domain_at(h))))
@@ -321,13 +310,12 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
     except SolverError as exc:
         report["error"] = {"type": "solver", "message": str(exc),
                            "residual": getattr(exc, "residual", None)}
-        _write_report(report, checks, outdir)
-        return EXIT_SOLVER, report
+        code = EXIT_SOLVER
     except (GeometryError, matnorm.NormEquivalenceError, CheckError) as exc:
         report["error"] = {"type": "check", "message": str(exc)}
-        _write_report(report, checks, outdir)
-        return EXIT_CHECK_FAILED, report
+        code = EXIT_CHECK_FAILED
 
+    # the levels built so far, also when a task failed part way
     stats = laplace.solver_stats(*(domain for _, domain in domains))
     report["solver_stats"] = stats
     if stats["solves"]:
@@ -336,53 +324,16 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
                    value=stats["max_principle_violation"], tolerance=1e-8,
                    h=None, detail=f"over {stats['solves']} Dirichlet solves")
 
-    _write_report(report, checks, outdir)
     failure = checks.first_failure()
-    if failure is not None:
-        print(f"FAILED check: {failure}", file=sys.stderr)
-        return EXIT_CHECK_FAILED, report
-    return EXIT_OK, report
-
-
-def _write_report(report: dict, checks: _Checks, outdir: str) -> None:
     report["checks"] = checks.entries
-    report["all_passed"] = checks.first_failure() is None and "error" not in report
-    path = os.path.join(outdir, "report.json")
-    with open(path, "w") as fh:
+    report["all_passed"] = failure is None and "error" not in report
+    with open(os.path.join(outdir, "report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# plot-data export
-# ---------------------------------------------------------------------------
-
-def export_plot_data(field, path) -> None:
-    """Write a CSV suitable for external plotting.
-
-    ScalarField: one row per interior node (coordinates + value).
-    VectorField / SymTensorField: one row per boundary node.
-    None or empty: header-only file.
-    """
-    if field is None:
-        write_csv(path, ["x", "y", "value"], [])
-        return
-    if isinstance(field, ScalarField):
-        domain = field.domain
-        cols = list("xyz"[: domain.dim]) + ["value"]
-        write_csv(path, cols, np.column_stack([domain.interior_coords, field.interior]))
-        return
-    if isinstance(field, (VectorField, SymTensorField)):
-        domain = field.domain
-        if isinstance(field, VectorField):
-            names = [f"v{k}" for k in range(domain.dim)]
-        else:
-            names = [f"sigma_{i}{j}" for i, j in sym_index_pairs(field.dim)]
-        values = np.stack([c.boundary for c in field.components], axis=1)
-        cols = list("xyz"[: domain.dim]) + names
-        write_csv(path, cols, np.hstack([domain.boundary_pos, values]))
-        return
-    raise TypeError(f"cannot export {type(field).__name__}")
+    if code == EXIT_OK and failure is not None:
+        print(f"FAILED check: {failure}", file=sys.stderr)
+        code = EXIT_CHECK_FAILED
+    return code, report
 
 
 # ---------------------------------------------------------------------------

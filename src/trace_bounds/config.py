@@ -23,15 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .geometry import DomainSpec
+from .geometry import SHAPES, DomainSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
 TASKS = ("sobolev", "ld", "matnorm-verify", "optimal-bc-sweep", "battery")
-# canonical kind -> (dim, shape keys)
-_SHAPE_KEYS = {"disk": (2, ("radius",)), "ball": (3, ("radius",)),
-               "ellipse": (2, ("a", "b")), "ellipsoid": (3, ("a", "b", "c")),
-               "annulus": (2, ("r_in", "r_out"))}
 
 
 class ConfigError(ValueError):
@@ -108,18 +104,18 @@ def parse_config(text: str) -> RunConfig:
 
     # float/int parse errors and GeometryError are ValueErrors too
     try:
-        spec_kwargs = dict(kind=kind, h=h_levels[0])
-        if kind in _SHAPE_KEYS:
-            spec_kwargs["dim"], keys = _SHAPE_KEYS[kind]
-            spec_kwargs.update((key, float(take(key, 0) or 0)) for key in keys)
-        elif kind == "levelset":
+        if kind not in SHAPES:
+            raise ConfigError(f"unknown kind {kind!r}")
+        dim, keys = SHAPES[kind]
+        spec_kwargs = dict(kind=kind, h=h_levels[0], dim=dim)
+        if kind == "levelset":
             bbox = _floats(take("bbox", "-2, 2"))
             if len(bbox) != 2:
                 raise ConfigError("bbox must be 'lo, hi'")
             spec_kwargs.update(expression=take("expression", ""),
                                dim=int(take("dim", "2")), bbox=bbox)
         else:
-            raise ConfigError(f"unknown kind {kind!r}")
+            spec_kwargs.update((key, float(take(key, 0) or 0)) for key in keys)
 
         tasks = tuple(t.strip() for t in take("tasks", "sobolev").split(",") if t.strip())
         config = RunConfig(

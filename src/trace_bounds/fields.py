@@ -2,13 +2,13 @@
 
 A field stores one value per interior node and one per boundary node of its
 domain. Fields are immutable value containers; all differential operators
-live in the laplace module. CSV export writes node coordinates plus values;
-the binary dump is a dense grid serialization (see ``to_grid_binary``).
+live in the laplace module. CSV export (``field_to_csv``) writes any scalar,
+vector or tensor field as node coordinates, node type and one column per
+component.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -23,8 +23,6 @@ __all__ = [
     "sym_index_pairs",
     "field_to_csv",
     "write_csv",
-    "to_grid_binary",
-    "read_grid_binary",
 ]
 
 
@@ -196,49 +194,3 @@ def field_to_csv(field, path) -> None:
     kinds = ["interior"] * domain.n_interior + ["boundary"] * domain.n_boundary
     values = np.stack([np.concatenate([c.interior, c.boundary]) for c in comps], axis=1)
     write_csv(path, headers, ([*x, kind, *v] for x, kind, v in zip(pos, kinds, values)))
-
-
-_BIN_MAGIC = b"TBGRID01"
-
-# Binary grid dump layout (little endian):
-#   8s    magic "TBGRID01"
-#   i32   dimension (2 or 3)
-#   i32*d grid extents (node counts per axis)
-#   f64*d origin (position of grid node 0,...,0)
-#   f64   grid spacing h
-#   i32   component count
-# then component-count dense f64 grids in C order; nodes outside the
-# domain closure hold NaN.
-
-
-def to_grid_binary(field, path) -> None:
-    comps = _field_components(field)
-    domain = comps[0].domain
-    dim = domain.dim
-    with open(path, "wb") as fh:
-        fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<i", dim))
-        fh.write(struct.pack(f"<{dim}i", *domain.shape))
-        fh.write(struct.pack(f"<{dim}d", *domain.origin))
-        fh.write(struct.pack("<d", domain.h))
-        fh.write(struct.pack("<i", len(comps)))
-        for c in comps:
-            grid = np.full(domain.phi.size, np.nan)
-            grid[domain.interior_flat] = c.interior
-            fh.write(grid.astype("<f8").tobytes())
-
-
-def read_grid_binary(path) -> tuple[dict, np.ndarray]:
-    """Return (header dict, (ncomp, *extents) value array)."""
-    with open(path, "rb") as fh:
-        if fh.read(8) != _BIN_MAGIC:
-            raise GeometryError("not a grid dump file")
-        (dim,) = struct.unpack("<i", fh.read(4))
-        shape = struct.unpack(f"<{dim}i", fh.read(4 * dim))
-        origin = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        (h,) = struct.unpack("<d", fh.read(8))
-        (ncomp,) = struct.unpack("<i", fh.read(4))
-        count = int(np.prod(shape))
-        data = np.frombuffer(fh.read(8 * ncomp * count), dtype="<f8")
-    header = {"dim": dim, "shape": shape, "origin": origin, "h": h, "ncomp": ncomp}
-    return header, data.reshape((ncomp,) + shape)

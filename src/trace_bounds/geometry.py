@@ -43,8 +43,13 @@ __all__ = [
     "parse_levelset_expression",
 ]
 
-CANONICAL_KINDS = ("disk", "ball", "ellipse", "ellipsoid", "annulus")
-KINDS = CANONICAL_KINDS + ("levelset",)
+# kind -> (dimension, shape keys): the DomainSpec fields each kind takes, which
+# config parsing and the report read too. A level set sets its own dimension,
+# and its bbox is a shape key because it sets the grid.
+SHAPES = {"disk": (2, ("radius",)), "ball": (3, ("radius",)),
+          "ellipse": (2, ("a", "b")), "ellipsoid": (3, ("a", "b", "c")),
+          "annulus": (2, ("r_in", "r_out")),
+          "levelset": (None, ("expression", "bbox"))}
 
 # grid nodes with |phi| below this (relative) threshold are pushed outside,
 # so no Shortley-Weller arm can degenerate to zero length
@@ -142,7 +147,7 @@ class DomainSpec:
     bbox: tuple[float, float] = (-2.0, 2.0)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SHAPES:
             raise GeometryError(f"unknown domain kind {self.kind!r}")
         if not (isinstance(self.h, (int, float)) and self.h > 0):
             raise GeometryError("grid spacing h must be positive")
@@ -151,9 +156,9 @@ class DomainSpec:
             raise GeometryError("domain sizes and the bbox must be finite")
         if self.dim not in (2, 3):
             raise GeometryError("dimension must be 2 or 3")
-        expect = {"disk": 2, "ball": 3, "ellipse": 2, "ellipsoid": 3, "annulus": 2}
-        if self.kind in expect and expect[self.kind] != self.dim:
-            raise GeometryError(f"kind {self.kind!r} requires dim={expect[self.kind]}")
+        dim = SHAPES[self.kind][0]
+        if dim not in (None, self.dim):
+            raise GeometryError(f"kind {self.kind!r} requires dim={dim}")
         if self.kind in ("disk", "ball") and not self.radius > 0:
             raise GeometryError("radius must be positive")
         if self.kind in ("ellipse", "ellipsoid"):
@@ -264,8 +269,6 @@ class Domain:
     spec: DomainSpec
     dim: int
     h: float
-    origin: np.ndarray                 # (dim,) position of grid node (0,...,0)
-    shape: tuple[int, ...]             # grid node counts per axis
     phi: np.ndarray                    # level-set values on the grid (snapped)
     interior_flat: np.ndarray          # (N,) flat grid indices of interior nodes
     interior_coords: np.ndarray        # (N, dim)
@@ -540,8 +543,6 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
         spec=spec,
         dim=dim,
         h=h,
-        origin=origin,
-        shape=shape,
         phi=phi,
         interior_flat=interior_flat,
         interior_coords=interior_coords,

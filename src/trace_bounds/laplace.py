@@ -43,7 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import ScalarField, SymTensorField, VectorField
-from .geometry import Domain, GeometryError
+from .geometry import CheckError, Domain, GeometryError
 
 __all__ = [
     "SolverError",
@@ -53,6 +53,7 @@ __all__ = [
     "tensor_divergence",
     "laplacian",
     "sup_norm",
+    "check_sup_on_boundary",
     "extrapolate_to_boundary",
     "solver_stats",
 ]
@@ -357,3 +358,21 @@ def sup_norm(field: ScalarField, region: str = "closure") -> float:
     if values.size == 0:
         raise ValueError(f"region {region!r} is empty")
     return float(np.abs(values).max())
+
+
+def check_sup_on_boundary(name: str, domain: Domain, interior: np.ndarray,
+                          boundary: np.ndarray,
+                          error: type[CheckError] = CheckError) -> tuple[float, float]:
+    """Boundary and closure sups of nonnegative nodal magnitudes, checked for the
+    maximum principle: a closure sup more than 10h times itself above the
+    boundary sup raises ``error`` naming the interior node that attains it."""
+    sup_b = float(boundary.max())
+    sup_c = max(sup_b, float(interior.max()))
+    tol = 10.0 * domain.h * max(sup_c, 1e-300)
+    if sup_c - sup_b > tol:
+        node = int(interior.argmax())
+        raise error(
+            f"{name} sup {sup_c:.6f} not attained on the boundary "
+            f"(boundary {sup_b:.6f}, tol {tol:.2e}) at "
+            f"{domain.interior_coords[node].tolist()}, interior node {node}")
+    return sup_b, sup_c

@@ -3,14 +3,22 @@
 Given a unit outward normal nu and a unit traction t, the compatible
 symmetric matrices sigma(nu) = t form an affine family; the optimal one
 minimizes a chosen matrix norm. In the orthonormal frame {f1 = nu, f2 along
-the tangential part of t, f3 = f1 x f2} the closed-form optimum has
-sigma_11 = cos(theta), sigma_12 = sin(theta) and all free components zero,
-for the entrywise-max norm (measured in that frame), the Frobenius norm,
-and the 2D spectral radius norm alike; only the optimal values differ:
+the tangential part of t, f3 = f1 x f2} the closed-form matrix has
+sigma_11 = cos(theta), sigma_12 = sin(theta) and all free components zero.
+It is optimal for the entrywise-max norm (measured in that frame) and the
+Frobenius norm:
 
     vecInf : max(|cos theta|, |sin theta|)     (frame-relative)
     vec2   : sqrt(1 + sin^2 theta)
+
+For the 2D spectral norm the same matrix is reported, with its value
+
     op2    : (|cos theta| + sqrt(cos^2 theta + 4 sin^2 theta)) / 2   (2D)
+
+but that is not the optimum: the spectral norm of a compatible matrix is at
+least |sigma nu| = 1, and 1 is attained by balancing the trace with
+sigma_22 = -cos(theta). Over theta the op2 formula peaks at 2/sqrt(3)
+~ 1.1547, while the brute-force optimum stays at 1.
 
 The entrywise-max value is reported relative to the natural frame; the
 standard-basis entries of the same matrix can exceed it (their sup over all
@@ -28,21 +36,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matnorm
-from .fields import sym_index_pairs, write_csv
 from .geometry import CheckError, Domain
 
 __all__ = [
     "TractionProblem",
     "OptimalBC",
     "optimal_stress",
-    "optimal_stress_ek",
     "brute_force_optimal",
     "worst_case_D",
     "sweep_theta",
     "ek_boundary_tensor",
     "ek_frame_inf_values",
-    "ek_vec2_values",
-    "boundary_tensor_csv",
 ]
 
 _UNIT_TOL = 1e-12
@@ -138,26 +142,6 @@ def optimal_stress(problem: TractionProblem) -> OptimalBC:
     if np.abs(sigma @ nu - t).max() > 1e-10:
         raise CheckError("compatibility sigma(nu) = t violated")
     return bc
-
-
-def optimal_stress_ek(nu: np.ndarray, k: int, norm: str = "vec2") -> OptimalBC:
-    """Optimal stress for the axis traction t = e_k:
-    sigma = -nu_k nu (x) nu + nu (x) e_k + e_k (x) nu."""
-    nu = _check_unit(nu, "nu")
-    n = nu.shape[0]
-    if not 0 <= k < n:
-        raise ValueError(f"axis index k={k} out of range for dimension {n}")
-    e = np.zeros(n)
-    e[k] = 1.0
-    sigma = -nu[k] * np.outer(nu, nu) + np.outer(nu, e) + np.outer(e, nu)
-    nuk = float(nu[k])
-    if norm == "vec2":
-        value = math.sqrt(2.0 - nuk ** 2)
-    elif norm == "vecInf":
-        value = max(abs(nuk), math.sqrt(max(0.0, 1.0 - nuk ** 2)))
-    else:
-        raise ValueError(f"unsupported norm {norm!r} for the e_k construction")
-    return OptimalBC(sigma=sigma, value=value, frame=_build_frame(nu, e))
 
 
 def _frame_norm_stack(frame_mats: np.ndarray, norm: str) -> np.ndarray:
@@ -269,7 +253,7 @@ def worst_case_D(norm: str) -> float:
 def ek_boundary_tensor(domain: Domain, k: int) -> np.ndarray:
     """Optimal e_k stress at every boundary node, (M, n, n) in the standard basis.
 
-    The matrix is the same for the vec2, frame-vecInf and 2D-op2 norms (all
+    The matrix is the optimum for the vec2 and frame-vecInf norms alike (all
     free components vanish); only the reported optimal values differ.
     """
     n = domain.dim
@@ -284,23 +268,7 @@ def ek_boundary_tensor(domain: Domain, k: int) -> np.ndarray:
     return sig
 
 
-def ek_vec2_values(domain: Domain, k: int) -> np.ndarray:
-    """Pointwise optimal Frobenius values sqrt(2 - nu_k^2)."""
-    return np.sqrt(2.0 - domain.boundary_normal[:, k] ** 2)
-
-
 def ek_frame_inf_values(domain: Domain, k: int) -> np.ndarray:
     """Pointwise frame-relative entrywise-max values max(|nu_k|, sqrt(1-nu_k^2))."""
     nuk = domain.boundary_normal[:, k]
     return np.maximum(np.abs(nuk), np.sqrt(np.clip(1.0 - nuk ** 2, 0.0, None)))
-
-
-def boundary_tensor_csv(domain: Domain, tensors: np.ndarray, path) -> None:
-    """One row per boundary node: position, normal, upper-triangle entries."""
-    n = domain.dim
-    pairs = sym_index_pairs(n)
-    cols = (list("xyz"[:n]) + [f"nu_{c}" for c in "xyz"[:n]]
-            + [f"sigma_{i}{j}" for i, j in pairs])
-    entries = np.stack([tensors[:, i, j] for i, j in pairs], axis=1)
-    write_csv(path, cols, np.hstack([domain.boundary_pos, domain.boundary_normal,
-                                     entries]))

@@ -82,13 +82,9 @@ def harmonic_normal_field(domain: Domain) -> NormalField:
             f"|n0| = {magnitude.max():.6f} exceeds {limit:.6f} at {where.tolist()}")
 
     div = laplace.divergence(n0)
-    sup_bnd = laplace.sup_norm(div, "boundary")
-    sup_cl = laplace.sup_norm(div, "closure")
-    tol = 10.0 * domain.h * max(sup_cl, 1e-300)
-    if sup_cl - sup_bnd > tol:
-        raise NormalFieldError(
-            f"divergence sup {sup_cl:.6f} not attained on boundary "
-            f"(boundary sup {sup_bnd:.6f}, tolerance {tol:.2e})")
+    sup_bnd, sup_cl = laplace.check_sup_on_boundary(
+        "divergence", domain, np.abs(div.interior), np.abs(div.boundary),
+        NormalFieldError)
     return NormalField(field=n0, divergence=div,
                        sup_div_boundary=sup_bnd, sup_div_closure=sup_cl)
 

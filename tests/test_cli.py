@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from trace_bounds import cli, config as C, geometry as G
-from trace_bounds.fields import ScalarField
+from trace_bounds.fields import ScalarField, VectorField, field_to_csv
 from trace_bounds.ld_trace import harmonic_ek_tensor
-from trace_bounds.laplace import solve_dirichlet, divergence
-from trace_bounds.fields import VectorField
+from trace_bounds.laplace import solve_dirichlet
 
 DISK_CONFIG = """
 # unit disk quick run
@@ -192,6 +191,8 @@ tasks = ld
         assert code == cli.EXIT_SOLVER
         assert report["error"]["type"] == "solver"
         assert report["error"]["residual"] == 1.0
+        on_disk = json.loads((tmp_path / "report.json").read_text())
+        assert on_disk["solver_stats"] == report["solver_stats"]
 
     def test_solver_stats_scoped_to_run(self, tmp_path, monkeypatch):
         build = cli.build_domain
@@ -237,6 +238,34 @@ tasks = ld
         assert report["error"]["type"] == "check"
         assert "not attained on the boundary" in report["error"]["message"]
         assert f"at {spikes[0]}" in report["error"]["message"]
+        # the solves made before the check failed are still reported: H[nu_0],
+        # H[nu_1] and the three cubic normal monomials with a factor nu_0
+        assert report["solver_stats"]["solves"] == 5
+        assert report["solver_stats"]["max_residual"] <= 1e-10
+
+    def test_failed_normal_field_names_position(self, tmp_path, monkeypatch):
+        from trace_bounds import laplace, sobolev_trace
+        real = laplace.divergence
+        spikes = []
+
+        def spiked(field):
+            div = real(field)
+            node = div.interior.size // 3
+            spikes.append(field.domain.interior_coords[node].tolist())
+            interior = div.interior.copy()
+            interior[node] = 100.0 * np.abs(div.boundary).max()
+            return ScalarField(div.domain, interior, div.boundary)
+
+        monkeypatch.setattr(laplace, "divergence", spiked)
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.04\ntasks = sobolev")
+        code, report = cli.run_config(cfg, outdir=str(tmp_path))
+        assert code == cli.EXIT_CHECK_FAILED
+        assert report["error"]["type"] == "check"
+        assert "not attained on the boundary" in report["error"]["message"]
+        assert f"at {spikes[0]}" in report["error"]["message"]
+        with pytest.raises(sobolev_trace.NormalFieldError):
+            sobolev_trace.harmonic_normal_field(
+                G.build_domain(G.DomainSpec.disk(1.0, 0.04)))
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def slip(*args, **kwargs):
@@ -247,6 +276,22 @@ tasks = ld
                              "tasks = optimal-bc-sweep")
         with pytest.raises(AssertionError, match="a slip"):
             cli.run_config(cfg, outdir=str(tmp_path))
+
+    @pytest.mark.parametrize("shape, block", [
+        ("kind = disk\nradius = 1.5", {"radius": 1.5}),
+        ("kind = ball\nradius = 0.5", {"radius": 0.5}),
+        ("kind = ellipse\na = 2\nb = 1", {"a": 2.0, "b": 1.0}),
+        ("kind = ellipsoid\na = 1.5\nb = 1\nc = 0.8",
+         {"a": 1.5, "b": 1.0, "c": 0.8}),
+        ("kind = annulus\nr_in = 0.5\nr_out = 1", {"r_in": 0.5, "r_out": 1.0}),
+        ("kind = levelset\ndim = 3\nexpression = x^2+y^2+z^2-1\nbbox = -1.5, 1.5",
+         {"expression": "x^2+y^2+z^2-1", "bbox": [-1.5, 1.5]}),
+    ], ids=lambda v: v.split()[2] if isinstance(v, str) else "")
+    def test_report_domain_block(self, tmp_path, shape, block):
+        cfg = C.parse_config(f"{shape}\nh = 0.1\ntasks = matnorm-verify\nsamples = 10")
+        assert cli.run_config(cfg, outdir=str(tmp_path))[0] == cli.EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["domain"] == block
 
     def test_sweep_task(self, tmp_path):
         cfg = C.parse_config("""
@@ -333,30 +378,16 @@ class TestMain:
 
 
 class TestExportPlotData:
-    def test_scalar_field_rows(self, tmp_path, disk):
-        nf = VectorField(tuple(
-            solve_dirichlet(disk, disk.boundary_normal[:, j]) for j in range(2)))
-        div = divergence(nf)
-        path = tmp_path / "div.csv"
-        cli.export_plot_data(div, path)
-        lines = path.read_text().splitlines()
-        # about pi / h^2 interior rows
-        expected = np.pi / disk.h ** 2
-        assert abs(len(lines) - 1 - expected) < 0.05 * expected
+    """Plot data is the field CSV of fields.field_to_csv."""
 
     def test_tensor_field_rows(self, tmp_path, disk_coarse):
         sigma, _ = harmonic_ek_tensor(disk_coarse, 0)
         path = tmp_path / "sigma.csv"
-        cli.export_plot_data(sigma, path)
+        field_to_csv(sigma, path)
         lines = path.read_text().splitlines()
-        assert len(lines) == 1 + disk_coarse.n_boundary
-
-    def test_empty_field_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        cli.export_plot_data(None, path)
-        assert path.read_text().splitlines() == ["x,y,value"]
+        assert len(lines) == 1 + disk_coarse.n_interior + disk_coarse.n_boundary
 
     def test_unwritable_path(self, tmp_path, disk_coarse):
         f = ScalarField.constant(disk_coarse, 1.0)
         with pytest.raises(OSError):
-            cli.export_plot_data(f, tmp_path / "no_dir" / "x.csv")
+            field_to_csv(f, tmp_path / "no_dir" / "x.csv")

@@ -49,23 +49,10 @@ def test_csv_export(tmp_path, disk_coarse):
     assert len(lines) == 1 + disk_coarse.n_interior + disk_coarse.n_boundary
 
 
-def test_binary_roundtrip(tmp_path, disk_coarse):
-    f = F.ScalarField.from_function(disk_coarse, lambda p: p[:, 0] + 2 * p[:, 1])
-    path = tmp_path / "field.bin"
-    F.to_grid_binary(f, path)
-    header, data = F.read_grid_binary(path)
-    assert header["dim"] == 2
-    assert header["h"] == disk_coarse.h
-    assert header["ncomp"] == 1
-    assert data.shape == (1,) + disk_coarse.shape
-    flat = data[0].ravel()
-    np.testing.assert_allclose(flat[disk_coarse.interior_flat], f.interior)
-    outside = np.setdiff1d(np.arange(flat.size), disk_coarse.interior_flat)
-    assert np.isnan(flat[outside]).all()
-
-
-def test_binary_rejects_other_files(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTAGRID" + b"\0" * 64)
-    with pytest.raises(GeometryError):
-        F.read_grid_binary(path)
+def test_vector_field_csv(tmp_path, disk_coarse):
+    f = F.VectorField.from_function(disk_coarse, lambda p: p)
+    path = tmp_path / "vector.csv"
+    F.field_to_csv(f, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,y,node_type,c0,c1"
+    assert len(lines) == 1 + disk_coarse.n_interior + disk_coarse.n_boundary

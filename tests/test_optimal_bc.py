@@ -5,6 +5,7 @@ import pytest
 
 from trace_bounds import optimal_bc as O
 from trace_bounds.geometry import CheckError
+from trace_bounds.ld_trace import harmonic_ek_tensor
 
 
 def random_unit(rng, n):
@@ -90,26 +91,28 @@ class TestClosedForm:
 
 
 class TestEkConstruction:
+    """The axis traction t = e_k: sigma = -nu_k nu (x) nu + nu (x) e_k + e_k (x) nu."""
+
     def test_axis_normal(self):
         e1 = np.array([1.0, 0.0, 0.0])
-        bc = O.optimal_stress_ek(e1, 0)
+        bc = O.optimal_stress(O.TractionProblem(nu=e1, t=e1))
         np.testing.assert_allclose(bc.sigma, np.outer(e1, e1), atol=1e-14)
         assert abs(bc.value - 1.0) < 1e-12
 
     def test_perpendicular_normal(self):
         nu = np.array([0.0, 1.0, 0.0])
-        bc = O.optimal_stress_ek(nu, 0)
+        bc = O.optimal_stress(O.TractionProblem(nu=nu, t=np.eye(3)[0]))
         assert abs(bc.value - math.sqrt(2)) < 1e-12
 
     def test_diagonal_normal(self):
         nu = np.ones(3) / math.sqrt(3)
-        bc = O.optimal_stress_ek(nu, 0)
+        bc = O.optimal_stress(O.TractionProblem(nu=nu, t=np.eye(3)[0]))
         assert np.abs(bc.sigma @ nu - np.eye(3)[0]).max() < 1e-12
         assert abs(bc.value - math.sqrt(2 - 1 / 3)) < 1e-12
 
-    def test_bad_axis(self):
+    def test_bad_axis(self, disk):
         with pytest.raises(ValueError):
-            O.optimal_stress_ek(np.array([1.0, 0.0]), 2)
+            O.ek_boundary_tensor(disk, 2)
 
 
 class TestBruteForce:
@@ -178,8 +181,8 @@ class TestWorstCase:
 
 class TestBoundaryTensors:
     def test_sphere_sup_vec2_attains_D(self, ball):
-        values = O.ek_vec2_values(ball, 0)
-        assert abs(values.max() - math.sqrt(2)) < 1e-2
+        _, diag = harmonic_ek_tensor(ball, 0)
+        assert abs(diag.sup_vec2_boundary - math.sqrt(2)) < 1e-2
 
     def test_axis_node_projector(self, disk):
         # at a node whose normal is nearly e_x the tensor is nearly e_x ox e_x
@@ -205,13 +208,6 @@ class TestBoundaryTensors:
         a = O.ek_boundary_tensor(disk, 0)[i]
         b = O.ek_boundary_tensor(ellipse, 0)[j]
         assert np.abs(a - b).max() < 1e-5
-
-    def test_csv_export(self, tmp_path, disk_coarse):
-        sig = O.ek_boundary_tensor(disk_coarse, 0)
-        path = tmp_path / "tensors.csv"
-        O.boundary_tensor_csv(disk_coarse, sig, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1 + disk_coarse.n_boundary
 
     def test_continuity_along_boundary(self, disk_coarse, disk):
         # adjacent-node entry jumps shrink with h
