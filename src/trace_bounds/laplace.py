@@ -14,26 +14,30 @@ symmetric mode: a minimum-degree ordering of A^T + A applied to rows and
 columns alike, with diagonal pivots only, which is stable for M-matrices
 (Fiedler & Ptak 1962) and has about half the fill of a COLAMD ordering
 with partial pivoting. 3D systems are solved by BiCGSTAB (van der Vorst
-1992) with a Jacobi (inverse-diagonal) preconditioner: LU fill grows much
-faster in 3D, and measured over the resolutions the tool runs, the Krylov
-solve wins at every 3D size and the factorization at every 2D size.
-Residuals are verified against the 1e-10 relative tolerance after every
-solve, whichever backend produced it; Krylov iterations are counted in the
-solve record too.
+1992) preconditioned with a plain-aggregation multigrid V-cycle (Vanek,
+Mandel & Brezina 1996) whose coarsest level is factored the same way: LU
+fill grows much faster in 3D, and measured over the resolutions the tool
+runs, the Krylov solve wins at every 3D size and the factorization at
+every 2D size. Residuals are verified against the 1e-10 relative tolerance
+after every solve, whichever backend produced it; Krylov iterations are
+counted in the solve record too.
 
 Every harmonic object the trace bounds need is a linear combination of
 harmonic extensions of monomials in the outward normal: H[nu_a] (the normal
 field) and H[nu_a nu_b nu_c] (the optimal e_k stresses). Each such extension
-is solved once per domain and memoized on the operator, as are the per-axis
-sparse difference stencils that every gradient, divergence and boundary
-extrapolation is a product with.
+is solved at most once per domain and memoized on the operator, as are the
+per-axis sparse difference stencils that every gradient, divergence and
+boundary extrapolation is a product with. Since |nu|^2 = 1, H[nu_a] =
+sum_b H[nu_a nu_b nu_b], so one member of each such identity is the signed
+sum of the others: 10 solves give all 13 extensions in 3D, 4 give all 6 in
+2D.
 
 One ``_Operator`` per domain, the only entry of ``Domain._cache``, holds
 everything this module derives for that domain: the matrix, the lazy
-factorization or preconditioner, the extensions, the stencils and the solve
-record (solves, Krylov iterations, worst residual, worst maximum-principle
-margin). ``solver_stats(*domains)`` merges the records of the given domains,
-so a run reports exactly the solves on its own domains.
+factorization or multigrid hierarchy, the extensions, the stencils and the
+solve record (solves, Krylov iterations, worst residual, worst
+maximum-principle margin). ``solver_stats(*domains)`` merges the records of
+the given domains, so a run reports exactly the solves on its own domains.
 """
 
 from __future__ import annotations
@@ -75,6 +79,69 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
+def _factor(matrix: sp.spmatrix):
+    """Sparse LU of a Shortley-Weller matrix or of its Galerkin coarsening.
+
+    Both are M-matrices with a symmetric pattern (each interior arm pairs with
+    its reverse arm, and P^T A P keeps the symmetry), and an M-matrix factors
+    stably with diagonal pivots in any symmetric order (Fiedler & Ptak 1962):
+    minimum degree on A^T + A for rows and columns alike, no row pivoting.
+    That halves the fill of the default COLAMD ordering with partial pivoting.
+    """
+    try:
+        return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"sparse factorization failed: {exc}") from exc
+
+
+# aggregation V-cycle: damped-Jacobi weight, coarse-correction scaling, and the
+# size at or below which a level is factored instead of coarsened
+_JACOBI_WEIGHT = 0.8
+_COARSE_SCALE = 1.5
+_COARSEST = 500
+
+
+class _Multigrid:
+    """Plain-aggregation multigrid V-cycle (Vanek, Mandel & Brezina 1996).
+
+    Each level aggregates the unknowns whose grid indices share floor(ijk/2),
+    so P is piecewise constant, R = P^T and the coarse operator is the
+    Galerkin product R(AP). For smooth errors that product is about twice as
+    stiff as the operator it stands for, so the coarse correction falls short
+    and is scaled by 1.5 (over-correction, Braess 1995). One damped-Jacobi
+    sweep comes before it and one after. Levels are coarsened until one has
+    at most 500 unknowns, and that level is factored. The cycle is a fixed
+    linear map, so it serves as BiCGSTAB's preconditioner. Unsmoothed
+    aggregates keep the coarse operators as sparse as the fine one.
+    """
+
+    def __init__(self, matrix: sp.csr_matrix, ijk: np.ndarray):
+        self.levels = []   # per level: A, the weighted inverse diagonal, P, R
+        while matrix.shape[0] > _COARSEST:
+            shape = tuple(ijk.max(axis=1) // 2 + 1)
+            keys, aggregate = np.unique(np.ravel_multi_index(ijk // 2, shape),
+                                        return_inverse=True)
+            n = matrix.shape[0]
+            P = sp.csr_matrix((np.ones(n), (np.arange(n), aggregate)),
+                              shape=(n, keys.size))
+            R = P.T.tocsr()
+            self.levels.append((matrix, _JACOBI_WEIGHT / matrix.diagonal(), P, R))
+            matrix = (R @ (matrix @ P)).tocsr()
+            ijk = np.array(np.unravel_index(keys, shape))
+        self.coarsest = _factor(matrix)
+
+    def cycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
+        """One V-cycle from a zero guess for A x = r on the given level."""
+        if level == len(self.levels):
+            return self.coarsest.solve(r)
+        A, smoother, P, R = self.levels[level]
+        x = smoother * r
+        x += _COARSE_SCALE * (P @ self.cycle(R @ (r - A @ x), level + 1))
+        x += smoother * (r - A @ x)
+        return x
+
+
 class _Operator:
     """Shortley-Weller discretization bound to one domain, with everything
     derived from it and the record of the solves made with it."""
@@ -108,16 +175,15 @@ class _Operator:
         cols.append(idx)
         vals.append(diag)
         # CSC feeds splu; CSR is the faster layout for the Krylov matvecs
-        krylov = dim == 3
-        matrix = sp.csr_matrix if krylov else sp.csc_matrix
+        matrix = sp.csr_matrix if dim == 3 else sp.csc_matrix
         self.neg_laplacian = matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n))
         self.boundary_coupling = sp.csc_matrix(
             (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
             shape=(n, domain.n_boundary))
-        self._jacobi = sp.diags(1.0 / diag) if krylov else None
         self._lu = None
+        self._multigrid = None
         self._stencils = None
         self.monomials: dict[tuple[int, ...], ScalarField] = {}
         self.record = {"solves": 0, "iterations": 0, "max_residual": 0.0,
@@ -125,19 +191,16 @@ class _Operator:
 
     @property
     def lu(self):
-        # Each interior arm pairs with its reverse arm, so the pattern is
-        # symmetric, and an M-matrix factors stably with diagonal pivots in
-        # any symmetric order (Fiedler & Ptak 1962): minimum degree on
-        # A^T + A for rows and columns alike, no row pivoting. That halves
-        # the fill of the default COLAMD ordering with partial pivoting.
         if self._lu is None:
-            try:
-                self._lu = spla.splu(self.neg_laplacian, permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.0,
-                                     options={"SymmetricMode": True})
-            except RuntimeError as exc:
-                raise SolverError(f"sparse factorization failed: {exc}") from exc
+            self._lu = _factor(self.neg_laplacian)
         return self._lu
+
+    @property
+    def multigrid(self) -> _Multigrid:
+        if self._multigrid is None:
+            ijk = np.unravel_index(self.domain.interior_flat, self.domain.phi.shape)
+            self._multigrid = _Multigrid(self.neg_laplacian, np.array(ijk))
+        return self._multigrid
 
     def _residual(self, u: np.ndarray, rhs: np.ndarray) -> float:
         scale = max(np.abs(rhs).max(), np.abs(u).max(), 1e-300)
@@ -147,16 +210,22 @@ class _Operator:
         # SciPy's breakdown tests are absolute (eps^2), so solve for data
         # scaled to unit norm; a power of two keeps the rescaling exact
         exponent = np.frexp(np.linalg.norm(rhs))[1]
-        iterations = 0
+        cycle = self.multigrid.cycle
+        applications = 0
 
-        def count(_):
-            nonlocal iterations
-            iterations += 1
+        def precondition(r):
+            nonlocal applications
+            applications += 1
+            return cycle(r)
 
+        # a dtype, or LinearOperator applies the cycle once to find one
+        M = spla.LinearOperator(self.neg_laplacian.shape, precondition, dtype=float)
         u, info = spla.bicgstab(self.neg_laplacian, np.ldexp(rhs, -exponent),
-                                rtol=KRYLOV_RTOL, atol=0.0, M=self._jacobi,
-                                callback=count)
+                                rtol=KRYLOV_RTOL, atol=0.0, M=M)
         u = np.ldexp(u, exponent)
+        # two preconditioner applications per iteration; SciPy returns from
+        # the half step, after the first, when that already converges
+        iterations = (applications + 1) // 2
         if info != 0:
             residual = self._residual(u, rhs)
             reason = (f"did not converge in {info} iterations" if info > 0 else
@@ -180,15 +249,21 @@ class _Operator:
         if not np.isfinite(g).all():
             raise GeometryError("boundary data contains non-finite values")
         rhs = self.boundary_coupling @ g
-        u = self.lu.solve(rhs) if self._jacobi is None else self._bicgstab(rhs)
-        residual = self._residual(u, rhs)
+        u = self.lu.solve(rhs) if domain.dim == 2 else self._bicgstab(rhs)
+        return self.verified(u, g, solved=True)
+
+    def verified(self, u: np.ndarray, g: np.ndarray, solved: bool) -> ScalarField:
+        """The field with interior values u and boundary values g, once u passes
+        the residual and maximum-principle checks of a solve with data g; both
+        are recorded, and ``solved`` counts it as a solve."""
+        residual = self._residual(u, self.boundary_coupling @ g)
         if not np.isfinite(u).all() or residual > SOLVER_TOL:
             raise SolverError(
                 f"linear solve residual {residual:.3e} exceeds {SOLVER_TOL:.0e}",
                 residual=residual)
-        self.record["solves"] += 1
+        self.record["solves"] += int(solved)
         self.record["max_residual"] = max(self.record["max_residual"], residual)
-        field = ScalarField(domain, u, g)
+        field = ScalarField(self.domain, u, g)
         _check_max_principle(field)
         return field
 
@@ -239,14 +314,43 @@ def solve_dirichlet(domain: Domain, boundary_values) -> ScalarField:
     return _operator(domain).solve(np.asarray(boundary_values, dtype=float))
 
 
+def _cubic(a: int, b: int) -> tuple[int, ...]:
+    return tuple(sorted((a, b, b)))
+
+
+def _identity_terms(key: tuple[int, ...], dim: int) -> list[tuple[float, tuple]] | None:
+    """H[key] as a signed sum of the other members of its |nu|^2 = 1 identity
+    H[nu_a] = sum_b H[nu_a nu_b nu_b], as (sign, monomial) pairs; None if the
+    monomial is in no such identity (nu_0 nu_1 nu_2)."""
+    if len(key) == 1:
+        return [(1.0, _cubic(key[0], b)) for b in range(dim)]
+    x, b, z = key
+    if x != b and b != z:
+        return None
+    a = z if x == b else x
+    return [(1.0, (a,))] + [(-1.0, _cubic(a, c)) for c in range(dim) if c != b]
+
+
 def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> ScalarField:
     """Harmonic extension H[nu_a nu_b ...] of a product of normal components,
-    memoized per domain under the sorted axis tuple: one solve per monomial."""
+    memoized per domain under the sorted axis tuple.
+
+    Since |nu|^2 = 1, H[nu_a] = sum_b H[nu_a nu_b nu_b]: once the other members
+    of such an identity are memoized, the last one is their signed sum, with
+    the exact monomial as boundary values, checked and recorded like a solve
+    but not counted as one. So a domain needs 10 solves in 3D and 4 in 2D
+    for all 13 (6) extensions, in whatever order they are asked for."""
     key = tuple(sorted(axes))
-    memo = _operator(domain).monomials
+    op = _operator(domain)
+    memo = op.monomials
     if key not in memo:
         values = np.prod(domain.boundary_normal[:, list(key)], axis=1)
-        memo[key] = solve_dirichlet(domain, values)
+        terms = _identity_terms(key, domain.dim)
+        if terms and all(k in memo for _, k in terms):
+            u = sum(sign * memo[k].interior for sign, k in terms)
+            memo[key] = op.verified(u, values, solved=False)
+        else:
+            memo[key] = solve_dirichlet(domain, values)
     return memo[key]
 
 

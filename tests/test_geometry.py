@@ -200,9 +200,18 @@ class TestBuildDomain:
             disk.h = 0.01
 
     def test_normals_are_unit(self, disk, ball, ellipse, annulus):
-        for dom in (disk, ball, ellipse, annulus):
-            lengths = np.linalg.norm(dom.boundary_normal, axis=1)
-            assert np.abs(lengths - 1.0).max() < 1e-12
+        # to round-off: laplace derives one harmonic extension per identity
+        # H[nu_a] = sum_b H[nu_a nu_b^2], which holds because |nu|^2 = 1
+        domains = [disk, ball, ellipse, annulus,
+                   G.build_domain(G.DomainSpec.ellipsoid(1.2, 0.9, 0.7, 0.15)),
+                   G.build_domain(G.DomainSpec.levelset("x^4 + 2*y^2 - 1", 0.05, 2)),
+                   G.build_domain(G.DomainSpec.levelset(
+                       "((x-0.13)/1.0)^2 + ((y+0.21)/0.8)^2 + ((z-0.07)/0.6)^2 - 1",
+                       0.15, dim=3))]
+        assert {dom.spec.kind for dom in domains} == set(G.SHAPES)
+        for dom in domains:
+            squared = np.sum(dom.boundary_normal ** 2, axis=1)
+            assert np.abs(squared - 1.0).max() <= 1e-14
 
     def test_interior_levelset_negative(self, disk):
         assert (disk.phi.ravel()[disk.interior_flat] < 0).all()

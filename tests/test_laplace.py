@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from trace_bounds import geometry as G, laplace as L, ld_trace as LD
+from trace_bounds import sobolev_trace as S
 from trace_bounds.fields import ScalarField, SymTensorField, VectorField, sym_index_pairs
 from trace_bounds.geometry import GeometryError
 
@@ -83,7 +85,8 @@ OFF_CENTRE_ELLIPSOID = "((x-0.13)/1.0)^2 + ((y+0.21)/0.8)^2 + ((z-0.07)/0.6)^2 -
 
 
 class TestKrylov:
-    """3D systems are solved by Jacobi-preconditioned BiCGSTAB."""
+    """3D systems are solved by BiCGSTAB preconditioned with an aggregation
+    multigrid V-cycle."""
 
     @pytest.mark.parametrize("spec", [
         G.DomainSpec.ball(1.0, 0.1),
@@ -109,6 +112,51 @@ class TestKrylov:
         assert stats["max_residual"] <= L.SOLVER_TOL
         assert stats["max_principle_violation"] <= 1e-8
         assert stats["iterations"] >= 13
+
+    def test_iterations_bounded_on_coarse_levels(self, ball):
+        # N 4139 -> 639 -> 111: two coarse levels. The plain-aggregation cycle
+        # takes 15-16 iterations here, counting a final half step; Jacobi took
+        # 38, so a hierarchy that stopped reducing the smooth error would show
+        op = L._operator(ball)
+        assert len(op.multigrid.levels) >= 2
+        for axes in [(0,), (1,), (2,), (0, 1, 2), (2, 2, 2)]:
+            before = op.record["iterations"]
+            L.solve_dirichlet(ball, np.prod(ball.boundary_normal[:, list(axes)], axis=1))
+            assert 1 <= op.record["iterations"] - before <= 16
+
+    def test_exact_preconditioner_counts_iterations(self, monkeypatch):
+        # N <= 500: the hierarchy is the factored matrix itself, and BiCGSTAB
+        # returns from its first half step, after one cycle, which counts as
+        # an iteration
+        dom = G.build_domain(G.DomainSpec.ball(1.0, 0.3))
+        assert dom.n_interior <= L._COARSEST
+        op = L._operator(dom)
+        assert op.multigrid.levels == []
+        cycles = []
+        cycle = op.multigrid.cycle
+        monkeypatch.setattr(op.multigrid, "cycle",
+                            lambda r: cycles.append(r) or cycle(r))
+        for a in range(3):
+            before, applied = op.record["iterations"], len(cycles)
+            L.solve_dirichlet(dom, dom.boundary_normal[:, a])
+            assert len(cycles) - applied == 1
+            assert op.record["iterations"] - before == 1
+
+    def test_hierarchy_built_once(self, monkeypatch):
+        built = []
+
+        class Counted(L._Multigrid):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(L, "_Multigrid", Counted)
+        dom = G.build_domain(G.DomainSpec.ball(1.0, 0.15))
+        S.harmonic_normal_field(dom)
+        LD.harmonic_ek_tensor(dom, 0)
+        assert len(built) == 1
+        assert L._operator(dom).multigrid is built[0]
+        assert list(dom._cache) == ["laplace_operator"]
 
     def test_scale_invariant(self, ball):
         # SciPy's breakdown tests are absolute; tiny data must still converge
@@ -179,6 +227,54 @@ class TestDirect:
         dom = G.build_domain(G.DomainSpec.disk(1.0, 0.1))
         with pytest.raises(L.SolverError, match="sparse factorization failed"):
             L.solve_dirichlet(dom, dom.boundary_normal[:, 0])
+
+
+class TestNormalMonomialIdentities:
+    """Since |nu|^2 = 1, H[nu_a] = sum_b H[nu_a nu_b nu_b]; the last member of
+    each identity to be asked for is derived from the others, not solved."""
+
+    @pytest.mark.parametrize("ld_first", [False, True], ids=["sobolev_ld", "ld_sobolev"])
+    @pytest.mark.parametrize("spec, solves", [
+        (G.DomainSpec.disk(1.0, 0.04), 4),
+        (G.DomainSpec.annulus(0.5, 1.0, 0.04), 4),
+        (G.DomainSpec.ball(1.0, 0.1), 10),
+        (G.DomainSpec.levelset(OFF_CENTRE_ELLIPSOID, 0.1, dim=3), 10),
+    ], ids=["disk", "annulus", "ball", "off_centre_ellipsoid"])
+    def test_derived_match_direct_solves(self, spec, solves, ld_first):
+        dom = G.build_domain(spec)
+        tasks = [lambda: S.harmonic_normal_field(dom),
+                 lambda: [LD.harmonic_ek_tensor(dom, k) for k in range(dom.dim)]]
+        for task in reversed(tasks) if ld_first else tasks:
+            task()
+        op = L._operator(dom)
+        # every H[nu_a] and H[nu_a nu_b nu_c], dim of them derived
+        assert len(op.monomials) == solves + dom.dim
+        assert L.solver_stats(dom)["solves"] == solves
+        oracle = spla.splu(op.neg_laplacian.tocsc())
+        for key, field in op.monomials.items():
+            g = np.prod(dom.boundary_normal[:, list(key)], axis=1)
+            assert np.array_equal(field.boundary, g)
+            expect = oracle.solve(op.boundary_coupling @ g)
+            assert np.abs(field.interior - expect).max() <= 1e-12 * np.abs(expect).max()
+        stats = L.solver_stats(dom)
+        assert stats["max_residual"] <= L.SOLVER_TOL
+        assert stats["max_principle_violation"] <= 1e-8
+
+    @pytest.mark.parametrize("spec", [G.DomainSpec.disk(1.0, 0.04),
+                                      G.DomainSpec.ball(1.0, 0.15)],
+                             ids=["disk", "ball"])
+    def test_non_unit_normals_raise(self, spec):
+        # |nu|^2 = 1 + 2e-6: the derived H[nu_0^3] misses its data by 2e-6
+        built = G.build_domain(spec)
+        dom = dataclasses.replace(
+            built, boundary_normal=built.boundary_normal * (1 + 1e-6), _cache={})
+        for axes in [(0,)] + [(0, b, b) for b in range(1, dom.dim)]:
+            L._normal_monomial(dom, axes)
+        solves = L.solver_stats(dom)["solves"]
+        with pytest.raises(L.SolverError, match="residual"):
+            L._normal_monomial(dom, (0, 0, 0))
+        assert (0, 0, 0) not in L._operator(dom).monomials
+        assert L.solver_stats(dom)["solves"] == solves
 
 
 class TestMaxPrinciple:

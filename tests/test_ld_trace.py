@@ -233,8 +233,10 @@ class TestLdBounds:
             LD.ld_bounds(disk, "op1")
 
     @pytest.mark.parametrize("spec, solves", [
-        (G.DomainSpec.disk(1.0, 0.04), 6),    # 2 normals + 4 cubic monomials
-        (G.DomainSpec.ball(1.0, 0.1), 13),    # 3 normals + 10 cubic monomials
+        # 2 normals + 4 cubic monomials, one per |nu|^2 = 1 identity derived
+        (G.DomainSpec.disk(1.0, 0.04), 4),
+        # 3 normals + 10 cubic monomials, one per identity derived
+        (G.DomainSpec.ball(1.0, 0.1), 10),
     ], ids=["disk", "ball"])
     def test_one_solve_per_normal_monomial(self, spec, solves):
         # a fresh domain: the session fixtures share their memo across tests
