@@ -106,7 +106,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         if kind not in SHAPES:
             raise ConfigError(f"unknown kind {kind!r}")
-        dim, keys = SHAPES[kind]
+        dim, keys, _ = SHAPES[kind]
         spec_kwargs = dict(kind=kind, h=h_levels[0], dim=dim)
         if kind == "levelset":
             bbox = _floats(take("bbox", "-2, 2"))

@@ -66,22 +66,6 @@ class ScalarField:
                            np.full(domain.n_interior, float(value)),
                            np.full(domain.n_boundary, float(value)))
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.domain, self.interior + other.interior,
-                           self.boundary + other.boundary)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.domain, self.interior - other.interior,
-                           self.boundary - other.boundary)
-
-    def __mul__(self, scalar: float) -> "ScalarField":
-        return ScalarField(self.domain, self.interior * scalar, self.boundary * scalar)
-
-    __rmul__ = __mul__
-
-    def abs(self) -> "ScalarField":
-        return ScalarField(self.domain, np.abs(self.interior), np.abs(self.boundary))
-
 
 @dataclass(frozen=True)
 class VectorField:

@@ -1,7 +1,12 @@
 """Level-set domains on uniform Cartesian grids.
 
 A domain is described implicitly by a level-set function (negative inside),
-sampled on a uniform grid. The boundary is extracted as a polyline (2D) or
+sampled on a uniform grid. Every kind is one expression in the language of
+``parse_levelset_expression``: a canonical kind fills its ``SHAPES`` template
+with its sizes. One compiled expression gives the grid values, the boundary
+crossings and the outward normals, which are its exact gradient by forward
+differentiation, normalized (at a min/max tie, the mean of both branch
+gradients). The boundary is extracted as a polyline (2D) or
 triangulated surface (3D) by simplicial marching: each grid cell is split
 into two triangles / six Kuhn tetrahedra with a globally consistent diagonal
 choice, and the zero crossing is located on every cut simplex edge by
@@ -43,13 +48,16 @@ __all__ = [
     "parse_levelset_expression",
 ]
 
-# kind -> (dimension, shape keys): the DomainSpec fields each kind takes, which
-# config parsing and the report read too. A level set sets its own dimension,
-# and its bbox is a shape key because it sets the grid.
-SHAPES = {"disk": (2, ("radius",)), "ball": (3, ("radius",)),
-          "ellipse": (2, ("a", "b")), "ellipsoid": (3, ("a", "b", "c")),
-          "annulus": (2, ("r_in", "r_out")),
-          "levelset": (None, ("expression", "bbox"))}
+# kind -> (dimension, shape keys, level-set template): the DomainSpec fields
+# each kind takes, which config parsing and the report read too, and phi as an
+# expression in them. A level set sets its own dimension, and its bbox is a
+# shape key because it sets the grid.
+SHAPES = {"disk": (2, ("radius",), "x^2+y^2-{radius}^2"),
+          "ball": (3, ("radius",), "x^2+y^2+z^2-{radius}^2"),
+          "ellipse": (2, ("a", "b"), "(x/{a})^2+(y/{b})^2-1"),
+          "ellipsoid": (3, ("a", "b", "c"), "(x/{a})^2+(y/{b})^2+(z/{c})^2-1"),
+          "annulus": (2, ("r_in", "r_out"), "max(x^2+y^2-{r_out}^2,{r_in}^2-(x^2+y^2))"),
+          "levelset": (None, ("expression", "bbox"), "{expression}")}
 
 # grid nodes with |phi| below this (relative) threshold are pushed outside,
 # so no Shortley-Weller arm can degenerate to zero length
@@ -71,37 +79,91 @@ class CheckError(RuntimeError):
 # level-set expression language:  + - * / ^  min  max  sqrt  abs  x y z
 # ---------------------------------------------------------------------------
 
-_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: operator.truediv, ast.Pow: operator.pow}
-_FUNCS = {"sqrt": (1, np.sqrt), "abs": (1, np.abs),
-          "min": (2, np.minimum), "max": (2, np.maximum)}
+def _tie_mean(first, tie, da, db):
+    """min/max: the chosen argument's gradient; the mean of both at a tie."""
+    return np.where(tie, 0.5 * (da + db), np.where(first, da, db))
 
 
-def _compile(node: ast.AST, names: tuple[str, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized closure for one whitelisted AST node; GeometryError otherwise."""
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        op = _BINOPS[type(node.op)]
-        a, b = _compile(node.left, names), _compile(node.right, names)
-        return lambda p: op(a(p), b(p))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        a = _compile(node.operand, names)
-        return lambda p: -a(p)
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in _FUNCS):
-        nargs, fn = _FUNCS[node.func.id]
-        if len(node.args) != nargs or node.keywords:
-            raise GeometryError(f"{node.func.id} takes {nargs} positional argument(s)")
-        args = [_compile(arg, names) for arg in node.args]
-        return lambda p: fn(*[g(p) for g in args])
+# forward mode: operation -> (value rule, gradient rule). A gradient rule takes
+# the argument values, then their gradients (coordinate axis first), then the
+# value; ^ has a constant exponent k (checked by _compile).
+_RULES = {
+    ast.Add: (operator.add, lambda a, b, da, db, v: da + db),
+    ast.Sub: (operator.sub, lambda a, b, da, db, v: da - db),
+    ast.Mult: (operator.mul, lambda a, b, da, db, v: b * da + a * db),
+    ast.Div: (operator.truediv, lambda a, b, da, db, v: (da - v * db) / b),
+    ast.Pow: (operator.pow, lambda a, k, da, dk, v: k * a ** (k - 1) * da),
+    ast.USub: (operator.neg, lambda a, da, v: -da),
+    "sqrt": (np.sqrt, lambda a, da, v: da / (2 * v)),
+    "abs": (np.abs, lambda a, da, v: np.sign(a) * da),
+    "min": (np.minimum, lambda a, b, da, db, v: _tie_mean(a < b, a == b, da, db)),
+    "max": (np.maximum, lambda a, b, da, db, v: _tie_mean(a > b, a == b, da, db)),
+}
+
+
+def _compile(node: ast.AST, names: tuple[str, ...]):
+    """(evaluate, constant) for one whitelisted AST node; GeometryError otherwise.
+
+    evaluate(points, grad) returns the node's value on points shaped (..., dim)
+    and, if grad, its gradient with the coordinate axis first (0 for a node
+    that is constant or when grad is false). constant: x, y, z do not occur.
+    """
     if isinstance(node, ast.Name):
         if node.id not in names:
             raise GeometryError(f"unknown symbol {node.id!r} in level-set expression")
         axis = names.index(node.id)
-        return lambda p: p[..., axis]
+        unit = np.eye(len(names))[axis]  # the gradient of p[..., axis]
+        return (lambda p, grad: (p[..., axis], unit.reshape(-1, *[1] * (p.ndim - 1)))), False
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        value = float(node.value)
-        return lambda p: np.full(p.shape[:-1], value)
-    raise GeometryError(f"unsupported {type(node).__name__} in level-set expression")
+        # a NumPy scalar: x^2 squares exactly, and 0/0 is nan, not an exception
+        value = np.float64(node.value)
+        return (lambda p, grad: (value, 0)), True
+    if isinstance(node, ast.BinOp) and type(node.op) in _RULES:
+        rule, args = _RULES[type(node.op)], (node.left, node.right)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        rule, args = _RULES[ast.USub], (node.operand,)
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _RULES):
+        rule, args = _RULES[node.func.id], node.args
+        if len(args) != rule[0].nin or node.keywords:
+            raise GeometryError(f"{node.func.id} takes {rule[0].nin} positional argument(s)")
+    else:
+        raise GeometryError(f"unsupported {type(node).__name__} in level-set expression")
+    parts = [_compile(arg, names) for arg in args]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and not parts[1][1]:
+        raise GeometryError("the exponent of ^ must be a constant, free of x, y and z")
+    value_rule, gradient_rule = rule
+    constant = all(part_constant for _, part_constant in parts)
+
+    def evaluate(p, grad):
+        values, grads = zip(*(part(p, grad) for part, _ in parts))
+        value = value_rule(*values)
+        return value, gradient_rule(*values, *grads, value) if grad and not constant else 0
+
+    return evaluate, constant
+
+
+def _compile_expression(text: str, dim: int):
+    """phi(points, grad) -> (values, gradients or None) for an expression in
+    x, y[, z]; points shaped (..., dim), gradients (..., dim) when grad."""
+    if "**" in text:
+        raise GeometryError("use ^ for powers in level-set expressions, not **")
+    try:
+        # strip: ast reads leading blanks as an indentation error
+        tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
+        evaluate = _compile(tree.body, tuple("xyz"[:dim]))[0]
+    except (SyntaxError, OverflowError) as exc:
+        raise GeometryError(f"invalid level-set expression: {exc}") from None
+    except RecursionError:
+        raise GeometryError("level-set expression is nested too deeply") from None
+
+    def phi(points, grad):
+        value, gradient = evaluate(points, grad)
+        shape = points.shape[:-1]  # a constant is one scalar
+        return (np.broadcast_to(value, shape),
+                np.stack(np.broadcast_to(gradient, (dim,) + shape), axis=-1) if grad else None)
+
+    return phi
 
 
 def parse_levelset_expression(text: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -110,20 +172,14 @@ def parse_levelset_expression(text: str, dim: int) -> Callable[[np.ndarray], np.
     The language is + - * / ^, unary minus, parentheses, sqrt(a), abs(a),
     min(a, b), max(a, b), the coordinates and numbers. ``^`` is the power,
     right-associative and binding tighter than unary minus, so -x^2 is -(x^2)
-    and 2^-1 is 0.5. It is parsed with Python's ``ast`` (``^`` read as ``**``)
-    and only the nodes above are compiled; anything else, including a literal
-    ``**`` or input nested too deeply, raises GeometryError.
+    and 2^-1 is 0.5; its exponent is a constant, free of x, y and z. It is
+    parsed with Python's ``ast`` (``^`` read as ``**``) and only the nodes
+    above are compiled; anything else, including a literal ``**`` or input
+    nested too deeply, raises GeometryError. Every node also has a
+    forward-mode gradient rule, which build_domain uses for the normals.
     """
-    if "**" in text:
-        raise GeometryError("use ^ for powers in level-set expressions, not **")
-    try:
-        # strip: ast reads leading blanks as an indentation error
-        tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
-        return _compile(tree.body, tuple("xyz"[:dim]))
-    except (SyntaxError, OverflowError) as exc:
-        raise GeometryError(f"invalid level-set expression: {exc}") from None
-    except RecursionError:
-        raise GeometryError("level-set expression is nested too deeply") from None
+    phi = _compile_expression(text, dim)
+    return lambda points: phi(points, False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +188,8 @@ def parse_levelset_expression(text: str, dim: int) -> Callable[[np.ndarray], np.
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Shape + grid spacing. Canonical kinds get exact analytic normals."""
+    """Shape + grid spacing. Every kind is a level-set expression: the
+    canonical kinds fill their ``SHAPES`` template with their sizes."""
 
     kind: str
     h: float
@@ -156,19 +213,16 @@ class DomainSpec:
             raise GeometryError("domain sizes and the bbox must be finite")
         if self.dim not in (2, 3):
             raise GeometryError("dimension must be 2 or 3")
-        dim = SHAPES[self.kind][0]
+        dim, keys, _ = SHAPES[self.kind]
         if dim not in (None, self.dim):
             raise GeometryError(f"kind {self.kind!r} requires dim={dim}")
-        if self.kind in ("disk", "ball") and not self.radius > 0:
-            raise GeometryError("radius must be positive")
-        if self.kind in ("ellipse", "ellipsoid"):
-            axes = (self.a, self.b) + ((self.c,) if self.kind == "ellipsoid" else ())
-            if not all(s > 0 for s in axes):
-                raise GeometryError("semi-axes must be positive")
-        if self.kind == "annulus" and not (0 < self.r_in < self.r_out):
+        if self.kind == "levelset":
+            if not self.expression:
+                raise GeometryError("levelset kind requires an expression")
+        elif not all(getattr(self, key) > 0 for key in keys):
+            raise GeometryError(f"{self.kind} needs positive {', '.join(keys)}")
+        if self.kind == "annulus" and not self.r_in < self.r_out:
             raise GeometryError("annulus requires 0 < r_in < r_out")
-        if self.kind == "levelset" and not self.expression:
-            raise GeometryError("levelset kind requires an expression")
         if not self.bbox[0] < self.bbox[1]:
             raise GeometryError("bbox must be (lo, hi) with lo < hi")
 
@@ -202,53 +256,21 @@ class DomainSpec:
 
     # ---- geometry callbacks ----
 
+    def _phi_text(self) -> str:
+        """phi as an expression: the kind's SHAPES template, filled in."""
+        _, keys, template = SHAPES[self.kind]
+        # str, not repr: a NumPy scalar's repr is not a number literal
+        return template.format(**{key: getattr(self, key) for key in keys})
+
     def levelset_function(self) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized phi(points), negative inside; points shaped (..., dim)."""
-        if self.kind in ("disk", "ball"):
-            r2 = self.radius ** 2
-            return lambda p: np.sum(p * p, axis=-1) - r2
-        if self.kind in ("ellipse", "ellipsoid"):
-            axes = np.array([self.a, self.b, self.c][: self.dim])
-            return lambda p: np.sum((p / axes) ** 2, axis=-1) - 1.0
-        if self.kind == "annulus":
-            ri2, ro2 = self.r_in ** 2, self.r_out ** 2
-            return lambda p: np.maximum(np.sum(p * p, axis=-1) - ro2,
-                                        ri2 - np.sum(p * p, axis=-1))
-        return parse_levelset_expression(self.expression, self.dim)
-
-    def normal_function(self) -> Callable[[np.ndarray], np.ndarray] | None:
-        """Exact outward unit normals for canonical shapes, else None."""
-        if self.kind in ("disk", "ball"):
-            return lambda p: p / np.linalg.norm(p, axis=-1, keepdims=True)
-        if self.kind in ("ellipse", "ellipsoid"):
-            axes2 = np.array([self.a, self.b, self.c][: self.dim]) ** 2
-
-            def ellipse_normal(p):
-                g = p / axes2
-                return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-            return ellipse_normal
-        if self.kind == "annulus":
-            mid = 0.5 * (self.r_in + self.r_out)
-
-            def annulus_normal(p):
-                r = np.linalg.norm(p, axis=-1, keepdims=True)
-                return np.where(r > mid, p / r, -p / r)
-
-            return annulus_normal
-        return None
+        return parse_levelset_expression(self._phi_text(), self.dim)
 
     def grid_bbox(self) -> tuple[float, float]:
-        if self.kind in ("disk", "ball"):
-            r = self.radius
-        elif self.kind == "ellipse":
-            r = max(self.a, self.b)
-        elif self.kind == "ellipsoid":
-            r = max(self.a, self.b, self.c)
-        elif self.kind == "annulus":
-            r = self.r_out
-        else:
+        """A level set's own bbox; ±(largest shape size + 3h) for the other kinds."""
+        if self.kind == "levelset":
             return self.bbox
+        r = max(getattr(self, key) for key in SHAPES[self.kind][1])
         return (-r - 3 * self.h, r + 3 * self.h)
 
 
@@ -341,18 +363,16 @@ def _simplex_inside_fraction(values: np.ndarray) -> np.ndarray:
     return np.clip(frac, 0.0, 1.0)
 
 
-def _bisect_crossings(phi_fn, pos_in: np.ndarray, pos_out: np.ndarray) -> np.ndarray:
+def _bisect_crossings(phi, pos_in: np.ndarray, pos_out: np.ndarray) -> np.ndarray:
     """Locate phi=0 on segments from inside (phi<0) to outside points."""
-    if pos_in.shape[0] == 0:
-        return pos_in.copy()
-    val_out = np.asarray(phi_fn(pos_out), dtype=float)
+    val_out = phi(pos_out, False)[0]
     lo = np.zeros(pos_in.shape[0])
     hi = np.ones(pos_in.shape[0])
     # raw phi may be (numerically) negative at a snapped-out endpoint
     out_is_root = val_out < 0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        vm = phi_fn(pos_in + mid[:, None] * (pos_out - pos_in))
+        vm = phi(pos_in + mid[:, None] * (pos_out - pos_in), False)[0]
         went_out = vm >= 0
         hi = np.where(went_out, mid, hi)
         lo = np.where(went_out, lo, mid)
@@ -365,7 +385,7 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
     """Discretize the spec: classify nodes, extract the boundary, build quadrature."""
     dim = spec.dim
     h = spec.h
-    phi_fn = spec.levelset_function()
+    phi_fn = _compile_expression(spec._phi_text(), dim)
 
     lo, hi = spec.grid_bbox()
     # symmetric grid through the origin keeps canonical shapes unbiased
@@ -380,9 +400,7 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
 
     grids = np.meshgrid(*([axis_idx * h] * dim), indexing="ij")
     points = np.stack(grids, axis=-1)
-    phi = np.asarray(phi_fn(points), dtype=float)
-    if phi.shape != shape:
-        raise GeometryError("level-set expression did not evaluate to a scalar")
+    phi = phi_fn(points, False)[0]
     if not np.isfinite(phi).all():
         raise GeometryError("level-set function produced non-finite values")
 
@@ -522,22 +540,15 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
             np.add.at(boundary_weight, vert, (measure / dim)[:, None])
             total_area += measure.sum()
 
-    # ---- phase 6: outward unit normals ----
-    normal_fn = spec.normal_function()
-    if normal_fn is not None:
-        boundary_normal = np.asarray(normal_fn(boundary_pos), dtype=float)
-    else:
-        delta = 1e-6 * max(1.0, h)
-        grad = np.zeros_like(boundary_pos)
-        for ax in range(dim):
-            step = np.zeros(dim)
-            step[ax] = delta
-            grad[:, ax] = (phi_fn(boundary_pos + step) -
-                           phi_fn(boundary_pos - step)) / (2 * delta)
+    # ---- phase 6: outward unit normals, the exact gradient of phi ----
+    with np.errstate(all="ignore"):  # a singular gradient is caught below
+        grad = phi_fn(boundary_pos, True)[1]
         norms = np.linalg.norm(grad, axis=1, keepdims=True)
-        if (norms < 1e-300).any():
-            raise GeometryError("vanishing level-set gradient on the boundary")
-        boundary_normal = grad / norms
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+    if bad.size:
+        raise GeometryError(f"no outward normal at boundary position {boundary_pos[bad[0]].tolist()}"
+                            f": the level-set gradient there is {grad[bad[0]].tolist()}")
+    boundary_normal = grad / norms
 
     return Domain(
         spec=spec,

@@ -23,13 +23,6 @@ def test_vector_field_shares_domain(disk, disk_coarse):
         F.VectorField((a,))
 
 
-def test_field_arithmetic(disk):
-    f = F.ScalarField.from_function(disk, lambda p: p[:, 0])
-    g = 2.0 * f - f
-    np.testing.assert_allclose(g.interior, f.interior)
-    assert np.all(f.abs().interior >= 0)
-
-
 def test_sym_tensor_component_access(disk):
     comps = tuple(F.ScalarField.constant(disk, float(v)) for v in (1, 2, 3))
     t = F.SymTensorField(comps, 2)

@@ -130,11 +130,29 @@ class TestDomainSpec:
         np.testing.assert_array_equal(np.isfinite(got), finite, err_msg=text)
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, err_msg=text)
 
+    def test_expression_gradient_rules(self):
+        # every rule but min/max (tested on kinks below) against the gradient
+        # derived by hand: with s = x^2 + y^2 + 1,
+        # phi = x y^3 - 2/(x^2 + 1) + s^0.75 + y
+        phi = G._compile_expression("x*y^3 - 2/(x^2+1) + sqrt(x^2+y^2+1)^1.5 - -y", 2)
+        p = np.random.default_rng(5).uniform(-2.0, 2.0, (200, 2))
+        x, y = p.T
+        s = x ** 2 + y ** 2 + 1
+        want = np.stack([y ** 3 + 4 * x / (x ** 2 + 1) ** 2 + 1.5 * x * s ** -0.25,
+                         3 * x * y ** 2 + 1.5 * y * s ** -0.25 + 1], axis=-1)
+        value, grad = phi(p, True)
+        np.testing.assert_allclose(value, x * y ** 3 - 2 / (x ** 2 + 1) + s ** 0.75 + y,
+                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(grad, want, rtol=1e-13, atol=1e-13)
+        assert phi(p, False)[1] is None
+
     def test_expression_errors(self):
         for bad in ("x +", "foo(x)", "x ~ y", "min(x)", "(x", "x) y",
                     # only whitelisted syntax, never Python
                     "x**2", '__import__("os")', "x.real", "x[0]", "1j", "True",
                     "lambda: 1", "x < y", "min(x, y=1)",
+                    # the exponent of ^ is a constant
+                    "x^y", "2^x",
                     # too deep for the parser or the compiler
                     "(" * 300 + "x" + ")" * 300, "+".join(["x"] * 2000)):
             with pytest.raises(G.GeometryError):
@@ -193,7 +211,8 @@ class TestBuildDomain:
         assert abs(dom.volume - 4 * np.pi / 3) / (4 * np.pi / 3) < 0.05
         exact = dom.boundary_pos / np.linalg.norm(dom.boundary_pos, axis=1,
                                                   keepdims=True)
-        assert np.abs(dom.boundary_normal - exact).max() < 1e-7
+        # the normals are the exact gradient of phi, normalized
+        assert np.abs(dom.boundary_normal - exact).max() <= 1e-15
 
     def test_domain_is_frozen(self, disk):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -263,7 +282,25 @@ class TestBuildDomain:
         dom = G.build_domain(G.DomainSpec.levelset("x^2+y^2-1", 0.05, 2, (-1.5, 1.5)))
         exact = dom.boundary_pos / np.linalg.norm(dom.boundary_pos, axis=1,
                                                   keepdims=True)
-        assert np.abs(dom.boundary_normal - exact).max() < 1e-8
+        assert np.abs(dom.boundary_normal - exact).max() <= 1e-15
+
+    @pytest.mark.parametrize("expr", ["abs(x) + y^2 - 1", "max(-x, x) + y^2 - 1"])
+    def test_kink_normal_is_mean_of_branches(self, expr):
+        # at a min/max tie the gradient is the mean of both branch gradients,
+        # so abs at 0 gives 0: the kinks (0, +-1) get the normals (0, +-1)
+        dom = G.build_domain(G.DomainSpec.levelset(expr, 0.1, 2, (-2.0, 2.0)))
+        kinks = np.flatnonzero(dom.boundary_pos[:, 0] == 0.0)
+        assert kinks.size == 2
+        np.testing.assert_array_equal(dom.boundary_normal[kinks],
+                                      [[0.0, np.sign(y)] for y in dom.boundary_pos[kinks, 1]])
+
+    def test_cusp_without_normal_raises(self):
+        # the gradient of sqrt(abs(x)) is not finite at x = 0, so the cusps
+        # at (0, +-1) have no normal; the error names the position
+        spec = G.DomainSpec.levelset("sqrt(abs(x)) + y^2 - 1", 0.1, 2)
+        with pytest.raises(G.GeometryError,
+                           match=r"no outward normal at boundary position \[0\.0, "):
+            G.build_domain(spec)
 
     def test_annulus_two_loops(self, annulus):
         radii = np.linalg.norm(annulus.boundary_pos, axis=1)
@@ -273,6 +310,49 @@ class TestBuildDomain:
         dots = np.sum(annulus.boundary_normal[inner]
                       * annulus.boundary_pos[inner], axis=1)
         assert (dots < 0).all()
+
+
+# Reference closed forms per kind: phi, and an outward direction whose
+# normalization is the exact normal. The SHAPES templates must give the same
+# domain bit for bit.
+def per_kind_formulas(spec):
+    if spec.kind in ("disk", "ball"):
+        r2 = spec.radius ** 2
+        return lambda p: np.sum(p * p, axis=-1) - r2, lambda p: p
+    if spec.kind in ("ellipse", "ellipsoid"):
+        axes = np.array([spec.a, spec.b, spec.c][: spec.dim])
+        return lambda p: np.sum((p / axes) ** 2, axis=-1) - 1.0, lambda p: p / axes ** 2
+    ri2, ro2, mid = spec.r_in ** 2, spec.r_out ** 2, 0.5 * (spec.r_in + spec.r_out)
+    return (lambda p: np.maximum(np.sum(p * p, axis=-1) - ro2, ri2 - np.sum(p * p, axis=-1)),
+            lambda p: np.where(np.linalg.norm(p, axis=-1, keepdims=True) > mid, p, -p))
+
+
+class TestShapeTemplates:
+    @pytest.mark.parametrize("spec", [
+        G.DomainSpec.disk(1.0, 0.02), G.DomainSpec.disk(1.0, 0.005),
+        G.DomainSpec.ball(1.0, 0.1), G.DomainSpec.ball(1.0, 0.05),
+        G.DomainSpec.ellipse(2.0, 1.0, 0.02), G.DomainSpec.annulus(0.5, 1.0, 0.02),
+        G.DomainSpec.ellipsoid(1.2, 0.9, 0.7, 0.05)], ids=lambda spec: spec.kind)
+    def test_match_per_kind_formulas(self, spec, monkeypatch):
+        # every Domain array is bit-identical to one built from the per-kind
+        # formulas; only the ellipsoid's normals move, by round-off
+        dom = G.build_domain(spec)
+        phi, direction = per_kind_formulas(spec)
+        monkeypatch.setattr(G, "_compile_expression", lambda text, dim: (
+            lambda p, grad: (phi(p), direction(p) if grad else None)))
+        oracle = G.build_domain(spec)
+        for name in (f.name for f in dataclasses.fields(G.Domain)):
+            if name in ("spec", "_cache"):
+                continue
+            if spec.kind == "ellipsoid" and name == "boundary_normal":
+                assert np.abs(dom.boundary_normal - oracle.boundary_normal).max() <= 4.4e-16
+            else:
+                assert np.array_equal(getattr(dom, name), getattr(oracle, name)), name
+
+    def test_levelset_function_is_the_template(self):
+        spec = G.DomainSpec.annulus(0.5, 1.0, 0.02)
+        pts = np.random.default_rng(3).uniform(-1.2, 1.2, (50, 2))
+        assert np.array_equal(spec.levelset_function()(pts), per_kind_formulas(spec)[0](pts))
 
 
 class TestQuadrature:

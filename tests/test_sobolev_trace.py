@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trace_bounds import geometry as G, laplace as L, sobolev_trace as S
+from trace_bounds import geometry as G, laplace as L, ld_trace as LD, sobolev_trace as S
 from trace_bounds.fields import ScalarField, VectorField
 
 NECK_EXPR = ("min(min((x-1.1)^2+y^2-1,(x+1.1)^2+y^2-1),"
              "max(x^2-1.21,y^2-0.015625))")
+# the perfbench torus3d shape, centred and with the offset of its seed 1
+TORUS_EXPR = "(sqrt((x{:+.6f})^2 + (y{:+.6f})^2) - 1)^2 + (z{:+.6f})^2 - 0.16"
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,16 @@ class TestIsoperimetricBound:
         iso_bound = S.isoperimetric_lower_bound(dom)
         assert B >= 1.25 * iso_bound
 
+    def test_neck_argument_order(self):
+        # a min/max tie takes the mean of both branch gradients, so the normals
+        # at the neck's kinks, and B, do not depend on the argument order
+        swapped = ("min(max(y^2-0.015625,x^2-1.21),"
+                   "min((x+1.1)^2+y^2-1,(x-1.1)^2+y^2-1))")
+        a, b = (G.build_domain(G.DomainSpec.levelset(expr, 0.025, 2, (-2.3, 2.3)))
+                for expr in (NECK_EXPR, swapped))
+        assert np.array_equal(a.boundary_normal, b.boundary_normal)
+        assert S.sobolev_B(a) == S.sobolev_B(b)
+
     @settings(max_examples=5, deadline=None)
     @given(st.tuples(*[st.floats(0.6, 1.4)] * 3))
     @example((0.6, 0.6, 0.6))
@@ -117,6 +129,30 @@ class TestIsoperimetricBound:
         assert stats["max_residual"] <= L.SOLVER_TOL
         assert stats["max_principle_violation"] <= 1e-8
         assert stats["iterations"] > 0
+
+
+class TestScaleCovariance:
+    # B and B_LD scale as 1/r: r*B(r Omega), with phi_r(x) = phi(x/r) on a
+    # grid of spacing r*h, agrees with B(Omega) up to round-off. A normal
+    # rule whose error does not scale with the domain, such as a central
+    # difference with an absolute step of 1e-6, spreads these by 3.1e-9 on
+    # the ellipse and by 3.1e-8 .. 3.2e-7 on the tori.
+    @pytest.mark.parametrize("expr,dim,h,half,tol", [
+        ("((x-0.13)/1.0)^2 + ((y+0.21)/0.7)^2 - 1", 2, 0.05, 1.5, 1e-13),
+        (TORUS_EXPR.format(0, 0, 0), 3, 0.08, 1.6, 1e-13),
+        # at this offset one crossing lies 4.1e-6 h from its grid node, and
+        # that arm's stencil weight amplifies round-off: a 1e-10 perturbation
+        # of the normals moves B_LD by 6.4e-8 here. Measured spread 1.5e-13.
+        (TORUS_EXPR.format(0.018282, -0.017372, -0.013189), 3, 0.08, 1.6, 1e-12),
+    ], ids=["ellipse", "torus", "torus-offset"])
+    def test_one_over_r(self, expr, dim, h, half, tol):
+        values = []
+        for r in (1, 2, 3, 100):
+            scaled = expr.replace("x", f"(x/{r})").replace("y", f"(y/{r})").replace("z", f"(z/{r})")
+            dom = G.build_domain(G.DomainSpec.levelset(scaled, r * h, dim, (-half * r, half * r)))
+            values.append([r * S.sobolev_B(dom), r * LD.ld_bounds(dom, "vec2").B])
+        values = np.array(values)
+        assert np.abs(values / values[0] - 1).max() <= tol
 
 
 class TestTraceInequality:
