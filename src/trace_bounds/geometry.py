@@ -13,7 +13,8 @@ choice, and the zero crossing is located on every cut simplex edge by
 bisection of the true level-set function. Crossings on axis-aligned grid
 edges double as the irregular-arm endpoints of the embedded-boundary
 Laplace stencils, so the PDE solver and the surface quadrature see the same
-boundary points.
+boundary points. Every axis edge of the grid is an edge of the simplices, so
+each cut arm's end is looked up in the one deduplicated crossing table.
 
 Volume is computed from the exact sub-simplex volume of the linear
 interpolant of the level set (a boundary-cell correction on top of node
@@ -414,40 +415,25 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
         raise GeometryError("domain not bounded within bounding box")
 
     phi_flat = phi.ravel()
-    inside_flat = inside.ravel()
-    interior_flat = np.flatnonzero(inside_flat)
+    interior_flat = np.flatnonzero(inside)
     n_int = interior_flat.size
     interior_id_flat = np.full(phi.size, -1, dtype=np.int64)
     interior_id_flat[interior_flat] = np.arange(n_int)
-    multi = np.array(np.unravel_index(interior_flat, shape)).T
-    interior_coords = origin + h * multi.astype(float)
 
     def flat_to_pos(flat: np.ndarray) -> np.ndarray:
         return origin + h * np.array(np.unravel_index(flat, shape)).T.astype(float)
 
+    interior_coords = flat_to_pos(interior_flat)
     strides = np.array([int(np.prod(shape[ax + 1:], dtype=np.int64)) for ax in range(dim)])
 
-    # ---- phase 1: axis arms (collect cut edges, fill interior links) ----
-    n_dir = 2 * dim
-    arm_length = np.full((n_dir, n_int), float(h))
-    arm_interior = np.full((n_dir, n_int), -1, dtype=np.int64)
-    arm_boundary = np.full((n_dir, n_int), -1, dtype=np.int64)
-
-    edge_in_parts: list[np.ndarray] = []
-    edge_out_parts: list[np.ndarray] = []
-    arm_cut_slots: list[tuple[int, np.ndarray]] = []  # (direction, interior ids)
-
-    for ax in range(dim):
-        for sign in (+1, -1):
-            d = 2 * ax + (0 if sign > 0 else 1)
-            nb_flat = interior_flat + sign * strides[ax]
-            nb_inside = inside_flat[nb_flat]
-            arm_interior[d, nb_inside] = interior_id_flat[nb_flat[nb_inside]]
-            cut = ~nb_inside
-            if cut.any():
-                edge_in_parts.append(interior_flat[cut])
-                edge_out_parts.append(nb_flat[cut])
-                arm_cut_slots.append((d, np.flatnonzero(cut)))
+    # ---- phase 1: axis arms (link interior neighbours, key the cut arms) ----
+    steps = np.array([sign * strides[ax] for ax in range(dim) for sign in (+1, -1)])
+    # one direction at a time: a freed (2*dim, N) temporary raises glibc's
+    # dynamic mmap threshold, and the disk h 0.005 LU then peaked 12 MB higher
+    arm_interior = np.stack([interior_id_flat[interior_flat + step] for step in steps])
+    cut = np.nonzero(arm_interior < 0)  # (direction, interior id) per cut arm
+    cut_in = interior_flat[cut[1]]
+    cut_keys = cut_in * phi.size + cut_in + steps[cut[0]]  # phase 4's edge keys
 
     # ---- phase 2: simplicial sweep (volumes; collect mixed simplices) ----
     simplices = _TRIANGLES_2D if dim == 2 else _TETS_3D
@@ -490,7 +476,9 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
     # ---- phase 3: cut corner pairs of mixed simplices, one group per k ----
     corners, counts = np.concatenate(mixed_corners), np.concatenate(mixed_counts)
     facet_groups: list[tuple[slice, int, tuple]] = []  # (pair slice, pairs each, facets)
-    pair_cursor = sum(p.size for p in edge_in_parts)
+    edge_in_parts: list[np.ndarray] = []
+    edge_out_parts: list[np.ndarray] = []
+    pair_cursor = 0
     for k, facets in _FACETS[dim].items():
         group = corners[counts == k]
         pairs = np.array([(i, j) for i in range(k) for j in range(k, dim + 1)])
@@ -516,16 +504,15 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
     boundary_is_axis = np.isin(stride_diff, strides)
     boundary_nearest = interior_id_flat[uin]
 
-    # fill the Shortley-Weller arm tables
-    cursor = 0
-    for d, rows in arm_cut_slots:
-        count = rows.size
-        ids = inverse[cursor:cursor + count]
-        arm_boundary[d, rows] = ids
-        ax = d // 2
-        dist = np.abs(boundary_pos[ids, ax] - interior_coords[rows, ax])
-        arm_length[d, rows] = np.maximum(dist, 1e-9 * h)
-        cursor += count
+    # fill the Shortley-Weller arm tables: every axis edge is a Kuhn-simplex
+    # edge, so each cut arm's edge is in the crossing table already
+    ids = np.searchsorted(unique_keys, cut_keys)
+    arm_boundary = np.full(arm_interior.shape, -1, dtype=np.int64)
+    arm_boundary[cut] = ids
+    axis = cut[0] // 2
+    arm_length = np.full(arm_interior.shape, float(h))
+    arm_length[cut] = np.maximum(
+        np.abs(boundary_pos[ids, axis] - interior_coords[cut[1], axis]), 1e-9 * h)
 
     # ---- phase 5: facets, surface measure, vertex weights ----
     boundary_weight = np.zeros(n_bnd)

@@ -6,6 +6,12 @@ and read the boundary value there. The resulting system is an M-matrix, so
 the discrete maximum principle holds; every solve verifies it, along with
 the algebraic residual, and records both in its domain's solve record.
 
+The operator and the difference stencils read one arm-end map: arm d of
+interior node i ends at interior node j, or at boundary node b, which is
+column N + b of the interior-then-boundary values. The interior ends give
+the matrix's off-diagonal entries, the boundary ends its coupling to the
+Dirichlet data.
+
 The matrix depends only on the geometry and is assembled once per domain,
 in the format its backend uses. 2D systems are solved by a sparse direct
 factorization, computed on the first solve and reused by every later one.
@@ -142,6 +148,13 @@ class _Multigrid:
         return x
 
 
+def _arm_ends(domain: Domain) -> np.ndarray:
+    """(2*dim, N) end of every stencil arm: an interior node j, or boundary
+    node b in column N + b of the interior-then-boundary values."""
+    return np.where(domain.arm_interior >= 0, domain.arm_interior,
+                    domain.n_interior + domain.arm_boundary)
+
+
 class _Operator:
     """Shortley-Weller discretization bound to one domain, with everything
     derived from it and the record of the solves made with it."""
@@ -149,39 +162,23 @@ class _Operator:
     def __init__(self, domain: Domain):
         self.domain = domain
         n = domain.n_interior
-        dim = domain.dim
-        rows, cols, vals = [], [], []
-        brows, bcols, bvals = [], [], []
-        diag = np.zeros(n)
+        hp, hm = domain.arm_length[0::2], domain.arm_length[1::2]
+        # arm d, of length h_d, couples node i with the arm's end by
+        # 2 / (h_d (hp + hm)), where hp and hm are the two arms of its axis
+        coeff = 2.0 / (domain.arm_length * np.repeat(hp + hm, 2, axis=0))
+        diag = (2.0 / (hp * hm)).sum(axis=0)
+        ends = _arm_ends(domain)
         idx = np.arange(n)
-        for ax in range(dim):
-            hp = domain.arm_length[2 * ax]
-            hm = domain.arm_length[2 * ax + 1]
-            cp = 2.0 / (hp * (hp + hm))
-            cm = 2.0 / (hm * (hp + hm))
-            diag += 2.0 / (hp * hm)
-            for d, coeff in ((2 * ax, cp), (2 * ax + 1, cm)):
-                nb_int = domain.arm_interior[d]
-                nb_bnd = domain.arm_boundary[d]
-                m = nb_int >= 0
-                rows.append(idx[m])
-                cols.append(nb_int[m])
-                vals.append(-coeff[m])
-                m = nb_bnd >= 0
-                brows.append(idx[m])
-                bcols.append(nb_bnd[m])
-                bvals.append(coeff[m])
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(diag)
+        rows = np.broadcast_to(idx, ends.shape)
+        inner = ends < n
         # CSC feeds splu; CSR is the faster layout for the Krylov matvecs
-        matrix = sp.csr_matrix if dim == 3 else sp.csc_matrix
+        matrix = sp.csr_matrix if domain.dim == 3 else sp.csc_matrix
         self.neg_laplacian = matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (np.concatenate([-coeff[inner], diag]),
+             (np.concatenate([rows[inner], idx]), np.concatenate([ends[inner], idx]))),
             shape=(n, n))
         self.boundary_coupling = sp.csc_matrix(
-            (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
-            shape=(n, domain.n_boundary))
+            (coeff[~inner], (rows[~inner], ends[~inner] - n)), shape=(n, domain.n_boundary))
         self._lu = None
         self._multigrid = None
         self._stencils = None
@@ -371,14 +368,12 @@ def _stencils(domain: Domain) -> list[tuple]:
     if op._stencils is None:
         n, h, near = domain.n_interior, domain.h, domain.boundary_nearest
         offset = domain.boundary_pos - domain.interior_coords[near]
+        ends = _arm_ends(domain)
         stencils = []
         for ax in range(domain.dim):
             hp, hm = domain.arm_length[2 * ax], domain.arm_length[2 * ax + 1]
             ip, im = domain.arm_interior[2 * ax], domain.arm_interior[2 * ax + 1]
-            bp, bm = domain.arm_boundary[2 * ax], domain.arm_boundary[2 * ax + 1]
-            # an arm ends at an interior node, or at boundary node b in column n + b
-            cols = np.stack([np.where(ip >= 0, ip, n + bp), np.where(im >= 0, im, n + bm),
-                             np.arange(n)], axis=1)
+            cols = np.stack([ends[2 * ax], ends[2 * ax + 1], np.arange(n)], axis=1)
             derivative = sp.csr_matrix(
                 (np.stack([hm ** 2, -hp ** 2, hp ** 2 - hm ** 2], axis=1).ravel(),
                  cols.ravel(), np.arange(0, 3 * n + 1, 3)),

@@ -258,15 +258,7 @@ class LDBoundReport:
         return max(self.A, self.B)
 
     def as_dict(self) -> dict:
-        return {
-            "norm": self.norm,
-            "dim": self.dim,
-            "h": self.h,
-            "A": self.A,
-            "B": self.B,
-            "trace_norm_bound": self.trace_norm_bound,
-            "per_k": [asdict(d) for d in self.per_k],
-        }
+        return {**asdict(self), "trace_norm_bound": self.trace_norm_bound}
 
 
 LD_CSV_HEADER = ("kind", "dim", "h", "norm", "A", "B", "trace_norm_bound",

@@ -51,6 +51,8 @@ __all__ = [
 
 _UNIT_TOL = 1e-12
 SUPPORTED_NORMS = ("vec2", "vecInf", "op2")
+# grid points per free component in each stage of brute_force_optimal
+_BRUTE_FORCE_POINTS = 17
 
 
 def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
@@ -155,7 +157,7 @@ def _frame_norm_stack(frame_mats: np.ndarray, norm: str) -> np.ndarray:
     raise ValueError(f"unsupported norm {norm!r}")
 
 
-def brute_force_optimal(problem: TractionProblem, grid_resolution: int = 17) -> np.ndarray:
+def brute_force_optimal(problem: TractionProblem) -> np.ndarray:
     """Independent minimizer: nested grid search over the free components.
 
     Parameterizes all symmetric matrices with sigma(nu) = t by their free
@@ -177,7 +179,7 @@ def brute_force_optimal(problem: TractionProblem, grid_resolution: int = 17) -> 
     width = 4.0
     best = None
     for _stage in range(4):
-        axes = [np.linspace(c - width, c + width, grid_resolution) for c in center]
+        axes = [np.linspace(c - width, c + width, _BRUTE_FORCE_POINTS) for c in center]
         grids = np.meshgrid(*axes, indexing="ij")
         z = np.stack([g.ravel() for g in grids], axis=1)
         m = z.shape[0]
@@ -202,8 +204,7 @@ def brute_force_optimal(problem: TractionProblem, grid_resolution: int = 17) -> 
 
 
 def sweep_theta(norm: str, steps: int = 91, dim: int = 3,
-                brute_force: bool = False,
-                grid_resolution: int = 17) -> dict:
+                brute_force: bool = False) -> dict:
     """Closed-form optimal values over theta in [0, pi/2] (optionally brute force)."""
     if norm == "op2" and dim != 2:
         raise ValueError("op2 sweeps are 2D only")
@@ -220,7 +221,7 @@ def sweep_theta(norm: str, steps: int = 91, dim: int = 3,
         bc = optimal_stress(problem)
         closed.append(bc.value)
         if brute_force:
-            sig = brute_force_optimal(problem, grid_resolution)
+            sig = brute_force_optimal(problem)
             brute.append(float(_frame_norm_stack(
                 (bc.frame.T @ sig @ bc.frame)[None], norm)[0]))
             max_entry_gap = max(max_entry_gap, float(np.abs(sig - bc.sigma).max()))

@@ -312,6 +312,52 @@ class TestBuildDomain:
         assert (dots < 0).all()
 
 
+# the node (0.5, 0) lies 1e-10 = 5e-9*h inside this circle at h = 0.02, so
+# one arm is shorter than 1e-8*h
+TINY_ARM_RADIUS = 0.5000000001
+ARM_SPECS = {
+    "off_centre_ellipsoid": G.DomainSpec.levelset(
+        "((x-0.13)/1.0)^2 + ((y+0.21)/0.8)^2 + ((z-0.07)/0.6)^2 - 1", 0.1, dim=3),
+    "tiny_arm_disk": G.DomainSpec.disk(TINY_ARM_RADIUS, 0.02),
+}
+
+
+class TestArmTables:
+    """Each Shortley-Weller arm ends at its grid neighbour or at the axis
+    crossing on its side, and each axis crossing ends exactly one arm."""
+
+    @pytest.mark.parametrize("name", ["disk", "ball", "annulus", *ARM_SPECS])
+    def test_arm_ends(self, name, request):
+        dom = (G.build_domain(ARM_SPECS[name]) if name in ARM_SPECS
+               else request.getfixturevalue(name))
+        h = dom.h
+        linked, cut = dom.arm_interior >= 0, dom.arm_boundary >= 0
+        assert np.array_equal(linked, ~cut)
+        assert (dom.arm_interior[cut] == -1).all() and (dom.arm_boundary[linked] == -1).all()
+        multi = np.array(np.unravel_index(dom.interior_flat, dom.phi.shape)).T
+        for d in range(2 * dom.dim):
+            ax, sign = d // 2, 1 - 2 * (d % 2)
+            rows = np.flatnonzero(linked[d])
+            step = multi[dom.arm_interior[d, rows]] - multi[rows]
+            assert (step == sign * np.eye(dom.dim, dtype=int)[ax]).all()
+            assert (dom.arm_length[d, rows] == h).all()
+            rows = np.flatnonzero(cut[d])
+            b = dom.arm_boundary[d, rows]
+            assert dom.boundary_is_axis[b].all()
+            assert np.array_equal(dom.boundary_nearest[b], rows)
+            offset = dom.boundary_pos[b] - dom.interior_coords[rows]
+            assert (np.delete(offset, ax, axis=1) == 0).all()
+            # the crossing can be the far node itself, up to rounding
+            assert (sign * offset[:, ax] > 0).all()
+            assert (sign * offset[:, ax] <= h * (1 + 1e-12)).all()
+            assert np.array_equal(dom.arm_length[d, rows],
+                                  np.maximum(np.abs(offset[:, ax]), 1e-9 * h))
+        assert np.array_equal(np.sort(dom.arm_boundary[cut]),
+                              np.flatnonzero(dom.boundary_is_axis))
+        if name == "tiny_arm_disk":
+            assert dom.arm_length.min() < 1e-8 * h
+
+
 # Reference closed forms per kind: phi, and an outward direction whose
 # normalization is the exact normal. The SHAPES templates must give the same
 # domain bit for bit.
