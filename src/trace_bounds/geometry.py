@@ -18,13 +18,15 @@ each cut arm's end is looked up in the one deduplicated crossing table.
 
 Volume is computed from the exact sub-simplex volume of the linear
 interpolant of the level set (a boundary-cell correction on top of node
-counting). The facets come from one constant table, ``_FACETS``: with its
-corners sorted stably so that its k inside corners come first, a mixed simplex
-is cut on the corner pairs (i, j) with i < k <= j, in lexicographic order, and
-its facet is one segment (2D), one triangle (3D, k = 1 or 3), or the quad of
-pairs AC, AD, BC, BD split into the pair triangles [0, 1, 3] and [0, 3, 2]
-(3D, k = 2). Surface measure is the total facet measure, with per-vertex
-quadrature weights of segment half-lengths (2D) or triangle-area thirds (3D).
+counting). A full cell, with every corner inside, gives each corner a fixed
+share of its volume, so only cut cells are split into simplices. The facets
+come from one constant table, ``_FACETS``: with its corners sorted stably so
+that its k inside corners come first, a mixed simplex is cut on the corner
+pairs (i, j) with i < k <= j, in lexicographic order, and its facet is one
+segment (2D), one triangle (3D, k = 1 or 3), or the quad of pairs AC, AD,
+BC, BD split into the pair triangles [0, 1, 3] and [0, 3, 2] (3D, k = 2).
+Surface measure is the total facet measure, with per-vertex quadrature
+weights of segment half-lengths (2D) or triangle-area thirds (3D).
 """
 
 from __future__ import annotations
@@ -382,6 +384,67 @@ def _bisect_crossings(phi, pos_in: np.ndarray, pos_out: np.ndarray) -> np.ndarra
     return pos_in + t[:, None] * (pos_out - pos_in)
 
 
+def _volume_sweep(phi: np.ndarray, strides: np.ndarray, interior_id_flat: np.ndarray,
+                  n_int: int, h: float) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Nodal volume weights, total volume and the mixed simplices of the grid.
+
+    Each simplex's inside volume is split equally among its inside corners.
+    A full cell (every corner inside) gives each corner a fixed share: a
+    (dim + 1)-th of the volume of each of the cell's simplices that holds the
+    corner (corners 0...0 and 1...1 lie in all of them). Only cut cells are
+    split into simplices, template by template in cell order. Returns the weights, the volume, and
+    per mixed simplex its corners' flat indices (inside corners first, in
+    simplex order) and its inside-corner count.
+    """
+    dim = phi.ndim
+    phi_flat = phi.ravel()
+    simplices = _TRIANGLES_2D if dim == 2 else _TETS_3D
+    simp_vol = h ** dim / (2.0 if dim == 2 else 6.0)
+    cell_grids = np.meshgrid(*[np.arange(s - 1) for s in phi.shape], indexing="ij")
+    cell_base = sum(cell_grids[ax].ravel() * strides[ax] for ax in range(dim))
+
+    def offset(corner):
+        return sum(corner[ax] * strides[ax] for ax in range(dim))
+
+    cell_corners = list(itertools.product((0, 1), repeat=dim))
+    inside = np.array([phi_flat[cell_base + offset(v)] < 0 for v in cell_corners])
+    full = inside.all(axis=0)
+    full_base = cell_base[full]
+    volume_weights = np.zeros(n_int)
+    for v in cell_corners:
+        share = simp_vol / (dim + 1) * sum(v in verts for verts in simplices)
+        # one corner per cell, so the indices are distinct
+        volume_weights[interior_id_flat[full_base + offset(v)]] += share
+    total_volume = full_base.size * h ** dim
+    cell_base = cell_base[inside.any(axis=0) & ~full]
+
+    mixed_corners: list[np.ndarray] = []  # per template: corners, inside first
+    mixed_counts: list[np.ndarray] = []   # per template: inside-corner count k
+    for verts in simplices:
+        corner_flat = cell_base[:, None] + np.array([offset(v) for v in verts])[None, :]
+        vals = phi_flat[corner_flat]
+        neg = vals < 0
+        n_neg = neg.sum(axis=1)
+        mixed = (n_neg > 0) & (n_neg < len(verts))
+
+        vol = np.where(n_neg == len(verts), simp_vol, 0.0)
+        if mixed.any():
+            vol[mixed] = simp_vol * _simplex_inside_fraction(vals[mixed])
+        total_volume += vol.sum()
+
+        occupied = n_neg > 0
+        share = np.where(occupied, vol / np.maximum(n_neg, 1), 0.0)
+        for c in range(len(verts)):
+            sel = occupied & neg[:, c]
+            np.add.at(volume_weights, interior_id_flat[corner_flat[sel, c]], share[sel])
+
+        order = np.argsort(~neg[mixed], axis=1, kind="stable")
+        mixed_corners.append(np.take_along_axis(corner_flat[mixed], order, axis=1))
+        mixed_counts.append(n_neg[mixed])
+    return (volume_weights, float(total_volume), np.concatenate(mixed_corners),
+            np.concatenate(mixed_counts))
+
+
 def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
     """Discretize the spec: classify nodes, extract the boundary, build quadrature."""
     dim = spec.dim
@@ -414,7 +477,6 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
     if inside.sum() != inside[(slice(1, -1),) * dim].sum():  # inside on the shell
         raise GeometryError("domain not bounded within bounding box")
 
-    phi_flat = phi.ravel()
     interior_flat = np.flatnonzero(inside)
     n_int = interior_flat.size
     interior_id_flat = np.full(phi.size, -1, dtype=np.int64)
@@ -435,46 +497,11 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
     cut_in = interior_flat[cut[1]]
     cut_keys = cut_in * phi.size + cut_in + steps[cut[0]]  # phase 4's edge keys
 
-    # ---- phase 2: simplicial sweep (volumes; collect mixed simplices) ----
-    simplices = _TRIANGLES_2D if dim == 2 else _TETS_3D
-    simp_vol = h ** dim / (2.0 if dim == 2 else 6.0)
-    cell_ranges = [np.arange(s - 1) for s in shape]
-    cell_grids = np.meshgrid(*cell_ranges, indexing="ij")
-    cell_base = sum(cell_grids[ax].ravel() * strides[ax] for ax in range(dim))
-
-    volume_weights = np.zeros(n_int)
-    total_volume = 0.0
-    mixed_corners: list[np.ndarray] = []  # per template: corners, inside first
-    mixed_counts: list[np.ndarray] = []   # per template: inside-corner count k
-
-    for verts in simplices:
-        offs = np.array([sum(v[ax] * strides[ax] for ax in range(dim)) for v in verts])
-        corner_flat = cell_base[:, None] + offs[None, :]
-        vals = phi_flat[corner_flat]
-        neg = vals < 0
-        n_neg = neg.sum(axis=1)
-        full = n_neg == len(verts)
-        mixed = (n_neg > 0) & ~full
-
-        vol = np.zeros(cell_base.size)
-        vol[full] = simp_vol
-        if mixed.any():
-            vol[mixed] = simp_vol * _simplex_inside_fraction(vals[mixed])
-        total_volume += vol.sum()
-
-        # split each simplex's inside volume equally among its inside corners
-        occupied = n_neg > 0
-        share = np.where(occupied, vol / np.maximum(n_neg, 1), 0.0)
-        for c in range(len(verts)):
-            sel = occupied & neg[:, c]
-            np.add.at(volume_weights, interior_id_flat[corner_flat[sel, c]], share[sel])
-
-        order = np.argsort(~neg[mixed], axis=1, kind="stable")
-        mixed_corners.append(np.take_along_axis(corner_flat[mixed], order, axis=1))
-        mixed_counts.append(n_neg[mixed])
+    # ---- phase 2: volumes; collect mixed simplices ----
+    volume_weights, total_volume, corners, counts = _volume_sweep(
+        phi, strides, interior_id_flat, n_int, h)
 
     # ---- phase 3: cut corner pairs of mixed simplices, one group per k ----
-    corners, counts = np.concatenate(mixed_corners), np.concatenate(mixed_counts)
     facet_groups: list[tuple[slice, int, tuple]] = []  # (pair slice, pairs each, facets)
     edge_in_parts: list[np.ndarray] = []
     edge_out_parts: list[np.ndarray] = []

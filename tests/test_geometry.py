@@ -358,6 +358,76 @@ class TestArmTables:
             assert dom.arm_length.min() < 1e-8 * h
 
 
+def _all_cells_sweep(phi, strides, interior_id_flat, n_int, h):
+    """The volume sweep that splits every grid cell, full or not, into simplices."""
+    dim = phi.ndim
+    phi_flat = phi.ravel()
+    simplices = G._TRIANGLES_2D if dim == 2 else G._TETS_3D
+    simp_vol = h ** dim / (2.0 if dim == 2 else 6.0)
+    cell_grids = np.meshgrid(*[np.arange(s - 1) for s in phi.shape], indexing="ij")
+    cell_base = sum(cell_grids[ax].ravel() * strides[ax] for ax in range(dim))
+    volume_weights = np.zeros(n_int)
+    total_volume = 0.0
+    mixed_corners, mixed_counts = [], []
+    for verts in simplices:
+        offs = np.array([sum(v[ax] * strides[ax] for ax in range(dim)) for v in verts])
+        corner_flat = cell_base[:, None] + offs[None, :]
+        vals = phi_flat[corner_flat]
+        neg = vals < 0
+        n_neg = neg.sum(axis=1)
+        full = n_neg == len(verts)
+        mixed = (n_neg > 0) & ~full
+        vol = np.zeros(cell_base.size)
+        vol[full] = simp_vol
+        if mixed.any():
+            vol[mixed] = simp_vol * G._simplex_inside_fraction(vals[mixed])
+        total_volume += vol.sum()
+        occupied = n_neg > 0
+        share = np.where(occupied, vol / np.maximum(n_neg, 1), 0.0)
+        for c in range(len(verts)):
+            sel = occupied & neg[:, c]
+            np.add.at(volume_weights, interior_id_flat[corner_flat[sel, c]], share[sel])
+        order = np.argsort(~neg[mixed], axis=1, kind="stable")
+        mixed_corners.append(np.take_along_axis(corner_flat[mixed], order, axis=1))
+        mixed_counts.append(n_neg[mixed])
+    return (volume_weights, float(total_volume), np.concatenate(mixed_corners),
+            np.concatenate(mixed_counts))
+
+
+NECK_EXPR = ("min(min((x-1.1)^2+y^2-1,(x+1.1)^2+y^2-1),"
+             "max(x^2-1.21,y^2-0.015625))")
+SWEEP_SPECS = {
+    "disk": G.DomainSpec.disk(1.0, 0.02),
+    "ball": G.DomainSpec.ball(1.0, 0.1),
+    "annulus": G.DomainSpec.annulus(0.5, 1.0, 0.02),
+    "off_centre_ellipsoid": ARM_SPECS["off_centre_ellipsoid"],
+    # the perfbench torus3d shape at the offset of its seed 1
+    "torus": G.DomainSpec.levelset(
+        "(sqrt((x+0.018282)^2 + (y-0.017372)^2) - 1)^2 + (z-0.013189)^2 - 0.16",
+        0.08, dim=3, bbox=(-1.6, 1.6)),
+    "neck": G.DomainSpec.levelset(NECK_EXPR, 0.025, 2, (-2.3, 2.3)),
+}
+
+
+class TestVolumeSweep:
+    """Full cells give their corners fixed volume shares and only cut cells are
+    split into simplices: the domain is the all-cells sweep's up to the
+    rounding of the volume sums."""
+
+    @pytest.mark.parametrize("name", SWEEP_SPECS)
+    def test_match_all_cells_oracle(self, name, monkeypatch):
+        dom = G.build_domain(SWEEP_SPECS[name])
+        monkeypatch.setattr(G, "_volume_sweep", _all_cells_sweep)
+        oracle = G.build_domain(SWEEP_SPECS[name])
+        weight = oracle.volume_weights.max()
+        assert np.abs(dom.volume_weights - oracle.volume_weights).max() <= 1e-15 * weight
+        assert abs(dom.volume - oracle.volume) <= 1e-15 * oracle.volume
+        for field in dataclasses.fields(G.Domain):
+            if field.name not in ("spec", "_cache", "volume_weights", "volume"):
+                assert np.array_equal(getattr(dom, field.name),
+                                      getattr(oracle, field.name)), field.name
+
+
 # Reference closed forms per kind: phi, and an outward direction whose
 # normalization is the exact normal. The SHAPES templates must give the same
 # domain bit for bit.

@@ -185,9 +185,10 @@ TINY_ARM_RADIUS = 0.5000000001
 
 
 class TestDirect:
-    """2D systems are factorized once, with a symmetric ordering and diagonal
-    pivots; the solutions must match a default (COLAMD, partial pivoting)
-    factorization to round-off."""
+    """2D systems are factorized once, with a symmetric ordering, diagonal
+    pivots and a narrow panel; the solutions must match a default (COLAMD,
+    partial pivoting) factorization and one with SuperLU's default panel to
+    round-off."""
 
     @pytest.mark.parametrize("spec", [
         G.DomainSpec.disk(1.0, 0.02),
@@ -207,13 +208,20 @@ class TestDirect:
         # the minimum-degree ordering of A^T + A: 0.56-0.62 of COLAMD's fill
         fill = op.lu.L.nnz + op.lu.U.nnz
         assert fill <= 0.7 * (oracle.L.nnz + oracle.U.nnz)
+        # the narrow panel changes only the order of the updates: the default
+        # 20-column panel gives the same ordering and fill
+        wide = spla.splu(op.neg_laplacian, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        assert np.array_equal(op.lu.perm_c, wide.perm_c)
+        assert (op.lu.L.nnz, op.lu.U.nnz) == (wide.L.nnz, wide.U.nnz)
         monomials = [(a,) for a in range(2)] + list(
             itertools.combinations_with_replacement(range(2), 3))
         for axes in monomials:
             g = np.prod(dom.boundary_normal[:, list(axes)], axis=1)
             u = L.solve_dirichlet(dom, g).interior
-            expect = oracle.solve(op.boundary_coupling @ g)
-            assert np.abs(u - expect).max() <= 1e-12 * np.abs(u).max()
+            rhs = op.boundary_coupling @ g
+            assert np.abs(u - oracle.solve(rhs)).max() <= 1e-12 * np.abs(u).max()
+            assert np.abs(u - wide.solve(rhs)).max() <= 1e-13 * np.abs(u).max()
         stats = L.solver_stats(dom)
         assert stats["solves"] == 6
         assert stats["max_residual"] <= L.SOLVER_TOL

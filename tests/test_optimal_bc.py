@@ -153,6 +153,30 @@ class TestBruteForce:
             assert closed >= brute - 1e-3
 
 
+class TestBruteForceStack:
+    """A stack of problems is searched problem by problem: the same minimizers
+    as one call per problem, bit for bit."""
+
+    @pytest.mark.parametrize("norm,dim", [("vec2", 2), ("vecInf", 2), ("op2", 2),
+                                          ("vec2", 3), ("vecInf", 3)])
+    def test_stack_matches_loop(self, norm, dim, rng):
+        # theta = 0 and pi/2 included: there the vecInf minimizers tie
+        thetas = [0.0, math.pi / 2, *rng.uniform(0, math.pi / 2, 3 if dim == 3 else 9)]
+        problems = [O.TractionProblem(*pair_with_angle(rng, dim, th), norm=norm)
+                    for th in thetas]
+        stacked = O.brute_force_optimal(problems)
+        assert stacked.shape == (len(problems), dim, dim)
+        assert np.array_equal(stacked, np.array([O.brute_force_optimal(p) for p in problems]))
+
+    def test_stack_shares_dimension_and_norm(self, rng):
+        nu, t = pair_with_angle(rng, 2, 0.3)
+        problems = [O.TractionProblem(nu=nu, t=t, norm=n) for n in ("vec2", "op2")]
+        with pytest.raises(ValueError, match="share dimension and norm"):
+            O.brute_force_optimal(problems)
+        with pytest.raises(ValueError, match="at least one problem"):
+            O.brute_force_optimal([])
+
+
 class TestWorstCase:
     def test_exact_values(self):
         assert O.worst_case_D("vec2") == math.sqrt(2)
