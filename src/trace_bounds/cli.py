@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import os
 import sys
 
@@ -252,7 +251,7 @@ def _task_sweep(config: RunConfig, checks: _Checks, outdir: str) -> dict:
                        sweep["max_entry_gap"] <= 1e-3,
                        value=sweep["max_entry_gap"], tolerance=1e-3, h=None,
                        detail="closed form matches brute force entrywise")
-            expect = math.sqrt(2.0) if norm == "vec2" else 1.0
+            expect = optimal_bc.worst_case_D(norm)
             checks.add(f"sweep.worst_case.{norm}",
                        abs(sweep["max_closed_form"] - expect) < 1e-12,
                        value=sweep["max_closed_form"], tolerance=1e-12, h=None,

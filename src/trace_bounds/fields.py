@@ -121,6 +121,8 @@ class SymTensorField:
         doms = {id(c.domain) for c in self.components}
         if len(doms) != 1:
             raise GeometryError("tensor components must share one domain")
+        if self.dim != self.domain.dim:
+            raise GeometryError("tensor dimension must equal the domain's dimension")
 
     @property
     def domain(self) -> Domain:

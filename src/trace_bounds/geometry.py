@@ -283,7 +283,8 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class Domain:
-    """Discretized domain; immutable except ``_cache``, which laplace fills lazily.
+    """Discretized domain, plain immutable data: every array is read-only, and
+    a ``dataclasses.replace`` copy gets a fresh ``_cache``, so fresh solver state.
 
     Interior grid nodes carry the PDE unknowns. Boundary nodes are the surface
     mesh vertices: crossings on axis-aligned grid edges (``boundary_is_axis``,
@@ -309,10 +310,15 @@ class Domain:
     arm_boundary: np.ndarray           # (2*dim, N) crossing boundary id or -1
     volume: float
     area: float
-    # the one mutable part: laplace's operator for this domain, its only
-    # entry, which holds everything derived from the fields above (matrix,
-    # solver set-up, extensions, difference stencils) and the solve record
-    _cache: dict = field(default_factory=dict, repr=False)
+    # laplace's operator for this domain, its only entry: everything derived
+    # from the fields above and the solve record. Not an __init__ argument,
+    # so every Domain, a replace copy too, starts with an empty one.
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def n_interior(self) -> int:

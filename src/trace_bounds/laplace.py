@@ -41,15 +41,20 @@ sum_b H[nu_a nu_b nu_b], so one member of each such identity is the signed
 sum of the others: 10 solves give all 13 extensions in 3D, 4 give all 6 in
 2D.
 
-One ``_Operator`` per domain, the only entry of ``Domain._cache``, holds
-everything this module derives for that domain: the matrix, the lazy
-factorization or multigrid hierarchy, the extensions, the stencils and the
-solve record (solves, Krylov iterations, worst residual, worst
-maximum-principle margin). ``solver_stats(*domains)`` merges the records of
-the given domains, so a run reports exactly the solves on its own domains.
+One ``_Operator`` per domain, the only entry of ``Domain._cache``, owns
+everything this module derives for that domain: the matrix, assembled when
+the operator is made; the LU factor (2D), the multigrid hierarchy (3D) and
+the per-axis difference stencils, cached properties built on first use; the
+memoized extensions; and the solve record (solves, Krylov iterations, worst
+residual, worst maximum-principle margin). The domain's arrays are read-only
+and a ``dataclasses.replace`` copy starts with an empty cache, so none of it
+goes stale. ``solver_stats(*domains)`` merges the records of the given
+domains, so a run reports exactly the solves on its own domains.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -193,25 +198,54 @@ class _Operator:
             shape=(n, n))
         self.boundary_coupling = sp.csc_matrix(
             (coeff[~inner], (rows[~inner], ends[~inner] - n)), shape=(n, domain.n_boundary))
-        self._lu = None
-        self._multigrid = None
-        self._stencils = None
         self.monomials: dict[tuple[int, ...], ScalarField] = {}
         self.record = {"solves": 0, "iterations": 0, "max_residual": 0.0,
                        "max_principle_violation": 0.0}
 
-    @property
+    @cached_property
     def lu(self):
-        if self._lu is None:
-            self._lu = _factor(self.neg_laplacian)
-        return self._lu
+        return _factor(self.neg_laplacian)
 
-    @property
+    @cached_property
     def multigrid(self) -> _Multigrid:
-        if self._multigrid is None:
-            ijk = np.unravel_index(self.domain.interior_flat, self.domain.phi.shape)
-            self._multigrid = _Multigrid(self.neg_laplacian, np.array(ijk))
-        return self._multigrid
+        ijk = np.unravel_index(self.domain.interior_flat, self.domain.phi.shape)
+        return _Multigrid(self.neg_laplacian, np.array(ijk))
+
+    @cached_property
+    def stencils(self) -> list[tuple]:
+        """Per axis, built on the first difference operator call: the derivative
+        as an (N, N+M) CSR matrix over the interior then the boundary values;
+        its denominators hp*hm*(hp+hm); the interior-only gradient at each
+        boundary node's nearest interior node as an (M, N) CSR matrix; its
+        divisors (2h central, h one-sided); and the offsets from those nodes to
+        the boundary. Each row lists its terms in the order the difference
+        formulas add them, so the products are bit-identical to evaluating the
+        formulas term by term."""
+        domain = self.domain
+        n, h, near = domain.n_interior, domain.h, domain.boundary_nearest
+        offset = domain.boundary_pos - domain.interior_coords[near]
+        ends = _arm_ends(domain)
+        stencils = []
+        for ax in range(domain.dim):
+            hp, hm = domain.arm_length[2 * ax], domain.arm_length[2 * ax + 1]
+            ip, im = domain.arm_interior[2 * ax], domain.arm_interior[2 * ax + 1]
+            cols = np.stack([ends[2 * ax], ends[2 * ax + 1], np.arange(n)], axis=1)
+            derivative = sp.csr_matrix(
+                (np.stack([hm ** 2, -hp ** 2, hp ** 2 - hm ** 2], axis=1).ravel(),
+                 cols.ravel(), np.arange(0, 3 * n + 1, 3)),
+                shape=(n, n + domain.n_boundary))
+            # +1/-1 rows give vp - vm, vp - v or v - vm; empty without a neighbour
+            has_p, has_m = ip[near] >= 0, im[near] >= 0
+            cols = np.stack([np.where(has_p, ip[near], near),
+                             np.where(has_m, im[near], near)], axis=1)
+            rows = has_p | has_m
+            grad = sp.csr_matrix(
+                (np.tile([1.0, -1.0], int(rows.sum())), cols[rows].ravel(),
+                 np.concatenate([[0], np.cumsum(2 * rows)])),
+                shape=(domain.n_boundary, n))
+            stencils.append((derivative, hp * hm * (hp + hm), grad,
+                             np.where(has_p & has_m, 2 * h, h), offset[:, ax]))
+        return stencils
 
     def _residual(self, u: np.ndarray, rhs: np.ndarray) -> float:
         scale = max(np.abs(rhs).max(), np.abs(u).max(), 1e-300)
@@ -245,11 +279,6 @@ class _Operator:
                               residual=residual)
         self.record["iterations"] += iterations
         return u
-
-    def apply_laplacian(self, field: ScalarField) -> np.ndarray:
-        """Discrete Laplacian at interior nodes, using the field's boundary values."""
-        return (self.boundary_coupling @ field.boundary
-                - self.neg_laplacian @ field.interior)
 
     def solve(self, boundary_values: np.ndarray) -> ScalarField:
         domain = self.domain
@@ -369,47 +398,9 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> ScalarField:
 # difference operators
 # ---------------------------------------------------------------------------
 
-def _stencils(domain: Domain) -> list[tuple]:
-    """Every stencil arm resolved once per domain, on the first difference
-    operator call. Per axis, a tuple of: the derivative as an (N, N+M) CSR
-    matrix over the interior then the boundary values; its denominators
-    hp*hm*(hp+hm); the interior-only gradient at each boundary node's nearest
-    interior node as an (M, N) CSR matrix; its divisors (2h central, h
-    one-sided); and the offsets from those nodes to the boundary. Each row
-    lists its terms in the order the difference formulas add them, so the
-    products are bit-identical to evaluating the formulas term by term."""
-    op = _operator(domain)
-    if op._stencils is None:
-        n, h, near = domain.n_interior, domain.h, domain.boundary_nearest
-        offset = domain.boundary_pos - domain.interior_coords[near]
-        ends = _arm_ends(domain)
-        stencils = []
-        for ax in range(domain.dim):
-            hp, hm = domain.arm_length[2 * ax], domain.arm_length[2 * ax + 1]
-            ip, im = domain.arm_interior[2 * ax], domain.arm_interior[2 * ax + 1]
-            cols = np.stack([ends[2 * ax], ends[2 * ax + 1], np.arange(n)], axis=1)
-            derivative = sp.csr_matrix(
-                (np.stack([hm ** 2, -hp ** 2, hp ** 2 - hm ** 2], axis=1).ravel(),
-                 cols.ravel(), np.arange(0, 3 * n + 1, 3)),
-                shape=(n, n + domain.n_boundary))
-            # +1/-1 rows give vp - vm, vp - v or v - vm; empty without a neighbour
-            has_p, has_m = ip[near] >= 0, im[near] >= 0
-            cols = np.stack([np.where(has_p, ip[near], near),
-                             np.where(has_m, im[near], near)], axis=1)
-            rows = has_p | has_m
-            grad = sp.csr_matrix(
-                (np.tile([1.0, -1.0], int(rows.sum())), cols[rows].ravel(),
-                 np.concatenate([[0], np.cumsum(2 * rows)])),
-                shape=(domain.n_boundary, n))
-            stencils.append((derivative, hp * hm * (hp + hm), grad,
-                             np.where(has_p & has_m, 2 * h, h), offset[:, ax]))
-        op._stencils = stencils
-    return op._stencils
-
-
 def _derivative_interior(field: ScalarField, axis: int) -> np.ndarray:
     """Second-order non-uniform 3-point first derivative along one axis."""
-    derivative, denominator, *_ = _stencils(field.domain)[axis]
+    derivative, denominator, *_ = _operator(field.domain).stencils[axis]
     return derivative @ np.concatenate([field.interior, field.boundary]) / denominator
 
 
@@ -422,8 +413,8 @@ def extrapolate_to_boundary(domain: Domain, interior_values: np.ndarray) -> np.n
     on the boundary itself.
     """
     interior_values = np.asarray(interior_values, dtype=float)
-    correction = np.column_stack([grad @ interior_values / divisor * offset
-                                  for _, _, grad, divisor, offset in _stencils(domain)])
+    correction = np.column_stack([grad @ interior_values / divisor * offset for _, _, grad,
+                                  divisor, offset in _operator(domain).stencils])
     return interior_values[domain.boundary_nearest] + np.sum(correction, axis=1)
 
 
@@ -454,8 +445,10 @@ def tensor_divergence(field: SymTensorField) -> VectorField:
 
 
 def laplacian(field: ScalarField) -> np.ndarray:
-    """Discrete Shortley-Weller Laplacian at the interior nodes."""
-    return _operator(field.domain).apply_laplacian(field)
+    """Discrete Shortley-Weller Laplacian at the interior nodes, using the
+    field's boundary values."""
+    op = _operator(field.domain)
+    return op.boundary_coupling @ field.boundary - op.neg_laplacian @ field.interior
 
 
 def sup_norm(field: ScalarField, region: str = "closure") -> float:

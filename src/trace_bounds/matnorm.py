@@ -116,9 +116,6 @@ def _structured_seeds(n: int, rng: np.random.Generator) -> np.ndarray:
             m = np.zeros((n, n))
             m[i, j] = m[j, i] = 1.0
             mats.append(m)
-    for k in range(n):
-        e = np.eye(n)[k]
-        mats.append(np.outer(e, e))
     for _ in range(4):
         v = rng.normal(size=n)
         v /= np.linalg.norm(v)

@@ -33,6 +33,14 @@ def test_sym_tensor_component_access(disk):
     assert m[0, 0, 1] == m[0, 1, 0] == 2.0
 
 
+def test_sym_tensor_dim_must_be_the_domains(disk, ball):
+    # six components make a 3D tensor, but not on a 2D domain (and three not on a 3D one)
+    for dom, dim in ((disk, 3), (ball, 2)):
+        comps = tuple(F.ScalarField.constant(dom, float(v)) for v in range(dim * (dim + 1) // 2))
+        with pytest.raises(GeometryError, match="dimension"):
+            F.SymTensorField(comps, dim)
+
+
 def test_csv_export(tmp_path, disk_coarse):
     f = F.ScalarField.from_function(disk_coarse, lambda p: p[:, 0])
     path = tmp_path / "field.csv"

@@ -218,6 +218,16 @@ class TestBuildDomain:
         with pytest.raises(dataclasses.FrozenInstanceError):
             disk.h = 0.01
 
+    def test_arrays_are_read_only(self, disk):
+        # a replace copy's arrays too, the ones it was given included
+        copy = dataclasses.replace(disk, boundary_normal=-disk.boundary_normal)
+        for dom in (disk, copy):
+            arrays = [value for value in vars(dom).values() if isinstance(value, np.ndarray)]
+            assert len(arrays) == 12
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = array.flat[0]
+
     def test_normals_are_unit(self, disk, ball, ellipse, annulus):
         # to round-off: laplace derives one harmonic extension per identity
         # H[nu_a] = sum_b H[nu_a nu_b^2], which holds because |nu|^2 = 1

@@ -153,6 +153,8 @@ class TestKrylov:
 
         monkeypatch.setattr(L, "_Multigrid", Counted)
         dom = G.build_domain(G.DomainSpec.ball(1.0, 0.15))
+        L._operator(dom)
+        assert built == []
         S.harmonic_normal_field(dom)
         LD.harmonic_ek_tensor(dom, 0)
         assert len(built) == 1
@@ -275,8 +277,7 @@ class TestNormalMonomialIdentities:
     def test_non_unit_normals_raise(self, spec):
         # |nu|^2 = 1 + 2e-6: the derived H[nu_0^3] misses its data by 2e-6
         built = G.build_domain(spec)
-        dom = dataclasses.replace(
-            built, boundary_normal=built.boundary_normal * (1 + 1e-6), _cache={})
+        dom = dataclasses.replace(built, boundary_normal=built.boundary_normal * (1 + 1e-6))
         for axes in [(0,)] + [(0, b, b) for b in range(1, dom.dim)]:
             L._normal_monomial(dom, axes)
         solves = L.solver_stats(dom)["solves"]
@@ -284,6 +285,28 @@ class TestNormalMonomialIdentities:
             L._normal_monomial(dom, (0, 0, 0))
         assert (0, 0, 0) not in L._operator(dom).monomials
         assert L.solver_stats(dom)["solves"] == solves
+
+
+class TestReplacedDomain:
+    """A ``dataclasses.replace`` copy of a domain is a new domain with its own
+    operator, never the original's solver state."""
+
+    def test_rotated_normals_get_their_own_extensions(self):
+        dom = G.build_domain(G.DomainSpec.disk(1.0, 0.04))
+        L._normal_monomial(dom, (0,))
+        nu = dom.boundary_normal
+        rotated = dataclasses.replace(dom, boundary_normal=np.column_stack([-nu[:, 1], nu[:, 0]]))
+        assert L.solver_stats(rotated)["solves"] == 0
+        field = L._normal_monomial(rotated, (0,))
+        # the original's H[nu_0] would miss these data by up to sqrt(2)
+        assert np.array_equal(field.boundary, rotated.boundary_normal[:, 0])
+        assert L.solver_stats(rotated)["solves"] == 1
+        assert L.solver_stats(dom)["solves"] == 1
+        assert L._operator(rotated) is not L._operator(dom)
+
+    def test_cache_is_not_an_argument(self, disk):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(disk, _cache={})
 
 
 class TestMaxPrinciple:
@@ -558,18 +581,22 @@ class TestStencils:
             _with_boundary(dom, 0.5 * (_derivative_interior(w.components[i], j)
                                        + _derivative_interior(w.components[j], i)))
             for i, j in sym_index_pairs(dim)])
-        stencils = L._operator(dom)._stencils
-        assert stencils is not None
+        stencils = vars(L._operator(dom))["stencils"]
         L.divergence(w)
-        assert L._operator(dom)._stencils is stencils
+        assert L._operator(dom).stencils is stencils
 
     def test_built_lazily(self):
+        # each cached part is absent from the operator until first used
         dom = G.build_domain(G.DomainSpec.disk(1.0, 0.1))
-        u = L.solve_dirichlet(dom, dom.boundary_normal[:, 0])
         op = L._operator(dom)
-        assert op._stencils is None
+        assert not {"lu", "stencils"} & set(vars(op))
+        u = L.solve_dirichlet(dom, dom.boundary_normal[:, 0])
+        assert "lu" in vars(op) and "stencils" not in vars(op)
         L.gradient(u)
-        assert op._stencils is not None
+        stencils = vars(op)["stencils"]
+        L.divergence(L.gradient(u))
+        assert op.stencils is stencils
+        assert "multigrid" not in vars(op)
         assert list(dom._cache) == ["laplace_operator"]
 
     @pytest.mark.parametrize("name", ["off_centre_disk", "ball", "off_centre_ellipsoid",
