@@ -27,7 +27,7 @@ from . import __version__
 from . import laplace, matnorm, optimal_bc, sobolev_trace as st, ld_trace as ld
 from .config import ConfigError, RunConfig, load_config
 from .fields import ScalarField, VectorField, write_csv
-from .geometry import SHAPES, CheckError, Domain, GeometryError, build_domain
+from .geometry import CheckError, Domain, GeometryError, build_domain
 from .laplace import SolverError
 
 __all__ = ["run_config", "main"]
@@ -231,31 +231,35 @@ def _task_matnorm(config: RunConfig, checks: _Checks, outdir: str) -> dict:
     return out
 
 
-def _task_sweep(config: RunConfig, checks: _Checks, outdir: str) -> dict:
-    out = {}
-    dim = config.domain.dim
-    sweeps = [("vec2", 3), ("vecInf", 3)] if dim == 3 else \
-             [("vec2", 2), ("vecInf", 2), ("op2", 2)]
-    for norm, d in sweeps:
-        sweep = optimal_bc.sweep_theta(norm, steps=config.steps, dim=d,
-                                       brute_force=True)
-        write_csv(os.path.join(outdir, f"theta_sweep_{norm}.csv"),
-                  ["theta", "closed_form", "brute_force"],
-                  zip(sweep["theta"], sweep["closed_form"], sweep["brute_force"]))
-        out[norm] = {
-            "max_closed_form": sweep["max_closed_form"],
-            "max_entry_gap": sweep["max_entry_gap"],
-        }
-        if norm in ("vec2", "vecInf"):
+def _checked_sweep(checks: _Checks, norm: str, steps: int, dim: int,
+                   brute_force: bool, path: str | None) -> dict:
+    """optimal_bc.sweep_theta, written to ``path`` as CSV if given; for vec2 and
+    vecInf, checks the brute force (if run) and that the maximum is worst_case_D."""
+    sweep = optimal_bc.sweep_theta(norm, steps=steps, dim=dim, brute_force=brute_force)
+    if path:
+        cols = ["theta", "closed_form"] + (["brute_force"] if brute_force else [])
+        write_csv(path, cols, zip(*(sweep[c] for c in cols)))
+    if norm in ("vec2", "vecInf"):
+        if brute_force:
             checks.add(f"sweep.oracle_gap.{norm}",
                        sweep["max_entry_gap"] <= 1e-3,
                        value=sweep["max_entry_gap"], tolerance=1e-3, h=None,
                        detail="closed form matches brute force entrywise")
-            expect = optimal_bc.worst_case_D(norm)
-            checks.add(f"sweep.worst_case.{norm}",
-                       abs(sweep["max_closed_form"] - expect) < 1e-12,
-                       value=sweep["max_closed_form"], tolerance=1e-12, h=None,
-                       detail="sweep maximum reproduces D exactly")
+        expect = optimal_bc.worst_case_D(norm)
+        checks.add(f"sweep.worst_case.{norm}",
+                   abs(sweep["max_closed_form"] - expect) < 1e-12,
+                   value=sweep["max_closed_form"], tolerance=1e-12, h=None,
+                   detail="sweep maximum reproduces D exactly")
+    return sweep
+
+
+def _task_sweep(config: RunConfig, checks: _Checks, outdir: str) -> dict:
+    out = {}
+    dim = config.domain.dim
+    for norm in ("vec2", "vecInf") + (("op2",) if dim == 2 else ()):
+        sweep = _checked_sweep(checks, norm, config.steps, dim, True,
+                               os.path.join(outdir, f"theta_sweep_{norm}.csv"))
+        out[norm] = {key: sweep[key] for key in ("max_closed_form", "max_entry_gap")}
     return out
 
 
@@ -281,8 +285,7 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
             "seed": config.seed,
             "samples": config.samples,
             "steps": config.steps,
-            "domain": {key: getattr(config.domain, key)
-                       for key in SHAPES[config.domain.kind][1]},
+            "domain": dict(config.domain.sizes),
         },
         "tasks": {},
     }
@@ -319,8 +322,9 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
     report["solver_stats"] = stats
     if stats["solves"]:
         checks.add("laplace.max_principle_all_solves",
-                   stats["max_principle_violation"] <= 1e-8,
-                   value=stats["max_principle_violation"], tolerance=1e-8,
+                   stats["max_principle_violation"] <= laplace.MAX_PRINCIPLE_TOL,
+                   value=stats["max_principle_violation"],
+                   tolerance=laplace.MAX_PRINCIPLE_TOL,
                    h=None, detail=f"over {stats['solves']} Dirichlet solves")
 
     failure = checks.first_failure()
@@ -411,15 +415,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     if args.command == "sweep-theta":
-        dim = 2 if args.norm == "op2" else args.dim
-        sweep = optimal_bc.sweep_theta(args.norm, steps=args.steps, dim=dim,
-                                       brute_force=args.brute_force)
-        if args.output:
-            cols = ["theta", "closed_form"] + (["brute_force"] if args.brute_force else [])
-            write_csv(args.output, cols, zip(*(sweep[c] for c in cols)))
+        checks = _Checks()
+        sweep = _checked_sweep(checks, args.norm, args.steps,
+                               2 if args.norm == "op2" else args.dim,
+                               args.brute_force, args.output)
         print(f"max closed-form value: {sweep['max_closed_form']!r}")
         if args.brute_force:
             print(f"max entrywise gap vs brute force: {sweep['max_entry_gap']!r}")
+        failure = checks.first_failure()
+        if failure is not None:
+            print(f"FAILED check: {failure}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
         return EXIT_OK
 
     return EXIT_CONFIG

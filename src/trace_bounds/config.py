@@ -107,19 +107,16 @@ def parse_config(text: str) -> RunConfig:
         if kind not in SHAPES:
             raise ConfigError(f"unknown kind {kind!r}")
         dim, keys, _ = SHAPES[kind]
-        spec_kwargs = dict(kind=kind, h=h_levels[0], dim=dim)
         if kind == "levelset":
-            bbox = _floats(take("bbox", "-2, 2"))
-            if len(bbox) != 2:
-                raise ConfigError("bbox must be 'lo, hi'")
-            spec_kwargs.update(expression=take("expression", ""),
-                               dim=int(take("dim", "2")), bbox=bbox)
+            dim = int(take("dim", "2"))
+            sizes = (("expression", take("expression", "")),
+                     ("bbox", _floats(take("bbox", "-2, 2"))))
         else:
-            spec_kwargs.update((key, float(take(key, 0) or 0)) for key in keys)
+            sizes = tuple((key, float(take(key, 0) or 0)) for key in keys)
 
         tasks = tuple(t.strip() for t in take("tasks", "sobolev").split(",") if t.strip())
         config = RunConfig(
-            domain=DomainSpec(**spec_kwargs),
+            domain=DomainSpec(kind=kind, h=h_levels[0], dim=dim, sizes=sizes),
             h_levels=h_levels,
             norm=take("norm", "vec2"),
             tasks=tasks,

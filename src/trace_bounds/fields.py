@@ -74,8 +74,7 @@ class VectorField:
     components: tuple[ScalarField, ...]
 
     def __post_init__(self):
-        doms = {id(c.domain) for c in self.components}
-        if len(doms) != 1:
+        if len({c.domain for c in self.components}) != 1:
             raise GeometryError("vector components must share one domain")
         if len(self.components) != self.domain.dim:
             raise GeometryError("component count must equal the dimension")
@@ -118,8 +117,7 @@ class SymTensorField:
     def __post_init__(self):
         if len(self.components) != self.dim * (self.dim + 1) // 2:
             raise GeometryError("wrong number of symmetric tensor components")
-        doms = {id(c.domain) for c in self.components}
-        if len(doms) != 1:
+        if len({c.domain for c in self.components}) != 1:
             raise GeometryError("tensor components must share one domain")
         if self.dim != self.domain.dim:
             raise GeometryError("tensor dimension must equal the domain's dimension")

@@ -51,10 +51,10 @@ __all__ = [
     "parse_levelset_expression",
 ]
 
-# kind -> (dimension, shape keys, level-set template): the DomainSpec fields
-# each kind takes, which config parsing and the report read too, and phi as an
-# expression in them. A level set sets its own dimension, and its bbox is a
-# shape key because it sets the grid.
+# kind -> (dimension, size keys, level-set template): the one table of each
+# kind's sizes, which are its DomainSpec.sizes keys, its config keys and its
+# report domain block, and phi as an expression in them. A level set sets its
+# own dimension, and its bbox is a size because it sets the grid.
 SHAPES = {"disk": (2, ("radius",), "x^2+y^2-{radius}^2"),
           "ball": (3, ("radius",), "x^2+y^2+z^2-{radius}^2"),
           "ellipse": (2, ("a", "b"), "(x/{a})^2+(y/{b})^2-1"),
@@ -191,79 +191,76 @@ def parse_levelset_expression(text: str, dim: int) -> Callable[[np.ndarray], np.
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Shape + grid spacing. Every kind is a level-set expression: the
-    canonical kinds fill their ``SHAPES`` template with their sizes."""
+    """Shape + grid spacing. ``sizes`` holds (key, value) pairs of exactly the
+    kind's ``SHAPES`` keys, in order, which fill its level-set template."""
 
     kind: str
     h: float
     dim: int
-    radius: float = 0.0
-    a: float = 0.0
-    b: float = 0.0
-    c: float = 0.0
-    r_in: float = 0.0
-    r_out: float = 0.0
-    expression: str = ""
-    bbox: tuple[float, float] = (-2.0, 2.0)
+    sizes: tuple[tuple[str, object], ...]
 
     def __post_init__(self):
         if self.kind not in SHAPES:
             raise GeometryError(f"unknown domain kind {self.kind!r}")
+        dim, keys, _ = SHAPES[self.kind]
+        if tuple(key for key, _ in self.sizes) != keys:
+            raise GeometryError(f"kind {self.kind!r} takes exactly the sizes "
+                                f"{', '.join(keys)}, in that order")
         if not (isinstance(self.h, (int, float)) and self.h > 0):
             raise GeometryError("grid spacing h must be positive")
-        numbers = (self.h, self.radius, self.a, self.b, self.c, self.r_in, self.r_out)
-        if not all(math.isfinite(v) for v in numbers + tuple(self.bbox)):
+        sizes = dict(self.sizes)
+        numbers = tuple(sizes["bbox"] if self.kind == "levelset" else sizes.values())
+        if not all(math.isfinite(v) for v in (self.h,) + numbers):
             raise GeometryError("domain sizes and the bbox must be finite")
         if self.dim not in (2, 3):
             raise GeometryError("dimension must be 2 or 3")
-        dim, keys, _ = SHAPES[self.kind]
         if dim not in (None, self.dim):
             raise GeometryError(f"kind {self.kind!r} requires dim={dim}")
         if self.kind == "levelset":
-            if not self.expression:
+            if not sizes["expression"]:
                 raise GeometryError("levelset kind requires an expression")
-        elif not all(getattr(self, key) > 0 for key in keys):
+            if len(numbers) != 2 or not numbers[0] < numbers[1]:
+                raise GeometryError("bbox must be (lo, hi) with lo < hi")
+        elif not all(v > 0 for v in numbers):
             raise GeometryError(f"{self.kind} needs positive {', '.join(keys)}")
-        if self.kind == "annulus" and not self.r_in < self.r_out:
+        if self.kind == "annulus" and not sizes["r_in"] < sizes["r_out"]:
             raise GeometryError("annulus requires 0 < r_in < r_out")
-        if not self.bbox[0] < self.bbox[1]:
-            raise GeometryError("bbox must be (lo, hi) with lo < hi")
 
     # ---- constructors ----
 
     @staticmethod
     def disk(radius: float, h: float) -> "DomainSpec":
-        return DomainSpec(kind="disk", h=h, dim=2, radius=radius)
+        return DomainSpec(kind="disk", h=h, dim=2, sizes=(("radius", radius),))
 
     @staticmethod
     def ball(radius: float, h: float) -> "DomainSpec":
-        return DomainSpec(kind="ball", h=h, dim=3, radius=radius)
+        return DomainSpec(kind="ball", h=h, dim=3, sizes=(("radius", radius),))
 
     @staticmethod
     def ellipse(a: float, b: float, h: float) -> "DomainSpec":
-        return DomainSpec(kind="ellipse", h=h, dim=2, a=a, b=b)
+        return DomainSpec(kind="ellipse", h=h, dim=2, sizes=(("a", a), ("b", b)))
 
     @staticmethod
     def ellipsoid(a: float, b: float, c: float, h: float) -> "DomainSpec":
-        return DomainSpec(kind="ellipsoid", h=h, dim=3, a=a, b=b, c=c)
+        return DomainSpec(kind="ellipsoid", h=h, dim=3, sizes=(("a", a), ("b", b), ("c", c)))
 
     @staticmethod
     def annulus(r_in: float, r_out: float, h: float) -> "DomainSpec":
-        return DomainSpec(kind="annulus", h=h, dim=2, r_in=r_in, r_out=r_out)
+        return DomainSpec(kind="annulus", h=h, dim=2, sizes=(("r_in", r_in), ("r_out", r_out)))
 
     @staticmethod
     def levelset(expression: str, h: float, dim: int = 2,
                  bbox: tuple[float, float] = (-2.0, 2.0)) -> "DomainSpec":
         return DomainSpec(kind="levelset", h=h, dim=dim,
-                          expression=expression, bbox=tuple(bbox))
+                          sizes=(("expression", expression), ("bbox", tuple(bbox))))
 
     # ---- geometry callbacks ----
 
     def _phi_text(self) -> str:
         """phi as an expression: the kind's SHAPES template, filled in."""
-        _, keys, template = SHAPES[self.kind]
+        template = SHAPES[self.kind][2]
         # str, not repr: a NumPy scalar's repr is not a number literal
-        return template.format(**{key: getattr(self, key) for key in keys})
+        return template.format(**dict(self.sizes))
 
     def levelset_function(self) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized phi(points), negative inside; points shaped (..., dim)."""
@@ -272,8 +269,8 @@ class DomainSpec:
     def grid_bbox(self) -> tuple[float, float]:
         """A level set's own bbox; ±(largest shape size + 3h) for the other kinds."""
         if self.kind == "levelset":
-            return self.bbox
-        r = max(getattr(self, key) for key in SHAPES[self.kind][1])
+            return dict(self.sizes)["bbox"]
+        r = max(value for _, value in self.sizes)
         return (-r - 3 * self.h, r + 3 * self.h)
 
 
@@ -281,10 +278,11 @@ class DomainSpec:
 # domain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
     """Discretized domain, plain immutable data: every array is read-only, and
     a ``dataclasses.replace`` copy gets a fresh ``_cache``, so fresh solver state.
+    Domains compare and hash by identity, as the one owner of that state.
 
     Interior grid nodes carry the PDE unknowns. Boundary nodes are the surface
     mesh vertices: crossings on axis-aligned grid edges (``boundary_is_axis``,

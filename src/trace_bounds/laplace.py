@@ -78,7 +78,7 @@ __all__ = [
 
 SOLVER_TOL = 1e-10
 # slack for the discrete maximum principle check (algebraic, not O(h))
-_MAX_PRINCIPLE_TOL = 1e-8
+MAX_PRINCIPLE_TOL = 1e-8
 
 # BiCGSTAB stopping tolerance, relative to |rhs|. At 1e-13 the assembled
 # sigma^k on an ellipsoid differ from direct solves by 1.2e-11, more than the
@@ -322,7 +322,7 @@ def _check_max_principle(field: ScalarField) -> float:
     record = _operator(field.domain).record
     record["max_principle_violation"] = max(record["max_principle_violation"],
                                             violation)
-    if violation > _MAX_PRINCIPLE_TOL:
+    if violation > MAX_PRINCIPLE_TOL:
         raise SolverError(
             f"discrete maximum principle violated by {violation:.3e}")
     return violation

@@ -64,12 +64,12 @@ def eigenvalues(T: np.ndarray) -> np.ndarray:
 
 
 def norm_stack(T: np.ndarray, kind: str) -> np.ndarray:
-    """One norm value per matrix in the stack."""
+    """One norm value per matrix in the stack (checked for symmetry once)."""
     A = _check_sym(T)
     if kind in ("op1", "opInf"):
         return np.abs(A).sum(axis=2).max(axis=1)
     if kind == "op2":
-        return np.abs(eigenvalues_stack(A)).max(axis=1)
+        return np.abs(np.linalg.eigvalsh(A)).max(axis=1)
     if kind == "vec1":
         return np.abs(A).sum(axis=(1, 2))
     if kind == "vec2":
@@ -77,7 +77,7 @@ def norm_stack(T: np.ndarray, kind: str) -> np.ndarray:
     if kind == "vecInf":
         return np.abs(A).max(axis=(1, 2))
     if kind == "dual_op2":
-        return np.abs(eigenvalues_stack(A)).sum(axis=1)
+        return np.abs(np.linalg.eigvalsh(A)).sum(axis=1)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

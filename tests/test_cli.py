@@ -50,8 +50,7 @@ dim = 2
 bbox = -1.5, 1.5
 h = 0.1
 """)
-        assert cfg.domain.expression == "x^2+y^2-1"
-        assert cfg.domain.bbox == (-1.5, 1.5)
+        assert cfg.domain.sizes == (("expression", "x^2+y^2-1"), ("bbox", (-1.5, 1.5)))
 
     @pytest.mark.parametrize("text", [
         "radius = 1.0\nh = 0.1",                     # missing kind
@@ -377,6 +376,27 @@ class TestMain:
         assert code == cli.EXIT_OK
         assert len(out.read_text().splitlines()) == 12
         assert "1.414" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("norm", ["vec2", "vecInf"])
+    def test_sweep_theta_checks_its_oracle(self, tmp_path, capsys, monkeypatch, norm):
+        argv = ["sweep-theta", "--norm", norm, "--steps", "5", "--dim", "2", "--brute-force"]
+        assert cli.main(argv) == cli.EXIT_OK
+        exact = cli.optimal_bc.brute_force_optimal
+        monkeypatch.setattr(cli.optimal_bc, "brute_force_optimal",
+                            lambda problems: exact(problems) + 0.5)
+        assert cli.main(argv + ["--output", str(tmp_path / "s.csv")]) == cli.EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert "gap vs brute force: 0.5" in captured.out
+        assert f"FAILED check: sweep.oracle_gap.{norm}" in captured.err
+        # the CSV is still written, as a failed run still writes its report
+        assert len((tmp_path / "s.csv").read_text().splitlines()) == 6
+
+    def test_sweep_theta_checks_the_worst_case(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.optimal_bc, "worst_case_D", lambda norm: 1.5)
+        assert cli.main(["sweep-theta", "--norm", "vec2", "--steps", "5"]) == cli.EXIT_CHECK_FAILED
+        assert "FAILED check: sweep.worst_case.vec2" in capsys.readouterr().err
+        # op2 has no closed-form worst case and no check
+        assert cli.main(["sweep-theta", "--norm", "op2", "--steps", "5", "--brute-force"]) == cli.EXIT_OK
 
 
 class TestExportPlotData:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,11 @@ def test_vector_field_shares_domain(disk, disk_coarse):
         F.VectorField((a, b))
     with pytest.raises(GeometryError):
         F.VectorField((a,))
+    # a replace copy is another domain, though its arrays are equal
+    copy = F.ScalarField.constant(dataclasses.replace(disk), 1.0)
+    with pytest.raises(GeometryError, match="share one domain"):
+        F.VectorField((a, copy))
+    assert F.VectorField((a, a)).domain is disk
 
 
 def test_sym_tensor_component_access(disk):

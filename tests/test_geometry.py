@@ -77,7 +77,43 @@ def ellipse_perimeter(a, b):
     return val
 
 
+# one valid spec per kind
+KIND_SPECS = {
+    "disk": G.DomainSpec.disk(1.0, 0.1),
+    "ball": G.DomainSpec.ball(1.0, 0.1),
+    "ellipse": G.DomainSpec.ellipse(2.0, 1.0, 0.1),
+    "ellipsoid": G.DomainSpec.ellipsoid(1.2, 0.9, 0.7, 0.1),
+    "annulus": G.DomainSpec.annulus(0.5, 1.0, 0.1),
+    "levelset": G.DomainSpec.levelset("x^2+y^2-1", 0.1),
+}
+
+
 class TestDomainSpec:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(G.DomainSpec)] == ["kind", "h", "dim", "sizes"]
+        assert set(KIND_SPECS) == set(G.SHAPES)
+
+    @pytest.mark.parametrize("kind", KIND_SPECS)
+    def test_sizes_are_exactly_the_kinds_keys(self, kind):
+        spec = KIND_SPECS[kind]
+        keys = G.SHAPES[kind][1]
+        assert tuple(key for key, _ in spec.sizes) == keys
+        # a stray size, any other kind's key among them, a missing one, the
+        # keys out of order, and a key given twice
+        wrong = [spec.sizes + ((key, 1.0),) for shape in G.SHAPES.values()
+                 for key in shape[1] + ("stray",) if key not in keys]
+        wrong += [spec.sizes[:i] + spec.sizes[i + 1:] for i in range(len(keys))]
+        wrong += [spec.sizes[::-1]] if len(keys) > 1 else []
+        wrong += [spec.sizes + spec.sizes[-1:]]
+        for sizes in wrong:
+            with pytest.raises(G.GeometryError, match=f"takes exactly the sizes {', '.join(keys)}"):
+                dataclasses.replace(spec, sizes=sizes)
+
+    def test_stray_sizes_of_other_kinds(self):
+        with pytest.raises(G.GeometryError, match="takes exactly the sizes radius"):
+            G.DomainSpec(kind="disk", h=0.1, dim=2, sizes=(
+                ("radius", 1.0), ("a", 5.0), ("r_in", 3.0), ("expression", "x")))
+
     def test_constructors_validate(self):
         with pytest.raises(G.GeometryError):
             G.DomainSpec.disk(-1.0, 0.02)
@@ -86,9 +122,9 @@ class TestDomainSpec:
         with pytest.raises(G.GeometryError):
             G.DomainSpec.annulus(1.0, 0.5, 0.02)
         with pytest.raises(G.GeometryError):
-            G.DomainSpec(kind="banana", h=0.1, dim=2)
+            G.DomainSpec(kind="banana", h=0.1, dim=2, sizes=())
         with pytest.raises(G.GeometryError):
-            G.DomainSpec(kind="disk", h=0.1, dim=3, radius=1.0)
+            G.DomainSpec(kind="disk", h=0.1, dim=3, sizes=(("radius", 1.0),))
         with pytest.raises(G.GeometryError):
             G.DomainSpec.levelset("", 0.1)
 
@@ -217,6 +253,13 @@ class TestBuildDomain:
     def test_domain_is_frozen(self, disk):
         with pytest.raises(dataclasses.FrozenInstanceError):
             disk.h = 0.01
+
+    def test_domains_compare_and_hash_by_identity(self, disk):
+        copy = dataclasses.replace(disk)
+        keyed = {disk: "built"}
+        assert disk in keyed and copy not in keyed
+        assert disk == disk and disk != copy
+        assert len({disk, copy, disk}) == 2
 
     def test_arrays_are_read_only(self, disk):
         # a replace copy's arrays too, the ones it was given included
@@ -442,13 +485,15 @@ class TestVolumeSweep:
 # normalization is the exact normal. The SHAPES templates must give the same
 # domain bit for bit.
 def per_kind_formulas(spec):
+    sizes = dict(spec.sizes)
     if spec.kind in ("disk", "ball"):
-        r2 = spec.radius ** 2
+        r2 = sizes["radius"] ** 2
         return lambda p: np.sum(p * p, axis=-1) - r2, lambda p: p
     if spec.kind in ("ellipse", "ellipsoid"):
-        axes = np.array([spec.a, spec.b, spec.c][: spec.dim])
+        axes = np.array(list(sizes.values()))
         return lambda p: np.sum((p / axes) ** 2, axis=-1) - 1.0, lambda p: p / axes ** 2
-    ri2, ro2, mid = spec.r_in ** 2, spec.r_out ** 2, 0.5 * (spec.r_in + spec.r_out)
+    r_in, r_out = sizes["r_in"], sizes["r_out"]
+    ri2, ro2, mid = r_in ** 2, r_out ** 2, 0.5 * (r_in + r_out)
     return (lambda p: np.maximum(np.sum(p * p, axis=-1) - ro2, ri2 - np.sum(p * p, axis=-1)),
             lambda p: np.where(np.linalg.norm(p, axis=-1, keepdims=True) > mid, p, -p))
 

@@ -143,6 +143,16 @@ class TestNorms:
                 assert M.norm(A[i] + A[i + 1], kind) <= \
                     M.norm(A[i], kind) + M.norm(A[i + 1], kind) + 1e-12
 
+    def test_one_symmetry_check_per_stack(self, rng, monkeypatch):
+        A = random_symmetric(rng, 3, 100)
+        calls = []
+        check = M._check_sym
+        monkeypatch.setattr(M, "_check_sym", lambda T: calls.append(1) or check(T))
+        for kind in M.NORM_KINDS:
+            calls.clear()
+            M.norm_stack(A, kind)
+            assert len(calls) == 1, kind
+
     def test_op1_equals_opinf_bitwise(self, rng):
         A = random_symmetric(rng, 3, 100)
         np.testing.assert_array_equal(M.norm_stack(A, "op1"),
