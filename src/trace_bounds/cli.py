@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from . import laplace, matnorm, optimal_bc, sobolev_trace as st, ld_trace as ld
-from .config import ConfigError, RunConfig, load_config
+from .config import MIN_STEPS, STEPS_RULE, ConfigError, RunConfig, load_config
 from .fields import ScalarField, VectorField, write_csv
 from .geometry import CheckError, Domain, GeometryError, build_domain
 from .laplace import SolverError
@@ -350,6 +350,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sweep_steps(text: str) -> int:
+    value = _positive_int(text)
+    if value < MIN_STEPS:
+        raise argparse.ArgumentTypeError(f"{STEPS_RULE}, not {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trace-bounds",
@@ -371,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="sweep the optimal-stress angle")
     p_sweep.add_argument("--norm", choices=("vec2", "vecInf", "op2"),
                          required=True)
-    p_sweep.add_argument("--steps", type=_positive_int, default=91)
+    p_sweep.add_argument("--steps", type=_sweep_steps, default=91)
     p_sweep.add_argument("--dim", type=int, choices=(2, 3), default=3)
     p_sweep.add_argument("--output", help="CSV output path")
     p_sweep.add_argument("--brute-force", action="store_true",

@@ -27,6 +27,11 @@ from .geometry import SHAPES, DomainSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
+# the theta sweep samples [0, pi/2] at this many points or more: one point
+# samples only theta = 0, and the vec2 worst case is attained at theta = pi/2
+MIN_STEPS = 2
+STEPS_RULE = f"must be at least {MIN_STEPS}, so that the sweep samples theta = pi/2"
+
 TASKS = ("sobolev", "ld", "matnorm-verify", "optimal-bc-sweep", "battery")
 
 
@@ -59,8 +64,10 @@ class RunConfig:
             raise ConfigError("h levels must be positive and finite")
         if self.norm not in ("vec2", "vecInf"):
             raise ConfigError(f"norm must be vec2 or vecInf, not {self.norm!r}")
-        if self.samples < 1 or self.steps < 1:
-            raise ConfigError("samples and steps must be at least 1")
+        if self.samples < 1:
+            raise ConfigError("samples must be at least 1")
+        if self.steps < MIN_STEPS:
+            raise ConfigError(f"steps {STEPS_RULE}, not {self.steps}")
 
     def domain_at(self, h: float) -> DomainSpec:
         return replace(self.domain, h=h)

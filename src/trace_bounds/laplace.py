@@ -12,24 +12,40 @@ column N + b of the interior-then-boundary values. The interior ends give
 the matrix's off-diagonal entries, the boundary ends its coupling to the
 Dirichlet data.
 
-The matrix depends only on the geometry and is assembled once per domain,
-in the format its backend uses. 2D systems are solved by a sparse direct
-factorization, computed on the first solve and reused by every later one.
-The matrix is structurally symmetric and an M-matrix, so it is factored in
-symmetric mode: a minimum-degree ordering of A^T + A applied to rows and
-columns alike, with diagonal pivots only, which is stable for M-matrices
-(Fiedler & Ptak 1962) and has about half the fill of a COLAMD ordering
-with partial pivoting. Under that ordering the supernodes are only a few
-columns wide, so SuperLU's left-looking updates (Demmel et al. 1999) run on
-a 2-column panel rather than its default 20: the same fill, about a fifth
-less factor time and less dense work space. 3D systems are solved by
-BiCGSTAB (van der Vorst 1992) preconditioned with a plain-aggregation
-multigrid V-cycle (Vanek, Mandel & Brezina 1996) whose coarsest level is
-factored the same way: LU fill grows much faster in 3D, and measured over
-the resolutions the tool runs, the Krylov solve wins at every 3D size and
-the factorization at every 2D size. Residuals are verified against the
-1e-10 relative tolerance after every solve, whichever backend produced it;
-Krylov iterations are counted in the solve record too.
+The matrix depends only on the geometry. Its interior nodes are coloured
+by the parity of their lattice coordinates round(x/h) summed over the axes:
+red if even, black if odd, whatever the grid's extent. An interior arm is
+one lattice step long, so it joins nodes of opposite colours; ordered red
+then black, the matrix is [[D_R, A_RB], [A_BR, D_B]] with D_R and D_B
+diagonal. Every solve therefore eliminates the red nodes exactly first (the
+red-black reduced system; Saad, Iterative Methods for Sparse Linear
+Systems, 2nd ed., 2003, sections 2.4 and 3.3): the backend solves
+S u_B = b_B - A_BR D_R^-1 b_R with S = D_B - A_BR D_R^-1 A_RB on the black
+half of the nodes, and u_R = D_R^-1 (b_R - A_RB u_B) follows. S has a
+symmetric pattern and is again an M-matrix (Fiedler & Ptak 1962), so the
+backends below take it as they took the full matrix. The operator checks
+when it is made that every interior arm joins opposite colours, and keeps
+only the two diagonals and the two coupling blocks, read off the arm-end map.
+
+In 2D, S is built and factored on the first solve, the factor is reused by
+every later one, and S is dropped. S is factored in symmetric mode: a
+minimum-degree ordering of S^T + S applied to rows and columns alike, with
+diagonal pivots only, which is stable for M-matrices and has 0.5-0.75 of
+the fill of a COLAMD ordering with partial pivoting. Under that ordering
+the supernodes are only a few columns wide, so SuperLU's left-looking
+updates (Demmel et al. 1999) run on a 2-column panel rather than its
+default 20: the same fill and less factor time and dense work space. At
+disk h 0.005 the factor of S has 6.5 M nonzeros, against 7.9 M for the
+same ordering of the full matrix. In 3D, S is kept: it is the operator of
+BiCGSTAB (van der Vorst 1992), preconditioned with a plain-aggregation
+multigrid V-cycle (Vanek, Mandel & Brezina 1996) built on S and the
+lattice indices of the black nodes, whose coarsest level is factored the
+same way. LU fill grows much faster in 3D, and measured over the
+resolutions the tool runs, the Krylov solve wins at every 3D size and the
+factorization at every 2D size. At ball h 0.05 a solve takes 12 iterations
+on S, against 19 on the full matrix. Residuals of the full system are
+verified against the 1e-10 relative tolerance after every solve, whichever
+backend produced it; Krylov iterations are counted in the solve record too.
 
 Every harmonic object the trace bounds need is a linear combination of
 harmonic extensions of monomials in the outward normal: H[nu_a] (the normal
@@ -42,11 +58,12 @@ sum of the others: 10 solves give all 13 extensions in 3D, 4 give all 6 in
 2D.
 
 One ``_Operator`` per domain, the only entry of ``Domain._cache``, owns
-everything this module derives for that domain: the matrix, assembled when
-the operator is made; the LU factor (2D), the multigrid hierarchy (3D) and
-the per-axis difference stencils, cached properties built on first use; the
-memoized extensions; and the solve record (solves, Krylov iterations, worst
-residual, worst maximum-principle margin). The domain's arrays are read-only
+everything this module derives for that domain: the colour blocks of the
+matrix, assembled when the operator is made; the LU factor of S (2D), the
+multigrid hierarchy of S (3D) and the per-axis difference stencils, cached
+properties built on first use; the memoized extensions; and the solve
+record (solves, Krylov iterations, worst residual, worst maximum-principle
+margin). The domain's arrays are read-only
 and a ``dataclasses.replace`` copy starts with an empty cache, so none of it
 goes stale. ``solver_stats(*domains)`` merges the records of the given
 domains, so a run reports exactly the solves on its own domains.
@@ -87,9 +104,10 @@ MAX_PRINCIPLE_TOL = 1e-8
 KRYLOV_RTOL = 1e-15
 
 # columns SuperLU updates at a time (its default is 20). Under the minimum-degree
-# ordering the supernodes of these factors are only a few columns wide, and
-# over the 2D ladder 2 was best or within a few percent of it: disk h 0.005
-# factors in 0.93 s instead of 1.11 s, with the same ordering and fill.
+# ordering the supernodes of these factors are only a few columns wide. On the
+# reduced matrix S at disk h 0.005, 2 columns factor in 0.50 s against 0.59 s
+# for 1 and 0.72 s for 20, with the same ordering and fill; on the annulus
+# (0.5, 1) at h 0.005, 1 column took 0.23 s against 0.27 s (3 runs).
 _PANEL_SIZE = 2
 
 
@@ -100,17 +118,18 @@ class SolverError(RuntimeError):
 
 
 def _factor(matrix: sp.spmatrix):
-    """Sparse LU of a Shortley-Weller matrix or of its Galerkin coarsening.
+    """Sparse LU of the reduced Shortley-Weller matrix S or of a Galerkin
+    coarsening of it.
 
-    Both are M-matrices with a symmetric pattern (each interior arm pairs with
-    its reverse arm, and P^T A P keeps the symmetry), and an M-matrix factors
+    Both are M-matrices with a symmetric pattern (A_BR has the transposed
+    pattern of A_RB, and P^T S P keeps the symmetry), and an M-matrix factors
     stably with diagonal pivots in any symmetric order (Fiedler & Ptak 1962):
-    minimum degree on A^T + A for rows and columns alike, no row pivoting.
-    That halves the fill of the default COLAMD ordering with partial pivoting.
-    SuperLU updates a panel of ``_PANEL_SIZE`` columns at a time through dense
-    (n, panel) work arrays; the supernodes are narrow, so a narrow panel wastes
-    less of that work and memory. It changes only the order of the
-    floating-point updates, not the ordering or the fill.
+    minimum degree on S^T + S for rows and columns alike, no row pivoting.
+    That has 0.5-0.75 of the fill of the default COLAMD ordering with partial
+    pivoting. SuperLU updates a panel of ``_PANEL_SIZE`` columns at a time
+    through dense (n, panel) work arrays; the supernodes are narrow, so a
+    narrow panel wastes less of that work and memory. It changes only the
+    order of the floating-point updates, not the ordering or the fill.
     """
     try:
         return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
@@ -130,19 +149,23 @@ _COARSEST = 500
 class _Multigrid:
     """Plain-aggregation multigrid V-cycle (Vanek, Mandel & Brezina 1996).
 
-    Each level aggregates the unknowns whose grid indices share floor(ijk/2),
-    so P is piecewise constant, R = P^T and the coarse operator is the
-    Galerkin product R(AP). For smooth errors that product is about twice as
-    stiff as the operator it stands for, so the coarse correction falls short
-    and is scaled by 1.5 (over-correction, Braess 1995). One damped-Jacobi
-    sweep comes before it and one after. Levels are coarsened until one has
+    Each level aggregates the unknowns whose lattice indices share
+    floor(ijk/2), so P is piecewise constant, R = P^T and the coarse operator
+    is the Galerkin product R(AP). The cycle applies R and P as a sum and a
+    gather over each unknown's aggregate, which give R r and P e bit for bit
+    without keeping either matrix. For smooth errors the Galerkin product is
+    about twice as stiff as the operator it stands for, so the coarse
+    correction falls short and is scaled by 1.5 (over-correction, Braess
+    1995). One damped-Jacobi sweep comes before it and one after. Levels are coarsened until one has
     at most 500 unknowns, and that level is factored. The cycle is a fixed
     linear map, so it serves as BiCGSTAB's preconditioner. Unsmoothed
     aggregates keep the coarse operators as sparse as the fine one.
     """
 
     def __init__(self, matrix: sp.csr_matrix, ijk: np.ndarray):
-        self.levels = []   # per level: A, the weighted inverse diagonal, P, R
+        self.matrix = matrix
+        self.levels = []   # per level: A, the weighted inverse diagonal, the
+                           # aggregate of each unknown and the number of aggregates
         while matrix.shape[0] > _COARSEST:
             shape = tuple(ijk.max(axis=1) // 2 + 1)
             keys, aggregate = np.unique(np.ravel_multi_index(ijk // 2, shape),
@@ -150,9 +173,9 @@ class _Multigrid:
             n = matrix.shape[0]
             P = sp.csr_matrix((np.ones(n), (np.arange(n), aggregate)),
                               shape=(n, keys.size))
-            R = P.T.tocsr()
-            self.levels.append((matrix, _JACOBI_WEIGHT / matrix.diagonal(), P, R))
-            matrix = (R @ (matrix @ P)).tocsr()
+            self.levels.append((matrix, _JACOBI_WEIGHT / matrix.diagonal(),
+                                aggregate, keys.size))
+            matrix = (P.T.tocsr() @ (matrix @ P)).tocsr()
             ijk = np.array(np.unravel_index(keys, shape))
         self.coarsest = _factor(matrix)
 
@@ -160,9 +183,10 @@ class _Multigrid:
         """One V-cycle from a zero guess for A x = r on the given level."""
         if level == len(self.levels):
             return self.coarsest.solve(r)
-        A, smoother, P, R = self.levels[level]
+        A, smoother, aggregate, size = self.levels[level]
         x = smoother * r
-        x += _COARSE_SCALE * (P @ self.cycle(R @ (r - A @ x), level + 1))
+        coarse = np.bincount(aggregate, weights=r - A @ x, minlength=size)
+        x += _COARSE_SCALE * self.cycle(coarse, level + 1)[aggregate]
         x += smoother * (r - A @ x)
         return x
 
@@ -174,42 +198,115 @@ def _arm_ends(domain: Domain) -> np.ndarray:
                     domain.n_interior + domain.arm_boundary)
 
 
+def _shortley_weller(domain: Domain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (2*dim, N) coupling of each arm to its end, the (N,) diagonal and the
+    arm-end map. Arm d, of length h_d, couples node i with the arm's end by
+    2 / (h_d (hp + hm)), where hp and hm are the two arms of its axis."""
+    hp, hm = domain.arm_length[0::2], domain.arm_length[1::2]
+    coeff = 2.0 / (domain.arm_length * np.repeat(hp + hm, 2, axis=0))
+    return coeff, (2.0 / (hp * hm)).sum(axis=0), _arm_ends(domain)
+
+
+def _lattice(domain: Domain) -> np.ndarray:
+    """(N, dim) lattice coordinates round(x/h) of the interior nodes. The grid
+    lies on h Z^dim, so they do not depend on the grid's extent."""
+    return np.rint(domain.interior_coords / domain.h).astype(np.int64)
+
+
+def _relative_residual(residual: np.ndarray, u: np.ndarray, rhs: np.ndarray) -> float:
+    scale = max(np.abs(rhs).max(), np.abs(u).max(), 1e-300)
+    return np.abs(residual).max() / scale
+
+
 class _Operator:
     """Shortley-Weller discretization bound to one domain, with everything
-    derived from it and the record of the solves made with it."""
+    derived from it and the record of the solves made with it.
+
+    The interior nodes are coloured by the parity of their lattice coordinate
+    sum: red (even) and black (odd). Interior arms are one lattice step long,
+    so each couples nodes of opposite colours and, ordered red then black,
+
+        A = [[D_R, A_RB], [A_BR, D_B]]
+
+    with D_R and D_B diagonal. The operator keeps only the two diagonals and
+    the two coupling blocks, each read off the arm-end map."""
 
     def __init__(self, domain: Domain):
         self.domain = domain
         n = domain.n_interior
-        hp, hm = domain.arm_length[0::2], domain.arm_length[1::2]
-        # arm d, of length h_d, couples node i with the arm's end by
-        # 2 / (h_d (hp + hm)), where hp and hm are the two arms of its axis
-        coeff = 2.0 / (domain.arm_length * np.repeat(hp + hm, 2, axis=0))
-        diag = (2.0 / (hp * hm)).sum(axis=0)
-        ends = _arm_ends(domain)
-        idx = np.arange(n)
-        rows = np.broadcast_to(idx, ends.shape)
+        coeff, diag, ends = _shortley_weller(domain)
         inner = ends < n
-        # CSC feeds splu; CSR is the faster layout for the Krylov matvecs
-        matrix = sp.csr_matrix if domain.dim == 3 else sp.csc_matrix
-        self.neg_laplacian = matrix(
-            (np.concatenate([-coeff[inner], diag]),
-             (np.concatenate([rows[inner], idx]), np.concatenate([ends[inner], idx]))),
-            shape=(n, n))
+        black = _lattice(domain).sum(axis=1) % 2 == 1
+        same = inner & (black[np.where(inner, ends, 0)] == black)
+        if same.any():
+            arm, node = np.argwhere(same)[0]
+            raise SolverError(
+                f"interior arm {arm} of node {node} at "
+                f"{domain.interior_coords[node].tolist()} joins two nodes of the "
+                f"same lattice parity, so the red nodes cannot be eliminated")
+        self.red, self.black = np.flatnonzero(~black), np.flatnonzero(black)
+        self.red_diag, self.black_diag = diag[self.red], diag[self.black]
+        local = np.empty(n, dtype=np.int64)
+        local[self.red] = np.arange(self.red.size)
+        local[self.black] = np.arange(self.black.size)
+
+        def couplings(nodes: np.ndarray, columns: int) -> sp.csr_matrix:
+            node_ends, m = ends[:, nodes], inner[:, nodes]
+            rows = np.broadcast_to(np.arange(nodes.size), m.shape)
+            return sp.csr_matrix((-coeff[:, nodes][m], (rows[m], local[node_ends[m]])),
+                                 shape=(nodes.size, columns))
+
+        self.red_black = couplings(self.red, self.black.size)
+        self.black_red = couplings(self.black, self.red.size)
+        rows = np.broadcast_to(np.arange(n), ends.shape)
         self.boundary_coupling = sp.csc_matrix(
             (coeff[~inner], (rows[~inner], ends[~inner] - n)), shape=(n, domain.n_boundary))
         self.monomials: dict[tuple[int, ...], ScalarField] = {}
         self.record = {"solves": 0, "iterations": 0, "max_residual": 0.0,
                        "max_principle_violation": 0.0}
 
+    @property
+    def neg_laplacian(self) -> sp.spmatrix:
+        """The full (N, N) matrix -lap_h (CSR in 3D, CSC in 2D), which no solve
+        forms: assembled anew from the arm-end map on each access, as the
+        reference that the colour blocks and the solutions are checked against."""
+        domain = self.domain
+        n = domain.n_interior
+        coeff, diag, ends = _shortley_weller(domain)
+        idx = np.arange(n)
+        rows = np.broadcast_to(idx, ends.shape)
+        inner = ends < n
+        matrix = sp.csr_matrix if domain.dim == 3 else sp.csc_matrix
+        return matrix(
+            (np.concatenate([-coeff[inner], diag]),
+             (np.concatenate([rows[inner], idx]), np.concatenate([ends[inner], idx]))),
+            shape=(n, n))
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """-lap_h u at the interior nodes, from the colour blocks."""
+        out = np.empty_like(u)
+        red, black = u[self.red], u[self.black]
+        out[self.red] = self.red_diag * red + self.red_black @ black
+        out[self.black] = self.black_diag * black + self.black_red @ red
+        return out
+
+    def schur(self) -> sp.csr_matrix:
+        """The reduced matrix S = D_B - A_BR D_R^-1 A_RB on the black nodes,
+        built anew on each call. Its pattern is symmetric, because A_BR has
+        the transposed pattern of A_RB, and it is again an M-matrix."""
+        eliminated = self.black_red @ sp.diags(1.0 / self.red_diag) @ self.red_black
+        return (sp.diags(self.black_diag) - eliminated).tocsr()
+
     @cached_property
     def lu(self):
-        return _factor(self.neg_laplacian)
+        # 2D: S is factored and dropped
+        return _factor(self.schur())
 
     @cached_property
     def multigrid(self) -> _Multigrid:
-        ijk = np.unravel_index(self.domain.interior_flat, self.domain.phi.shape)
-        return _Multigrid(self.neg_laplacian, np.array(ijk))
+        # 3D: S is the finest level of the hierarchy and the Krylov operator
+        lattice = _lattice(self.domain)
+        return _Multigrid(self.schur(), (lattice[self.black] - lattice.min(axis=0)).T)
 
     @cached_property
     def stencils(self) -> list[tuple]:
@@ -247,15 +344,11 @@ class _Operator:
                              np.where(has_p & has_m, 2 * h, h), offset[:, ax]))
         return stencils
 
-    def _residual(self, u: np.ndarray, rhs: np.ndarray) -> float:
-        scale = max(np.abs(rhs).max(), np.abs(u).max(), 1e-300)
-        return np.abs(self.neg_laplacian @ u - rhs).max() / scale
-
     def _bicgstab(self, rhs: np.ndarray) -> np.ndarray:
         # SciPy's breakdown tests are absolute (eps^2), so solve for data
         # scaled to unit norm; a power of two keeps the rescaling exact
         exponent = np.frexp(np.linalg.norm(rhs))[1]
-        cycle = self.multigrid.cycle
+        matrix, cycle = self.multigrid.matrix, self.multigrid.cycle
         applications = 0
 
         def precondition(r):
@@ -264,15 +357,15 @@ class _Operator:
             return cycle(r)
 
         # a dtype, or LinearOperator applies the cycle once to find one
-        M = spla.LinearOperator(self.neg_laplacian.shape, precondition, dtype=float)
-        u, info = spla.bicgstab(self.neg_laplacian, np.ldexp(rhs, -exponent),
+        M = spla.LinearOperator(matrix.shape, precondition, dtype=float)
+        u, info = spla.bicgstab(matrix, np.ldexp(rhs, -exponent),
                                 rtol=KRYLOV_RTOL, atol=0.0, M=M)
         u = np.ldexp(u, exponent)
         # two preconditioner applications per iteration; SciPy returns from
         # the half step, after the first, when that already converges
         iterations = (applications + 1) // 2
         if info != 0:
-            residual = self._residual(u, rhs)
+            residual = _relative_residual(matrix @ u - rhs, u, rhs)
             reason = (f"did not converge in {info} iterations" if info > 0 else
                       f"broke down (info {info}) after {iterations} iterations")
             raise SolverError(f"BiCGSTAB {reason}, residual {residual:.3e}",
@@ -289,14 +382,21 @@ class _Operator:
         if not np.isfinite(g).all():
             raise GeometryError("boundary data contains non-finite values")
         rhs = self.boundary_coupling @ g
-        u = self.lu.solve(rhs) if domain.dim == 2 else self._bicgstab(rhs)
+        # eliminate the red nodes, solve for the black ones, back-substitute
+        red_rhs = rhs[self.red]
+        reduced = rhs[self.black] - self.black_red @ (red_rhs / self.red_diag)
+        u = np.empty(domain.n_interior)
+        u[self.black] = (self.lu.solve(reduced) if domain.dim == 2
+                         else self._bicgstab(reduced))
+        u[self.red] = (red_rhs - self.red_black @ u[self.black]) / self.red_diag
         return self.verified(u, g, solved=True)
 
     def verified(self, u: np.ndarray, g: np.ndarray, solved: bool) -> ScalarField:
         """The field with interior values u and boundary values g, once u passes
         the residual and maximum-principle checks of a solve with data g; both
         are recorded, and ``solved`` counts it as a solve."""
-        residual = self._residual(u, self.boundary_coupling @ g)
+        rhs = self.boundary_coupling @ g
+        residual = _relative_residual(self.apply(u) - rhs, u, rhs)
         if not np.isfinite(u).all() or residual > SOLVER_TOL:
             raise SolverError(
                 f"linear solve residual {residual:.3e} exceeds {SOLVER_TOL:.0e}",
@@ -448,7 +548,7 @@ def laplacian(field: ScalarField) -> np.ndarray:
     """Discrete Shortley-Weller Laplacian at the interior nodes, using the
     field's boundary values."""
     op = _operator(field.domain)
-    return op.boundary_coupling @ field.boundary - op.neg_laplacian @ field.interior
+    return op.boundary_coupling @ field.boundary - op.apply(field.interior)
 
 
 def sup_norm(field: ScalarField, region: str = "closure") -> float:

@@ -89,18 +89,19 @@ class TestRun:
         assert on_disk["config"]["domain"] == {"radius": 1.0}
 
     def test_levelset_bbox_recorded(self, tmp_path):
-        # the bbox sets the grid, so two runs that differ only in it differ in B
-        reports = []
+        # the bbox sets the grid's extent: two runs that differ only in it
+        # record their own bbox and build grids of different shapes
+        reports, shapes = [], []
         for bbox in ("-1.5, 1.5", "-3, 3"):
             cfg = C.parse_config(f"kind = levelset\nexpression = x^2/1.2+y^2-1\n"
                                  f"bbox = {bbox}\nh = 0.1\ntasks = sobolev")
             out = tmp_path / bbox
             assert cli.run_config(cfg, outdir=str(out))[0] == cli.EXIT_OK
             reports.append(json.loads((out / "report.json").read_text()))
+            shapes.append(G.build_domain(cfg.domain_at(0.1)).phi.shape)
         assert [r["config"]["domain"]["bbox"] for r in reports] == [[-1.5, 1.5],
                                                                    [-3.0, 3.0]]
-        B = [r["tasks"]["sobolev"]["levels"][0]["B"] for r in reports]
-        assert B[0] != B[1]
+        assert shapes[0] != shapes[1]
 
     def test_run_two_levels_richardson(self, tmp_path):
         cfg = C.parse_config("""
@@ -360,6 +361,20 @@ class TestMain:
         assert cli.main(["verify-matnorm", "--dim", "2", "--samples", "0"]) == cli.EXIT_CONFIG
         assert cli.main(["sweep-theta", "--norm", "vec2", "--steps", "0"]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.count("must be a positive integer") == 2
+
+    def test_one_sweep_step_is_a_config_error(self, tmp_path, capsys):
+        # one step samples only theta = 0, and the vec2 worst case sqrt(2) is
+        # attained only at theta = pi/2: a correct run would fail its check
+        text = "kind = disk\nradius = 1.0\nh = 0.1\ntasks = optimal-bc-sweep\nsteps = 1\n"
+        with pytest.raises(C.ConfigError, match="samples theta = pi/2, not 1"):
+            C.parse_config(text)
+        cfg_file = tmp_path / "one_step.cfg"
+        cfg_file.write_text(text)
+        assert cli.main(["run", str(cfg_file)]) == cli.EXIT_CONFIG
+        assert cli.main(["sweep-theta", "--norm", "vec2", "--steps", "1"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.count("samples theta = pi/2, not 1") == 2
+        assert cli.main(["sweep-theta", "--norm", "vec2", "--steps", "2"]) == cli.EXIT_OK
+        assert C.parse_config(text.replace("steps = 1", "steps = 2")).steps == 2
 
     def test_verify_matnorm_subcommand(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,26 @@ class TestKrylov:
             L.solve_dirichlet(ball, np.prod(ball.boundary_normal[:, list(axes)], axis=1))
             assert 1 <= op.record["iterations"] - before <= 16
 
+    def test_cycle_matches_matrix_transfers(self, ball):
+        # the cycle restricts and prolongs by a sum and a gather over each
+        # unknown's aggregate; the V-cycle written with the piecewise-constant
+        # P and R = P^T as matrices must give the same numbers bit for bit
+        mg = L._operator(ball).multigrid
+
+        def reference(r, level=0):
+            if level == len(mg.levels):
+                return mg.coarsest.solve(r)
+            A, smoother, aggregate, size = mg.levels[level]
+            n = A.shape[0]
+            P = sp.csr_matrix((np.ones(n), (np.arange(n), aggregate)), shape=(n, size))
+            x = smoother * r
+            x += L._COARSE_SCALE * (P @ reference(P.T.tocsr() @ (r - A @ x), level + 1))
+            x += smoother * (r - A @ x)
+            return x
+
+        r = np.random.default_rng(11).normal(size=mg.matrix.shape[0])
+        assert np.array_equal(mg.cycle(r), reference(r))
+
     def test_exact_preconditioner_counts_iterations(self, monkeypatch):
         # N <= 500: the hierarchy is the factored matrix itself, and BiCGSTAB
         # returns from its first half step, after one cycle, which counts as
@@ -187,10 +208,11 @@ TINY_ARM_RADIUS = 0.5000000001
 
 
 class TestDirect:
-    """2D systems are factorized once, with a symmetric ordering, diagonal
-    pivots and a narrow panel; the solutions must match a default (COLAMD,
-    partial pivoting) factorization and one with SuperLU's default panel to
-    round-off."""
+    """2D systems are reduced to the black nodes and the reduced matrix is
+    factorized once, with a symmetric ordering, diagonal pivots and a narrow
+    panel; the solutions must match a default (COLAMD, partial pivoting)
+    factorization of the full matrix and a symmetric-mode one with SuperLU's
+    default panel to round-off."""
 
     @pytest.mark.parametrize("spec", [
         G.DomainSpec.disk(1.0, 0.02),
@@ -203,19 +225,26 @@ class TestDirect:
         if spec.sizes == (("radius", TINY_ARM_RADIUS),):
             assert min(arm.min() for arm in dom.arm_length) < 1e-8 * dom.h
         op = L._operator(dom)
-        pattern = (op.neg_laplacian != 0).astype(int)
+        schur = op.schur()
+        pattern = (schur != 0).astype(int)
         assert (pattern != pattern.T).nnz == 0
         assert np.array_equal(op.lu.perm_r, op.lu.perm_c)
-        oracle = spla.splu(op.neg_laplacian)
-        # the minimum-degree ordering of A^T + A: 0.56-0.62 of COLAMD's fill
+        # the minimum-degree ordering of S^T + S: 0.67-0.73 of COLAMD's fill
         fill = op.lu.L.nnz + op.lu.U.nnz
-        assert fill <= 0.7 * (oracle.L.nnz + oracle.U.nnz)
+        colamd = spla.splu(schur.tocsc())
+        assert fill <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
         # the narrow panel changes only the order of the updates: the default
         # 20-column panel gives the same ordering and fill
-        wide = spla.splu(op.neg_laplacian, permc_spec="MMD_AT_PLUS_A",
+        wide = spla.splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         assert np.array_equal(op.lu.perm_c, wide.perm_c)
         assert (op.lu.L.nnz, op.lu.U.nnz) == (wide.L.nnz, wide.U.nnz)
+        oracle = spla.splu(op.neg_laplacian)
+        full = spla.splu(op.neg_laplacian, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        # eliminating the red nodes first leaves less fill than ordering all
+        # nodes by minimum degree: 0.74-0.83 of it
+        assert fill < full.L.nnz + full.U.nnz
         monomials = [(a,) for a in range(2)] + list(
             itertools.combinations_with_replacement(range(2), 3))
         for axes in monomials:
@@ -223,7 +252,7 @@ class TestDirect:
             u = L.solve_dirichlet(dom, g).interior
             rhs = op.boundary_coupling @ g
             assert np.abs(u - oracle.solve(rhs)).max() <= 1e-12 * np.abs(u).max()
-            assert np.abs(u - wide.solve(rhs)).max() <= 1e-13 * np.abs(u).max()
+            assert np.abs(u - full.solve(rhs)).max() <= 1e-13 * np.abs(u).max()
         stats = L.solver_stats(dom)
         assert stats["solves"] == 6
         assert stats["max_residual"] <= L.SOLVER_TOL
@@ -238,6 +267,74 @@ class TestDirect:
         dom = G.build_domain(G.DomainSpec.disk(1.0, 0.1))
         with pytest.raises(L.SolverError, match="sparse factorization failed"):
             L.solve_dirichlet(dom, dom.boundary_normal[:, 0])
+
+
+# the perfbench torus3d shape at the offset of its seed 1
+SEED_1_TORUS = "(sqrt((x+0.018282)^2 + (y-0.017372)^2) - 1)^2 + (z-0.013189)^2 - 0.16"
+
+
+class TestRedBlack:
+    """Interior nodes are coloured by the parity of their lattice coordinate
+    sum; the red ones are eliminated exactly and the backend solves the
+    reduced system S = D_B - A_BR D_R^-1 A_RB on the black ones."""
+
+    @pytest.mark.parametrize("spec", [
+        G.DomainSpec.disk(1.0, 0.02),
+        G.DomainSpec.annulus(0.5, 1.0, 0.02),
+        G.DomainSpec.levelset(OFF_CENTRE_ELLIPSE, 0.02),
+        G.DomainSpec.disk(TINY_ARM_RADIUS, 0.02),
+        G.DomainSpec.ball(1.0, 0.1),
+        G.DomainSpec.levelset(SEED_1_TORUS, 0.08, dim=3, bbox=(-1.6, 1.6)),
+    ], ids=["disk", "annulus", "off_centre_ellipse", "tiny_arm_disk", "ball",
+            "seed_1_torus"])
+    def test_reduced_system_is_an_m_matrix(self, spec):
+        dom = G.build_domain(spec)
+        op = L._operator(dom)
+        assert op.red.size + op.black.size == dom.n_interior
+        schur = op.schur()
+        assert schur.shape == (op.black.size, op.black.size)
+        pattern = (schur != 0).astype(int)
+        assert (pattern != pattern.T).nnz == 0
+        diag = schur.diagonal()
+        assert (diag > 0).all()
+        assert (sp.triu(schur, 1).data <= 0).all() and (sp.tril(schur, -1).data <= 0).all()
+        assert (np.asarray(schur.sum(axis=1)).ravel() >= -1e-12 * diag).all()
+        full = op.neg_laplacian
+        u = np.random.default_rng(3).normal(size=dom.n_interior)
+        assert np.abs(op.apply(u) - full @ u).max() <= 1e-13 * np.abs(full @ u).max()
+        oracle = spla.splu(full.tocsc())
+        for axes in [(0,), (0, 1, 1), (0, 0, 0)]:
+            g = np.prod(dom.boundary_normal[:, list(axes)], axis=1)
+            u = L.solve_dirichlet(dom, g).interior
+            expect = oracle.solve(op.boundary_coupling @ g)
+            assert np.abs(u - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("expression, dim", [
+        (OFF_CENTRE_ELLIPSE, 2), (OFF_CENTRE_ELLIPSOID, 3)], ids=["2d", "3d"])
+    def test_colours_do_not_depend_on_the_bbox(self, expression, dim):
+        h = 0.1 if dim == 3 else 0.05
+        doms = [G.build_domain(G.DomainSpec.levelset(expression, h, dim, (-r, r)))
+                for r in (1.5, 3.0)]
+        assert doms[0].phi.shape != doms[1].phi.shape
+        nodes = []
+        for dom in doms:
+            op = L._operator(dom)
+            lattice = L._lattice(dom)
+            nodes.append([set(map(tuple, lattice[part])) for part in (op.red, op.black)])
+        assert nodes[0] == nodes[1]
+        assert all(nodes[0])
+
+    def test_same_parity_arm_is_named(self, disk):
+        # point arm 0 of node i, which ends at its neighbour j, at j's own arm-0
+        # neighbour instead: two lattice steps away, so of i's own parity
+        arms = disk.arm_interior.copy()
+        i = int(np.flatnonzero((arms[0] >= 0) & (arms[0][arms[0]] >= 0))[0])
+        arms[0, i] = arms[0, arms[0, i]]
+        broken = dataclasses.replace(disk, arm_interior=arms)
+        position = re.escape(str(disk.interior_coords[i].tolist()))
+        with pytest.raises(L.SolverError, match=f"arm 0 of node {i} at {position}"):
+            L.solve_dirichlet(broken, broken.boundary_normal[:, 0])
+        assert L.solver_stats(broken)["solves"] == 0
 
 
 class TestNormalMonomialIdentities:
