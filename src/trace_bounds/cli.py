@@ -6,6 +6,8 @@ Subcommands::
     trace-bounds verify-matnorm --dim {2,3} --samples N --seed S
     trace-bounds sweep-theta --norm {vec2,vecInf,op2} --steps N [--dim {2,3}]
 
+sweep-theta's ``--dim`` defaults to the largest dimension the norm is defined
+in; a dimension the norm lacks is a configuration error.
 Exit codes: 0 all checks passed; 2 configuration error; 3 solver failure;
 4 at least one verification check failed (the report names the first).
 Reports are JSON with sorted keys; identical config + seed reproduce them
@@ -233,13 +235,13 @@ def _task_matnorm(config: RunConfig, checks: _Checks, outdir: str) -> dict:
 
 def _checked_sweep(checks: _Checks, norm: str, steps: int, dim: int,
                    brute_force: bool, path: str | None) -> dict:
-    """optimal_bc.sweep_theta, written to ``path`` as CSV if given; for vec2 and
-    vecInf, checks the brute force (if run) and that the maximum is worst_case_D."""
+    """optimal_bc.sweep_theta, written to ``path`` as CSV if given; for a norm with
+    a worst case D, checks the brute force (if run) and that the maximum is D."""
     sweep = optimal_bc.sweep_theta(norm, steps=steps, dim=dim, brute_force=brute_force)
     if path:
         cols = ["theta", "closed_form"] + (["brute_force"] if brute_force else [])
         write_csv(path, cols, zip(*(sweep[c] for c in cols)))
-    if norm in ("vec2", "vecInf"):
+    if optimal_bc.NORMS[norm][1] is not None:
         if brute_force:
             checks.add(f"sweep.oracle_gap.{norm}",
                        sweep["max_entry_gap"] <= 1e-3,
@@ -256,7 +258,7 @@ def _checked_sweep(checks: _Checks, norm: str, steps: int, dim: int,
 def _task_sweep(config: RunConfig, checks: _Checks, outdir: str) -> dict:
     out = {}
     dim = config.domain.dim
-    for norm in ("vec2", "vecInf") + (("op2",) if dim == 2 else ()):
+    for norm in (norm for norm, (dims, _) in optimal_bc.NORMS.items() if dim in dims):
         sweep = _checked_sweep(checks, norm, config.steps, dim, True,
                                os.path.join(outdir, f"theta_sweep_{norm}.csv"))
         out[norm] = {key: sweep[key] for key in ("max_closed_form", "max_entry_gap")}
@@ -370,16 +372,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mat = sub.add_parser("verify-matnorm",
                            help="verify the matrix-norm equivalence constants")
     p_mat.add_argument("--dim", type=int, choices=(2, 3), required=True)
-    p_mat.add_argument("--samples", type=_positive_int, default=10000)
-    p_mat.add_argument("--seed", type=int, default=20240401)
+    p_mat.add_argument("--samples", type=_positive_int, default=RunConfig.samples)
+    p_mat.add_argument("--seed", type=int, default=RunConfig.seed)
     p_mat.add_argument("--output", help="CSV output path")
 
     p_sweep = sub.add_parser("sweep-theta",
                              help="sweep the optimal-stress angle")
-    p_sweep.add_argument("--norm", choices=("vec2", "vecInf", "op2"),
-                         required=True)
-    p_sweep.add_argument("--steps", type=_sweep_steps, default=91)
-    p_sweep.add_argument("--dim", type=int, choices=(2, 3), default=3)
+    p_sweep.add_argument("--norm", choices=tuple(optimal_bc.NORMS), required=True)
+    p_sweep.add_argument("--steps", type=_sweep_steps, default=RunConfig.steps)
+    p_sweep.add_argument("--dim", type=int, choices=(2, 3), help="default: the norm's largest")
     p_sweep.add_argument("--output", help="CSV output path")
     p_sweep.add_argument("--brute-force", action="store_true",
                          help="also run the grid-search oracle")
@@ -422,9 +423,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     if args.command == "sweep-theta":
+        dims = optimal_bc.NORMS[args.norm][0]
+        dim = args.dim or max(dims)
+        if dim not in dims:
+            print(f"config error: norm {args.norm} is defined in "
+                  f"{', '.join(f'{d}D' for d in dims)}, not {dim}D", file=sys.stderr)
+            return EXIT_CONFIG
         checks = _Checks()
-        sweep = _checked_sweep(checks, args.norm, args.steps,
-                               2 if args.norm == "op2" else args.dim,
+        sweep = _checked_sweep(checks, args.norm, args.steps, dim,
                                args.brute_force, args.output)
         print(f"max closed-form value: {sweep['max_closed_form']!r}")
         if args.brute_force:

@@ -13,9 +13,11 @@ Example::
 
 Keys: ``kind`` (disk|ball|ellipse|ellipsoid|annulus|levelset) with its shape
 parameters (radius | a,b[,c] | r_in,r_out | expression,dim,bbox), ``h``
-(descending list), ``norm`` (vec2|vecInf), ``tasks`` (comma list of sobolev,
-ld, matnorm-verify, optimal-bc-sweep, battery), ``output`` (directory),
-``seed`` (int), ``samples`` (matnorm sample count), ``steps`` (theta sweep).
+(descending list), ``norm`` (vec2|vecInf, the norms with a worst case D),
+``tasks`` (comma list of sobolev, ld, matnorm-verify, optimal-bc-sweep,
+battery), ``output`` (directory), ``seed`` (int), ``samples`` (matnorm sample
+count), ``steps`` (theta sweep). Only ``kind`` and ``h`` are required; the
+defaults are ``RunConfig``'s, and a level set's ``DomainSpec.levelset``'s.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .geometry import SHAPES, DomainSpec
+from .optimal_bc import NORMS
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
@@ -62,8 +65,9 @@ class RunConfig:
             raise ConfigError("h levels must be strictly descending")
         if not all(math.isfinite(h) and h > 0 for h in self.h_levels):
             raise ConfigError("h levels must be positive and finite")
-        if self.norm not in ("vec2", "vecInf"):
-            raise ConfigError(f"norm must be vec2 or vecInf, not {self.norm!r}")
+        if NORMS.get(self.norm, ((), None))[1] is None:
+            with_D = [norm for norm, (_, D) in NORMS.items() if D is not None]
+            raise ConfigError(f"norm must be one of {with_D}, not {self.norm!r}")
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
         if self.steps < MIN_STEPS:
@@ -96,16 +100,21 @@ def _floats(text: str) -> tuple[float, ...]:
         raise ConfigError(f"expected a comma list of numbers, got {text!r}") from exc
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _given(pairs: dict[str, str], **parsers) -> dict:
+    """The keys of ``parsers`` that the config gives, parsed and taken out of pairs."""
+    return {key: parse(pairs.pop(key)) for key, parse in parsers.items() if key in pairs}
+
+
 def parse_config(text: str) -> RunConfig:
     pairs = _parse_pairs(text)
-
-    def take(key, default=None):
-        return pairs.pop(key, default)
-
-    kind = take("kind")
+    kind = pairs.pop("kind", None)
     if kind is None:
         raise ConfigError("missing required key 'kind'")
-    h_levels = _floats(take("h", ""))
+    h_levels = _floats(pairs.pop("h", ""))
     if not h_levels:
         raise ConfigError("missing required key 'h'")
 
@@ -113,25 +122,16 @@ def parse_config(text: str) -> RunConfig:
     try:
         if kind not in SHAPES:
             raise ConfigError(f"unknown kind {kind!r}")
-        dim, keys, _ = SHAPES[kind]
         if kind == "levelset":
-            dim = int(take("dim", "2"))
-            sizes = (("expression", take("expression", "")),
-                     ("bbox", _floats(take("bbox", "-2, 2"))))
+            domain = DomainSpec.levelset(
+                pairs.pop("expression", ""), h_levels[0],
+                **_given(pairs, dim=int, bbox=_floats))
         else:
-            sizes = tuple((key, float(take(key, 0) or 0)) for key in keys)
-
-        tasks = tuple(t.strip() for t in take("tasks", "sobolev").split(",") if t.strip())
-        config = RunConfig(
-            domain=DomainSpec(kind=kind, h=h_levels[0], dim=dim, sizes=sizes),
-            h_levels=h_levels,
-            norm=take("norm", "vec2"),
-            tasks=tasks,
-            output=take("output", "out"),
-            seed=int(take("seed", "20240401")),
-            samples=int(take("samples", "10000")),
-            steps=int(take("steps", "91")),
-        )
+            dim, keys, _ = SHAPES[kind]
+            sizes = tuple((key, float(pairs.pop(key, 0) or 0)) for key in keys)
+            domain = DomainSpec(kind=kind, h=h_levels[0], dim=dim, sizes=sizes)
+        config = RunConfig(domain=domain, h_levels=h_levels, **_given(
+            pairs, norm=str, tasks=_names, output=str, seed=int, samples=int, steps=int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if pairs:

@@ -449,7 +449,7 @@ def _volume_sweep(phi: np.ndarray, strides: np.ndarray, interior_id_flat: np.nda
             np.concatenate(mixed_counts))
 
 
-def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
+def build_domain(spec: DomainSpec) -> Domain:
     """Discretize the spec: classify nodes, extract the boundary, build quadrature."""
     dim = spec.dim
     h = spec.h
@@ -461,10 +461,10 @@ def build_domain(spec: DomainSpec, max_nodes: int = DEFAULT_NODE_CAP) -> Domain:
     axis_idx = np.arange(-n_half, n_half + 1)
     origin = np.full(dim, -n_half * h)
     shape = (len(axis_idx),) * dim
-    if np.prod(shape, dtype=np.int64) > max_nodes:
+    if np.prod(shape, dtype=np.int64) > DEFAULT_NODE_CAP:
         raise GeometryError(
             f"grid of {np.prod(shape, dtype=np.int64)} nodes exceeds the "
-            f"desk-scale cap {max_nodes}; increase h or raise max_nodes")
+            f"desk-scale cap {DEFAULT_NODE_CAP}; increase h")
 
     grids = np.meshgrid(*([axis_idx * h] * dim), indexing="ij")
     points = np.stack(grids, axis=-1)

@@ -265,7 +265,7 @@ LD_CSV_HEADER = ("kind", "dim", "h", "norm", "A", "B", "trace_norm_bound",
                  "div_sup_k0", "div_sup_k1", "div_sup_k2")
 
 
-def ld_report_csv_row(report: LDBoundReport, kind: str = "") -> list:
+def ld_report_csv_row(report: LDBoundReport, kind: str) -> list:
     """Flat write_csv row of a report, for batch sweeps over domains."""
     per_k = list(report.per_k) + [None] * (3 - len(report.per_k))
     return [kind, str(report.dim), report.h, report.norm, report.A, report.B,
@@ -276,12 +276,10 @@ def ld_report_csv_row(report: LDBoundReport, kind: str = "") -> list:
 def ld_bounds(domain: Domain, norm: str = "vec2") -> LDBoundReport:
     """A = dim * D_par and B = sum_k sup_bnd |div sigma^k| on this domain.
 
-    The optimal boundary tensors coincide for the supported norms (all free
-    frame components vanish), so B is norm-independent; A carries the norm
-    through D_par.
+    The optimal boundary tensors coincide for the norms with a worst case D
+    (all free frame components vanish), so B is norm-independent; A carries
+    the norm through D_par, and optimal_bc.worst_case_D rejects any other norm.
     """
-    if norm not in ("vec2", "vecInf"):
-        raise ValueError(f"ld_bounds supports vec2 and vecInf, not {norm!r}")
     A = domain.dim * optimal_bc.worst_case_D(norm)
     diags = []
     B = 0.0

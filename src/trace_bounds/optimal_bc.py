@@ -40,6 +40,7 @@ from . import matnorm
 from .geometry import CheckError, Domain
 
 __all__ = [
+    "NORMS",
     "TractionProblem",
     "OptimalBC",
     "optimal_stress",
@@ -51,7 +52,9 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12
-SUPPORTED_NORMS = ("vec2", "vecInf", "op2")
+# norm -> (the dimensions its optimal stress is defined in, the worst case D
+# over unit tractions, or None where there is no closed form)
+NORMS = {"vec2": ((2, 3), math.sqrt(2.0)), "vecInf": ((2, 3), 1.0), "op2": ((2,), None)}
 # grid points per free component in each stage of brute_force_optimal
 _BRUTE_FORCE_POINTS = 17
 # candidate matrices per brute_force_optimal stack in sweep_theta: a whole 2D
@@ -81,10 +84,8 @@ class TractionProblem:
         t = _check_unit(self.t, "t")
         if nu.shape != t.shape or nu.shape[0] not in (2, 3):
             raise ValueError("nu and t must both be 2- or 3-vectors")
-        if self.norm not in SUPPORTED_NORMS:
-            raise ValueError(f"unsupported norm {self.norm!r}")
-        if self.norm == "op2" and nu.shape[0] != 2:
-            raise ValueError("op2 optimal stresses are available in 2D only")
+        if nu.shape[0] not in NORMS.get(self.norm, ((),))[0]:
+            raise ValueError(f"norm {self.norm!r} has no optimal stress in {nu.shape[0]}D")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "t", t)
 
@@ -223,8 +224,6 @@ def sweep_theta(norm: str, steps: int = 91, dim: int = 3,
                 brute_force: bool = False) -> dict:
     """Closed-form optimal values over theta in [0, pi/2] (optionally brute force,
     with up to ``_BRUTE_FORCE_BATCH`` candidate matrices per stack)."""
-    if norm == "op2" and dim != 2:
-        raise ValueError("op2 sweeps are 2D only")
     thetas = np.linspace(0.0, math.pi / 2.0, steps)
     nu = np.zeros(dim)
     nu[0] = 1.0
@@ -255,13 +254,12 @@ def sweep_theta(norm: str, steps: int = 91, dim: int = 3,
 
 
 def worst_case_D(norm: str) -> float:
-    """sup over unit tractions of the optimal stress norm in 2D and 3D: the closed
-    forms D_2 = sqrt 2 and D_inf = 1, checked against the sweep_theta maximum."""
-    if norm == "vec2":
-        return math.sqrt(2.0)
-    if norm == "vecInf":
-        return 1.0
-    raise ValueError(f"worst_case_D supports vec2 and vecInf, not {norm!r}")
+    """sup over unit tractions of the optimal stress norm: the closed form in
+    NORMS (D_2 = sqrt 2, D_inf = 1), checked against the sweep_theta maximum."""
+    D = NORMS.get(norm, ((), None))[1]
+    if D is None:
+        raise ValueError(f"no closed-form worst case D for norm {norm!r}")
+    return D
 
 
 # ---------------------------------------------------------------------------

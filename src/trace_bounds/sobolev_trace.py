@@ -113,10 +113,6 @@ class TraceReport:
     eps_disc: float
     h: float
 
-    @property
-    def rhs(self) -> float:
-        return self.grad_term + self.mass_term
-
     def as_dict(self) -> dict:
         return asdict(self)
 

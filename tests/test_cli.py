@@ -28,6 +28,9 @@ class TestConfigParsing:
         assert cfg.h_levels == (0.04,)
         assert cfg.tasks == ("sobolev",)
         assert cfg.seed == 1234
+        # a key the config leaves out takes RunConfig's default
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.1\n")
+        assert cfg == C.RunConfig(domain=G.DomainSpec.disk(1.0, 0.1), h_levels=(0.1,))
 
     def test_multi_level_and_tasks(self):
         cfg = C.parse_config("""
@@ -51,6 +54,10 @@ bbox = -1.5, 1.5
 h = 0.1
 """)
         assert cfg.domain.sizes == (("expression", "x^2+y^2-1"), ("bbox", (-1.5, 1.5)))
+        # without dim and bbox, a level set takes DomainSpec.levelset's
+        cfg = C.parse_config("kind = levelset\nexpression = x^2+y^2-1\nh = 0.1\n")
+        spec = G.DomainSpec.levelset("x^2+y^2-1", 0.1)
+        assert (cfg.domain.dim, cfg.domain.sizes) == (spec.dim, spec.sizes)
 
     @pytest.mark.parametrize("text", [
         "radius = 1.0\nh = 0.1",                     # missing kind
@@ -296,24 +303,25 @@ tasks = ld
         assert report["config"]["domain"] == block
 
     def test_sweep_task(self, tmp_path):
-        cfg = C.parse_config("""
-kind = ball
-radius = 1.0
-h = 0.5
-tasks = optimal-bc-sweep
-steps = 31
-""")
-        code, report = cli.run_config(cfg, outdir=str(tmp_path))
-        assert code == cli.EXIT_OK
-        sweep = report["tasks"]["optimal_bc_sweep"]
-        assert abs(sweep["vec2"]["max_closed_form"] - np.sqrt(2)) < 1e-12
-        assert sweep["vec2"]["max_entry_gap"] <= 1e-3
-        lines = (tmp_path / "theta_sweep_vec2.csv").read_text().splitlines()
-        assert lines[0] == "theta,closed_form,brute_force"
-        # plain float cells, so the sweep reads back exactly
-        rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
-        assert rows.shape == (31, 3)
-        assert rows[:, 1].max() == sweep["vec2"]["max_closed_form"]
+        # each norm defined in the domain's dimension is swept, and no other
+        for shape, norms in [("kind = ball\nradius = 1.0", {"vec2", "vecInf"}),
+                             ("kind = disk\nradius = 1.0", {"vec2", "vecInf", "op2"})]:
+            out = tmp_path / shape.split()[2]
+            cfg = C.parse_config(f"{shape}\nh = 0.5\ntasks = optimal-bc-sweep\nsteps = 31\n")
+            code, report = cli.run_config(cfg, outdir=str(out))
+            assert code == cli.EXIT_OK
+            sweep = report["tasks"]["optimal_bc_sweep"]
+            assert set(sweep) == norms
+            assert {p.name for p in out.glob("theta_sweep_*.csv")} == {
+                f"theta_sweep_{norm}.csv" for norm in norms}
+            assert abs(sweep["vec2"]["max_closed_form"] - np.sqrt(2)) < 1e-12
+            assert sweep["vec2"]["max_entry_gap"] <= 1e-3
+            lines = (out / "theta_sweep_vec2.csv").read_text().splitlines()
+            assert lines[0] == "theta,closed_form,brute_force"
+            # plain float cells, so the sweep reads back exactly
+            rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+            assert rows.shape == (31, 3)
+            assert rows[:, 1].max() == sweep["vec2"]["max_closed_form"]
 
 
 class TestMain:
@@ -412,6 +420,18 @@ class TestMain:
         assert "FAILED check: sweep.worst_case.vec2" in capsys.readouterr().err
         # op2 has no closed-form worst case and no check
         assert cli.main(["sweep-theta", "--norm", "op2", "--steps", "5", "--brute-force"]) == cli.EXIT_OK
+
+    def test_sweep_theta_dimension_follows_the_norm(self, capsys):
+        # op2 is defined in 2D only: no --dim sweeps in 2D, and --dim 3 is an error
+        argv = ["sweep-theta", "--norm", "op2", "--steps", "5"]
+        assert cli.main(argv) == cli.EXIT_OK
+        default = capsys.readouterr().out
+        assert cli.main(argv + ["--dim", "2"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == default
+        assert cli.main(argv + ["--dim", "3"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "norm op2 is defined in 2D, not 3D" in captured.err
 
 
 class TestExportPlotData:

@@ -323,13 +323,14 @@ class TestBuildDomain:
         with pytest.raises(G.GeometryError, match="not bounded"):
             G.build_domain(G.DomainSpec.levelset("x", 0.1, 2, (-1.0, 1.0)))
 
-    def test_node_cap(self):
+    def test_node_cap(self, monkeypatch):
         # default cap is ~128^3 nodes; a 0.01-spaced ball grid exceeds it
         with pytest.raises(G.GeometryError, match="cap"):
             G.build_domain(G.DomainSpec.ball(1.0, 0.01))
-        # the cap can be tightened explicitly
-        with pytest.raises(G.GeometryError, match="cap"):
-            G.build_domain(G.DomainSpec.ball(1.0, 0.1), max_nodes=1000)
+        # build_domain reads the cap when it is called
+        monkeypatch.setattr(G, "DEFAULT_NODE_CAP", 1000)
+        with pytest.raises(G.GeometryError, match="cap 1000"):
+            G.build_domain(G.DomainSpec.ball(1.0, 0.1))
 
     def test_levelset_numeric_normals_match_exact(self):
         dom = G.build_domain(G.DomainSpec.levelset("x^2+y^2-1", 0.05, 2, (-1.5, 1.5)))

@@ -88,6 +88,9 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             O.TractionProblem(nu=np.array([1.0, 0.0, 0.0]),
                               t=np.array([0.0, 0.0, 1.0]), norm="op2")
+        # NORMS defines op2 in 2D only: a 3D op2 sweep fails in TractionProblem
+        with pytest.raises(ValueError, match="'op2' has no optimal stress in 3D"):
+            O.sweep_theta("op2", dim=3)
 
 
 class TestEkConstruction:
