@@ -12,7 +12,7 @@ from .geometry import (
     integrate_boundary,
     integrate_volume,
 )
-from .fields import ScalarField, SymTensorField, VectorField
+from .fields import Field
 from .laplace import (
     SolverError,
     divergence,
@@ -66,9 +66,7 @@ __all__ = [
     "build_domain",
     "integrate_boundary",
     "integrate_volume",
-    "ScalarField",
-    "VectorField",
-    "SymTensorField",
+    "Field",
     "SolverError",
     "solve_dirichlet",
     "gradient",

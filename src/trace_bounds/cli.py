@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import laplace, matnorm, optimal_bc, sobolev_trace as st, ld_trace as ld
 from .config import MIN_STEPS, STEPS_RULE, ConfigError, RunConfig, load_config
-from .fields import ScalarField, VectorField, write_csv
+from .fields import Field, write_csv
 from .geometry import CheckError, Domain, GeometryError, build_domain
 from .laplace import SolverError
 
@@ -44,27 +44,27 @@ EXIT_CHECK_FAILED = 4
 # verification batteries
 # ---------------------------------------------------------------------------
 
-def w11_battery_fields(domain: Domain) -> list[tuple[str, ScalarField]]:
+def w11_battery_fields(domain: Domain) -> list[tuple[str, Field]]:
     """Constant, polynomials to degree 3, a radial bump, a sign-changing field,
     and a near-boundary-concentrated field."""
     r2 = lambda p: np.sum(p * p, axis=1)
     phi_fn = domain.spec.levelset_function()
     phi_scale = max(1.0, float(np.abs(domain.phi).max()))
     fields = [
-        ("constant", ScalarField.constant(domain, 1.0)),
-        ("linear_x", ScalarField.from_function(domain, lambda p: p[:, 0])),
-        ("cubic_x3", ScalarField.from_function(domain, lambda p: p[:, 0] ** 3)),
-        ("radial_bump", ScalarField.from_function(
+        ("constant", Field.constant(domain, 1.0)),
+        ("linear_x", Field.from_function(domain, lambda p: p[:, 0])),
+        ("cubic_x3", Field.from_function(domain, lambda p: p[:, 0] ** 3)),
+        ("radial_bump", Field.from_function(
             domain, lambda p: np.exp(-4.0 * r2(p)))),
-        ("sign_changing", ScalarField.from_function(
+        ("sign_changing", Field.from_function(
             domain, lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)),
-        ("boundary_layer", ScalarField.from_function(
+        ("boundary_layer", Field.from_function(
             domain, lambda p: np.exp(np.asarray(phi_fn(p)) / (0.1 * phi_scale)))),
     ]
     return fields
 
 
-def ld_battery_fields(domain: Domain) -> list[tuple[str, VectorField]]:
+def ld_battery_fields(domain: Domain) -> list[tuple[str, Field]]:
     """Rigid, linear, pure shear, radial, and sign-changing vector fields."""
     dim = domain.dim
     if dim == 2:
@@ -72,36 +72,16 @@ def ld_battery_fields(domain: Domain) -> list[tuple[str, VectorField]]:
     else:
         rigid = ld.RigidField(a=np.array([0.3, -0.2, 0.1]),
                               b=np.array([0.2, -0.3, 1.0]))
-
-    def padded(fn):
-        def wrap(p):
-            out = np.zeros_like(p)
-            fn(p, out)
-            return out
-        return wrap
-
-    def linear(p, out):
-        out[:, 0] = p[:, 0]
-
-    def shear(p, out):
-        out[:, 0] = p[:, 1]
-
-    def radial(p, out):
-        out[:] = p
-
-    def signchg(p, out):
-        out[:, 0] = p[:, 0] ** 2 - p[:, 1] ** 2
-        out[:, 1] = p[:, 0] * p[:, 1]
-        if out.shape[1] == 3:
-            out[:, 2] = p[:, 2] * p[:, 0]
-
-    return [
-        ("rigid", rigid.as_vector_field(domain)),
-        ("linear", VectorField.from_function(domain, padded(linear))),
-        ("pure_shear", VectorField.from_function(domain, padded(shear))),
-        ("radial", VectorField.from_function(domain, padded(radial))),
-        ("sign_changing", VectorField.from_function(domain, padded(signchg))),
-    ]
+    zeros = lambda p: np.zeros((len(p), dim - 1))
+    return [("rigid", rigid.as_vector_field(domain))] + [
+        (name, Field.from_function(domain, fn)) for name, fn in (
+            ("linear", lambda p: np.column_stack([p[:, 0], zeros(p)])),
+            ("pure_shear", lambda p: np.column_stack([p[:, 1], zeros(p)])),
+            ("radial", lambda p: p),
+            # (x^2 - y^2, xy[, zx]): the zx column is empty in 2D
+            ("sign_changing", lambda p: np.column_stack(
+                [p[:, 0] ** 2 - p[:, 1] ** 2, p[:, 0] * p[:, 1], p[:, 2:] * p[:, :1]])),
+        )]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +213,7 @@ def _task_matnorm(config: RunConfig, checks: _Checks, outdir: str) -> dict:
     return out
 
 
-def _checked_sweep(checks: _Checks, norm: str, steps: int, dim: int,
+def _checked_sweep(checks: _Checks, norm: str, steps: int, dim: int | None,
                    brute_force: bool, path: str | None) -> dict:
     """optimal_bc.sweep_theta, written to ``path`` as CSV if given; for a norm with
     a worst case D, checks the brute force (if run) and that the maximum is D."""
@@ -380,7 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="sweep the optimal-stress angle")
     p_sweep.add_argument("--norm", choices=tuple(optimal_bc.NORMS), required=True)
     p_sweep.add_argument("--steps", type=_sweep_steps, default=RunConfig.steps)
-    p_sweep.add_argument("--dim", type=int, choices=(2, 3), help="default: the norm's largest")
+    p_sweep.add_argument("--dim", type=int, choices=(2, 3),
+                         help="default: the norm's largest (optimal_bc.sweep_theta)")
     p_sweep.add_argument("--output", help="CSV output path")
     p_sweep.add_argument("--brute-force", action="store_true",
                          help="also run the grid-search oracle")
@@ -424,13 +405,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "sweep-theta":
         dims = optimal_bc.NORMS[args.norm][0]
-        dim = args.dim or max(dims)
-        if dim not in dims:
+        if args.dim is not None and args.dim not in dims:
             print(f"config error: norm {args.norm} is defined in "
-                  f"{', '.join(f'{d}D' for d in dims)}, not {dim}D", file=sys.stderr)
+                  f"{', '.join(f'{d}D' for d in dims)}, not {args.dim}D", file=sys.stderr)
             return EXIT_CONFIG
         checks = _Checks()
-        sweep = _checked_sweep(checks, args.norm, args.steps, dim,
+        sweep = _checked_sweep(checks, args.norm, args.steps, args.dim,
                                args.brute_force, args.output)
         print(f"max closed-form value: {sweep['max_closed_form']!r}")
         if args.brute_force:

@@ -128,7 +128,10 @@ def parse_config(text: str) -> RunConfig:
                 **_given(pairs, dim=int, bbox=_floats))
         else:
             dim, keys, _ = SHAPES[kind]
-            sizes = tuple((key, float(pairs.pop(key, 0) or 0)) for key in keys)
+            missing = [key for key in keys if not pairs.get(key)]
+            if missing:
+                raise ConfigError(f"missing required key {missing[0]!r}")
+            sizes = tuple((key, float(pairs.pop(key))) for key in keys)
             domain = DomainSpec(kind=kind, h=h_levels[0], dim=dim, sizes=sizes)
         config = RunConfig(domain=domain, h_levels=h_levels, **_given(
             pairs, norm=str, tasks=_names, output=str, seed=int, samples=int, steps=int))

@@ -51,11 +51,22 @@ Every harmonic object the trace bounds need is a linear combination of
 harmonic extensions of monomials in the outward normal: H[nu_a] (the normal
 field) and H[nu_a nu_b nu_c] (the optimal e_k stresses). Each such extension
 is solved at most once per domain and memoized on the operator, as are the
-per-axis sparse difference stencils that every gradient, divergence and
-boundary extrapolation is a product with. Since |nu|^2 = 1, H[nu_a] =
+per-axis sparse difference stencils. Since |nu|^2 = 1, H[nu_a] =
 sum_b H[nu_a nu_b nu_b], so one member of each such identity is the signed
 sum of the others: 10 solves give all 13 extensions in 3D, 4 give all 6 in
 2D.
+
+Every difference operator starts from one primitive, ``_derivative``: a
+field's interior-then-boundary values, stacked as (N + M, k) columns (one
+per entry of a value), go through one axis's derivative stencil in one
+sparse product. The gradient and ld_trace's strain take every entry along
+every axis (``_derivatives``, shaped (N, *s, dim)); the divergence, of a
+vector or row by row of a tensor, takes only the entries it sums: those
+with last index j, along axis j. ``extrapolate_to_boundary`` takes (N, *s)
+interior values onto the boundary nodes the same way, one product per axis.
+A row of a stencil adds its terms in the order the difference formulas do,
+and a stacked product adds each column's terms in that same order, so every
+entry is bit-identical to differencing that entry on its own.
 
 One ``_Operator`` per domain, the only entry of ``Domain._cache``, owns
 everything this module derives for that domain: the colour blocks of the
@@ -77,7 +88,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import ScalarField, SymTensorField, VectorField
+from .fields import Field
 from .geometry import CheckError, Domain, GeometryError
 
 __all__ = [
@@ -261,7 +272,7 @@ class _Operator:
         rows = np.broadcast_to(np.arange(n), ends.shape)
         self.boundary_coupling = sp.csc_matrix(
             (coeff[~inner], (rows[~inner], ends[~inner] - n)), shape=(n, domain.n_boundary))
-        self.monomials: dict[tuple[int, ...], ScalarField] = {}
+        self.monomials: dict[tuple[int, ...], Field] = {}
         self.record = {"solves": 0, "iterations": 0, "max_residual": 0.0,
                        "max_principle_violation": 0.0}
 
@@ -373,7 +384,7 @@ class _Operator:
         self.record["iterations"] += iterations
         return u
 
-    def solve(self, boundary_values: np.ndarray) -> ScalarField:
+    def solve(self, boundary_values: np.ndarray) -> Field:
         domain = self.domain
         g = np.asarray(boundary_values, dtype=float)
         if g.shape != (domain.n_boundary,):
@@ -391,7 +402,7 @@ class _Operator:
         u[self.red] = (red_rhs - self.red_black @ u[self.black]) / self.red_diag
         return self.verified(u, g, solved=True)
 
-    def verified(self, u: np.ndarray, g: np.ndarray, solved: bool) -> ScalarField:
+    def verified(self, u: np.ndarray, g: np.ndarray, solved: bool) -> Field:
         """The field with interior values u and boundary values g, once u passes
         the residual and maximum-principle checks of a solve with data g; both
         are recorded, and ``solved`` counts it as a solve."""
@@ -403,22 +414,24 @@ class _Operator:
                 residual=residual)
         self.record["solves"] += int(solved)
         self.record["max_residual"] = max(self.record["max_residual"], residual)
-        field = ScalarField(self.domain, u, g)
+        field = Field(self.domain, u, g)
         _check_max_principle(field)
         return field
 
 
-def _check_max_principle(field: ScalarField) -> float:
+def _check_max_principle(field: Field) -> float:
     """Relative amount by which interior values leave the data range at the axis
-    crossings (the Dirichlet constraint points); recorded in the field's domain
+    crossings (the Dirichlet constraint points), the worst over the field's
+    entries, each relative to its own data; recorded in the field's domain
     record, and fatal above tolerance."""
-    u = field.interior
-    constrained = field.boundary[field.domain.boundary_is_axis]
-    gscale = max(np.abs(constrained).max(), 1e-300) if constrained.size else 1e-300
+    k = int(np.prod(field.shape))
+    u = field.interior.reshape(-1, k)
+    constrained = field.boundary[field.domain.boundary_is_axis].reshape(-1, k)
     violation = 0.0
     if u.size and constrained.size:
-        violation = max(u.max() - constrained.max(), constrained.min() - u.min())
-        violation = max(0.0, violation / gscale)
+        for values, data in zip(u.T, constrained.T):
+            excess = max(values.max() - data.max(), data.min() - values.min())
+            violation = max(violation, excess / max(np.abs(data).max(), 1e-300))
     record = _operator(field.domain).record
     record["max_principle_violation"] = max(record["max_principle_violation"],
                                             violation)
@@ -449,7 +462,7 @@ def solver_stats(*domains: Domain) -> dict:
                 (r["max_principle_violation"] for r in records), default=0.0)}
 
 
-def solve_dirichlet(domain: Domain, boundary_values) -> ScalarField:
+def solve_dirichlet(domain: Domain, boundary_values) -> Field:
     """Solve lap(u)=0 with u = boundary_values on the boundary nodes."""
     return _operator(domain).solve(np.asarray(boundary_values, dtype=float))
 
@@ -471,7 +484,7 @@ def _identity_terms(key: tuple[int, ...], dim: int) -> list[tuple[float, tuple]]
     return [(1.0, (a,))] + [(-1.0, _cubic(a, c)) for c in range(dim) if c != b]
 
 
-def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> ScalarField:
+def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> Field:
     """Harmonic extension H[nu_a nu_b ...] of a product of normal components,
     memoized per domain under the sorted axis tuple.
 
@@ -498,60 +511,84 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> ScalarField:
 # difference operators
 # ---------------------------------------------------------------------------
 
-def _derivative_interior(field: ScalarField, axis: int) -> np.ndarray:
-    """Second-order non-uniform 3-point first derivative along one axis."""
-    derivative, denominator, *_ = _operator(field.domain).stencils[axis]
-    return derivative @ np.concatenate([field.interior, field.boundary]) / denominator
+def _derivative(domain: Domain, interior: np.ndarray, boundary: np.ndarray,
+                axis: int) -> np.ndarray:
+    """Second-order non-uniform 3-point derivative along one axis at the
+    interior nodes, (N, *s), of values given at the interior (N, *s) and
+    boundary (M, *s) nodes: their columns stacked as (N + M, k) go through
+    the axis's stencil in one sparse product."""
+    derivative, denominator, *_ = _operator(domain).stencils[axis]
+    values = np.concatenate([interior, boundary])
+    d = derivative @ values.reshape(len(values), -1)
+    d /= denominator[:, None]
+    return d.reshape(interior.shape)
+
+
+def _derivatives(field: Field) -> np.ndarray:
+    """(N, *s, dim) first derivatives of every entry at the interior nodes:
+    entry [..., a] is the derivative along axis a."""
+    domain = field.domain
+    d = np.empty((domain.n_interior, *field.shape, domain.dim))
+    for axis in range(domain.dim):
+        d[..., axis] = _derivative(domain, field.interior, field.boundary, axis)
+    return d
 
 
 def extrapolate_to_boundary(domain: Domain, interior_values: np.ndarray) -> np.ndarray:
-    """Linear extrapolation of an interior nodal field onto the boundary nodes.
+    """Linear extrapolation of (N, *s) interior nodal values onto the boundary
+    nodes, as (M, *s) values.
 
     Each boundary node takes the value at its nearest interior node plus a
     first-order correction from that node's interior-only gradient: the
     outward continuation used to evaluate derived quantities (divergences)
     on the boundary itself.
     """
-    interior_values = np.asarray(interior_values, dtype=float)
-    correction = np.column_stack([grad @ interior_values / divisor * offset for _, _, grad,
-                                  divisor, offset in _operator(domain).stencils])
-    return interior_values[domain.boundary_nearest] + np.sum(correction, axis=1)
+    values = np.asarray(interior_values, dtype=float)
+    columns = values.reshape(len(values), -1)
+    # in place, so a tensor's columns need no more than two (M, k) arrays
+    correction = None
+    for _, _, grad, divisor, offset in _operator(domain).stencils:
+        term = grad @ columns
+        term /= divisor[:, None]
+        term *= offset[:, None]
+        correction = term if correction is None else np.add(correction, term, out=correction)
+    correction = correction.reshape(-1, *values.shape[1:])
+    correction += values[domain.boundary_nearest]
+    return correction
 
 
-def _with_boundary(domain: Domain, interior_values: np.ndarray) -> ScalarField:
+def _with_boundary(domain: Domain, interior_values: np.ndarray) -> Field:
     """Interior values plus their extrapolation onto the boundary nodes."""
-    return ScalarField(domain, interior_values,
-                       extrapolate_to_boundary(domain, interior_values))
+    return Field(domain, interior_values, extrapolate_to_boundary(domain, interior_values))
 
 
-def gradient(field: ScalarField) -> VectorField:
-    """Componentwise first derivatives; boundary values linearly extrapolated."""
-    return VectorField(tuple(_with_boundary(field.domain, _derivative_interior(field, ax))
-                             for ax in range(field.domain.dim)))
+def gradient(field: Field) -> Field:
+    """First derivatives of a scalar field; boundary values linearly extrapolated."""
+    return _with_boundary(field.domain, _derivatives(field))
 
 
-def divergence(field: VectorField) -> ScalarField:
-    """Sum of the componentwise derivatives d(component_i)/dx_i."""
+def divergence(field: Field) -> Field:
+    """Divergence over the last index: sum_i d(v_i)/dx_i of a vector field, and
+    of a tensor field the row divergence (see tensor_divergence)."""
     return _with_boundary(field.domain, sum(
-        _derivative_interior(c, ax) for ax, c in enumerate(field.components)))
+        _derivative(field.domain, field.interior[..., i], field.boundary[..., i], i)
+        for i in range(field.domain.dim)))
 
 
-def tensor_divergence(field: SymTensorField) -> VectorField:
-    """Row divergence (div sigma)_i = d sigma_ij / dx_j of a symmetric tensor."""
-    return VectorField(tuple(
-        _with_boundary(field.domain, sum(_derivative_interior(field.component(i, j), j)
-                                         for j in range(field.dim)))
-        for i in range(field.dim)))
+def tensor_divergence(field: Field) -> Field:
+    """Row divergence (div sigma)_i = d sigma_ij / dx_j of a symmetric tensor
+    field: the divergence over its last index."""
+    return divergence(field)
 
 
-def laplacian(field: ScalarField) -> np.ndarray:
+def laplacian(field: Field) -> np.ndarray:
     """Discrete Shortley-Weller Laplacian at the interior nodes, using the
     field's boundary values."""
     op = _operator(field.domain)
     return op.boundary_coupling @ field.boundary - op.apply(field.interior)
 
 
-def sup_norm(field: ScalarField, region: str = "closure") -> float:
+def sup_norm(field: Field, region: str = "closure") -> float:
     """Max of |values| over the requested node set."""
     if region == "interior":
         values = field.interior

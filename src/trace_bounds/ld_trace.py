@@ -15,6 +15,11 @@ e_k (x) nu, so each component combines the normal-monomial extensions that
 the laplace module memoizes once per domain:
 H[sigma^k_ij] = -H[nu_i nu_j nu_k] + delta_jk H[nu_i] + delta_ik H[nu_j].
 
+Vectors and tensors are fields.Field values shaped (dim,) and (dim, dim); a
+symmetric tensor (sigma^k, eps(w)) is stored as its full matrix. eps(w) is
+the laplace module's stencil derivatives of all components at once,
+symmetrized at the interior nodes and then extrapolated to the boundary.
+
 Tensor-field L1 norms use the all-ordered-pairs convention (off-diagonal
 components count twice), consistent with the Frobenius identification.
 """
@@ -26,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import laplace, optimal_bc
-from .fields import ScalarField, SymTensorField, VectorField, sym_index_pairs
+from .fields import Field
 from .geometry import CheckError, Domain, integrate_boundary, integrate_volume
 from .sobolev_trace import TraceReport, discretization_estimate
 
@@ -76,23 +81,20 @@ class RigidField:
             return self.a[None, :] + self.b * rot
         return self.a[None, :] + np.cross(np.broadcast_to(self.b, points.shape), points)
 
-    def as_vector_field(self, domain: Domain) -> VectorField:
-        return VectorField.from_function(domain, self.evaluate)
+    def as_vector_field(self, domain: Domain) -> Field:
+        return Field.from_function(domain, self.evaluate)
 
 
-def strain(w: VectorField) -> SymTensorField:
-    """eps(w)_ij = (d_j w_i + d_i w_j) / 2 via the stencil derivatives."""
-    domain = w.domain
-    derivs = {}
-    for i in range(domain.dim):
-        for ax in range(domain.dim):
-            derivs[(i, ax)] = laplace._derivative_interior(w.components[i], ax)
-    return SymTensorField(tuple(
-        laplace._with_boundary(domain, 0.5 * (derivs[(i, j)] + derivs[(j, i)]))
-        for (i, j) in sym_index_pairs(domain.dim)), domain.dim)
+def strain(w: Field) -> Field:
+    """eps(w)_ij = (d_j w_i + d_i w_j) / 2 via the stencil derivatives,
+    symmetrized at the interior nodes and then extrapolated."""
+    eps = laplace._derivatives(w)
+    eps += eps.swapaxes(1, 2)   # NumPy reads overlapping operands as copies
+    eps *= 0.5
+    return Field(w.domain, eps, laplace.extrapolate_to_boundary(w.domain, eps))
 
 
-def rigid_projection(domain: Domain, w: VectorField, region: str = "interior") -> RigidField:
+def rigid_projection(domain: Domain, w: Field, region: str = "interior") -> RigidField:
     """Project onto rigid fields: b = I^{-1} int (x - c) cross w, a = mean(w) - b x c.
 
     U is the interior (volume quadrature) or the boundary (surface
@@ -103,11 +105,11 @@ def rigid_projection(domain: Domain, w: VectorField, region: str = "interior") -
     dim = domain.dim
     if region == "interior":
         pos = domain.interior_coords
-        vals = w.interior_matrix()
+        vals = w.interior
         quad = lambda f: integrate_volume(domain, f)
     elif region == "boundary":
         pos = domain.boundary_pos
-        vals = w.boundary_matrix()
+        vals = w.boundary
         quad = lambda f: integrate_boundary(domain, f)
     else:
         raise ValueError(f"unknown region {region!r}")
@@ -140,23 +142,22 @@ def rigid_projection(domain: Domain, w: VectorField, region: str = "interior") -
     return RigidField(a=a, b=b)
 
 
-def ld_norm(w: VectorField) -> float:
+def ld_norm(w: Field) -> float:
     """||w||_1 + ||eps(w)||_1 with the all-ordered-pairs tensor convention."""
     return _l1_vector(w) + _l1_tensor(strain(w))
 
 
-def _l1_vector(w: VectorField) -> float:
-    domain = w.domain
-    return float(sum(integrate_volume(domain, np.abs(c.interior))
-                     for c in w.components))
+def _l1_vector(w: Field) -> float:
+    return float(sum(integrate_volume(w.domain, np.abs(w.interior[:, i]))
+                     for i in range(w.domain.dim)))
 
 
-def _l1_tensor(t: SymTensorField) -> float:
-    domain = t.domain
+def _l1_tensor(t: Field) -> float:
+    """Each off-diagonal pair counted twice, as its (i, j), i < j entry doubled."""
     total = 0.0
-    for sf, (i, j) in zip(t.components, sym_index_pairs(t.dim)):
+    for i, j in zip(*np.triu_indices(t.domain.dim)):
         weight = 1.0 if i == j else 2.0
-        total += weight * integrate_volume(domain, np.abs(sf.interior))
+        total += weight * integrate_volume(t.domain, np.abs(t.interior[:, i, j]))
     return float(total)
 
 
@@ -180,7 +181,7 @@ class EkTensorDiagnostics:
     max_principle_gap: float         # max over components of closure sup - boundary sup
 
 
-def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[SymTensorField, EkTensorDiagnostics]:
+def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[Field, EkTensorDiagnostics]:
     """Harmonic extension of the optimal e_k boundary tensor, assembled from the
     memoized normal-monomial extensions with the exact tensor as boundary values.
 
@@ -201,35 +202,32 @@ def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[SymTensorField, EkTensor
     if compat > 1e-12:
         raise CheckError(f"boundary tensor compatibility violated: {compat:.3e}")
 
-    comps = []
+    interior = np.empty((domain.n_interior, domain.dim, domain.dim))
     gap = 0.0
-    for (i, j) in sym_index_pairs(domain.dim):
-        interior = -laplace._normal_monomial(domain, (i, j, k)).interior
+    for i, j in zip(*np.triu_indices(domain.dim)):
+        entry = -laplace._normal_monomial(domain, (i, j, k)).interior
         if j == k:
-            interior = interior + laplace._normal_monomial(domain, (i,)).interior
+            entry = entry + laplace._normal_monomial(domain, (i,)).interior
         if i == k:
-            interior = interior + laplace._normal_monomial(domain, (j,)).interior
-        comps.append(ScalarField(domain, interior, tensors[:, i, j]))
-        laplace._check_max_principle(comps[-1])
-        sup_b = np.abs(comps[-1].boundary).max()
-        sup_c = max(sup_b, np.abs(comps[-1].interior).max())
-        gap = max(gap, sup_c - sup_b)
-    sigma = SymTensorField(tuple(comps), domain.dim)
+            entry = entry + laplace._normal_monomial(domain, (j,)).interior
+        interior[:, i, j] = interior[:, j, i] = entry
+        sup_b = np.abs(tensors[:, i, j]).max()
+        gap = max(gap, max(sup_b, np.abs(entry).max()) - sup_b)
+    sigma = Field(domain, interior, tensors)
+    laplace._check_max_principle(sigma)
 
-    interior = sigma.interior_matrices()
-    boundary = sigma.boundary_matrices()
-    sup_entry_b = float(np.abs(boundary).max())
+    sup_entry_b = float(np.abs(tensors).max())
     sup_entry_c = max(sup_entry_b, float(np.abs(interior).max()))
     frame_inf_b = float(optimal_bc.ek_frame_inf_values(domain, k).max())
 
     div = laplace.tensor_divergence(sigma)
     div_b, div_c = laplace.check_sup_on_boundary(
         "divergence", domain,
-        np.max([np.abs(c.interior) for c in div.components], axis=0),
-        np.max([np.abs(c.boundary) for c in div.components], axis=0))
+        np.max([np.abs(c) for c in div.interior.T], axis=0),
+        np.max([np.abs(c) for c in div.boundary.T], axis=0))
     vec2_b, vec2_c = laplace.check_sup_on_boundary(
         "Frobenius", domain, np.sqrt((interior ** 2).sum(axis=(1, 2))),
-        np.sqrt((boundary ** 2).sum(axis=(1, 2))))
+        np.sqrt((tensors ** 2).sum(axis=(1, 2))))
 
     diag = EkTensorDiagnostics(
         k=k, compat_error=float(compat),
@@ -291,11 +289,11 @@ def ld_bounds(domain: Domain, norm: str = "vec2") -> LDBoundReport:
                          A=float(A), B=float(B), per_k=tuple(diags))
 
 
-def verify_ld_trace_inequality(domain: Domain, w: VectorField,
+def verify_ld_trace_inequality(domain: Domain, w: Field,
                                report: LDBoundReport) -> TraceReport:
     """Slack of sum_i int_bnd |w_i| <= A ||eps(w)||_1 + B ||w||_1."""
-    lhs = float(sum(integrate_boundary(domain, np.abs(c.boundary))
-                    for c in w.components))
+    lhs = float(sum(integrate_boundary(domain, np.abs(w.boundary[:, i]))
+                    for i in range(domain.dim)))
     strain_term = report.A * _l1_tensor(strain(w))
     mass_term = report.B * _l1_vector(w)
     eps = discretization_estimate(domain.h, lhs, strain_term, mass_term)
@@ -304,39 +302,38 @@ def verify_ld_trace_inequality(domain: Domain, w: VectorField,
                        eps_disc=eps, h=domain.h)
 
 
-def _virtual_work_integrands(domain: Domain, sigma: SymTensorField,
-                             w: VectorField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _virtual_work_integrands(domain: Domain, sigma: Field,
+                             w: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrands of the three terms: weighted sigma_ij eps_ij (one interior row
-    per component pair), boundary flux sigma_ij w_i nu_j, interior (div sigma) . w."""
+    per (i, j), i <= j pair), boundary flux sigma_ij w_i nu_j, interior
+    (div sigma) . w."""
     eps = strain(w)
     contraction = np.stack([
-        (1.0 if i == j else 2.0) * sigma.component(i, j).interior
-        * eps.component(i, j).interior
-        for (i, j) in sym_index_pairs(domain.dim)])
-    flux = np.einsum("mij,mi,mj->m", sigma.boundary_matrices(), w.boundary_matrix(),
-                     domain.boundary_normal)
+        (1.0 if i == j else 2.0) * sigma.interior[:, i, j] * eps.interior[:, i, j]
+        for i, j in zip(*np.triu_indices(domain.dim))])
+    flux = np.einsum("mij,mi,mj->m", sigma.boundary, w.boundary, domain.boundary_normal)
     div = laplace.tensor_divergence(sigma)
-    work = np.sum(div.interior_matrix() * w.interior_matrix(), axis=1)
+    work = np.sum(div.interior * w.interior, axis=1)
     return contraction, flux, work
 
 
-def virtual_work_terms(domain: Domain, sigma: SymTensorField,
-                       w: VectorField) -> tuple[float, float, float]:
+def virtual_work_terms(domain: Domain, sigma: Field,
+                       w: Field) -> tuple[float, float, float]:
     """(int sigma:eps(w), int_bnd sigma_ij w_i nu_j, int (div sigma) . w)."""
     contraction, flux, work = _virtual_work_integrands(domain, sigma, w)
     return (integrate_volume(domain, contraction.sum(axis=0)),
             integrate_boundary(domain, flux), integrate_volume(domain, work))
 
 
-def virtual_work_residual(domain: Domain, sigma: SymTensorField,
-                          w: VectorField) -> float:
+def virtual_work_residual(domain: Domain, sigma: Field,
+                          w: Field) -> float:
     """|int sigma:eps(w) - (int_bnd sigma w . nu - int (div sigma) . w)|."""
     lhs, boundary_term, div_term = virtual_work_terms(domain, sigma, w)
     return abs(lhs - (boundary_term - div_term))
 
 
-def virtual_work_scale(domain: Domain, sigma: SymTensorField,
-                       w: VectorField) -> float:
+def virtual_work_scale(domain: Domain, sigma: Field,
+                       w: Field) -> float:
     """Absolute-integrand mass of the three terms; the right yardstick for
     relative residuals when the signed integrals cancel by symmetry."""
     contraction, flux, work = _virtual_work_integrands(domain, sigma, w)

@@ -220,10 +220,15 @@ def brute_force_optimal(problems: TractionProblem | Sequence[TractionProblem]) -
     return sigma[0] if single else sigma
 
 
-def sweep_theta(norm: str, steps: int = 91, dim: int = 3,
+def sweep_theta(norm: str, steps: int = 91, dim: int | None = None,
                 brute_force: bool = False) -> dict:
     """Closed-form optimal values over theta in [0, pi/2] (optionally brute force,
-    with up to ``_BRUTE_FORCE_BATCH`` candidate matrices per stack)."""
+    with up to ``_BRUTE_FORCE_BATCH`` candidate matrices per stack), in ``dim``
+    dimensions: by default the largest the norm is defined in (NORMS)."""
+    if dim is None:
+        if norm not in NORMS:
+            raise ValueError(f"unsupported norm {norm!r}")
+        dim = max(NORMS[norm][0])
     thetas = np.linspace(0.0, math.pi / 2.0, steps)
     nu = np.zeros(dim)
     nu[0] = 1.0
@@ -255,7 +260,8 @@ def sweep_theta(norm: str, steps: int = 91, dim: int = 3,
 
 def worst_case_D(norm: str) -> float:
     """sup over unit tractions of the optimal stress norm: the closed form in
-    NORMS (D_2 = sqrt 2, D_inf = 1), checked against the sweep_theta maximum."""
+    NORMS (D_2 = sqrt 2, D_inf = 1). The sweep-theta command and the run
+    task's sweep check it against the sweep_theta maximum (cli._checked_sweep)."""
     D = NORMS.get(norm, ((), None))[1]
     if D is None:
         raise ValueError(f"no closed-form worst case D for norm {norm!r}")

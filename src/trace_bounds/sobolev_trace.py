@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import laplace
-from .fields import ScalarField, VectorField
+from .fields import Field
 from .geometry import CheckError, Domain, integrate_boundary, integrate_volume
 
 __all__ = [
@@ -52,8 +52,8 @@ class NormalFieldError(CheckError):
 class NormalField:
     """Harmonic extension of the outward normal with its divergence data."""
 
-    field: VectorField
-    divergence: ScalarField
+    field: Field
+    divergence: Field
     sup_div_boundary: float
     sup_div_closure: float
 
@@ -66,15 +66,16 @@ def harmonic_normal_field(domain: Domain) -> NormalField:
     """Assemble n0 from the harmonic extensions H[nu_j] and validate Def.-style
     normal-field conditions: boundary values equal nu, |n0| <= 1 (+5h) on the
     closure, and the divergence attains its closure sup on the boundary."""
-    comps = tuple(laplace._normal_monomial(domain, (j,)) for j in range(domain.dim))
-    n0 = VectorField(comps)
+    comps = [laplace._normal_monomial(domain, (j,)) for j in range(domain.dim)]
+    n0 = Field(domain, np.stack([c.interior for c in comps], axis=1),
+               np.stack([c.boundary for c in comps], axis=1))
 
-    bnd_err = np.abs(n0.boundary_matrix() - domain.boundary_normal).max()
+    bnd_err = np.abs(n0.boundary - domain.boundary_normal).max()
     if bnd_err > 1e-9:
         raise NormalFieldError(
             f"normal field boundary condition violated by {bnd_err:.3e}")
 
-    magnitude = n0.euclidean_norm_interior()
+    magnitude = np.linalg.norm(n0.interior, axis=1)
     limit = 1.0 + 5.0 * domain.h
     if magnitude.size and magnitude.max() > limit:
         where = domain.interior_coords[int(magnitude.argmax())]
@@ -122,14 +123,14 @@ def discretization_estimate(h: float, *magnitudes: float) -> float:
     return EPS_DISC_COEFF * h * sum(abs(m) for m in magnitudes)
 
 
-def verify_trace_inequality(domain: Domain, phi: ScalarField,
+def verify_trace_inequality(domain: Domain, phi: Field,
                             B: float | None = None) -> TraceReport:
     """Evaluate the three integrals and the slack for one scalar field."""
     if B is None:
         B = sobolev_B(domain)
     lhs = integrate_boundary(domain, np.abs(phi.boundary))
     grad = laplace.gradient(phi)
-    grad_mag = np.linalg.norm(grad.interior_matrix(), axis=1)
+    grad_mag = np.linalg.norm(grad.interior, axis=1)
     grad_term = integrate_volume(domain, grad_mag)
     mass_term = B * integrate_volume(domain, np.abs(phi.interior))
     eps = discretization_estimate(domain.h, lhs, grad_term, mass_term)
@@ -138,10 +139,9 @@ def verify_trace_inequality(domain: Domain, phi: ScalarField,
                        eps_disc=eps, h=domain.h)
 
 
-def divergence_identity_check(domain: Domain, n: VectorField,
-                              psi: ScalarField) -> float:
+def divergence_identity_check(domain: Domain, n: Field, psi: Field) -> float:
     """|int_bnd psi  -  int n . grad psi  -  int (div n) psi| for a normal field n."""
-    bnd_err = np.abs(n.boundary_matrix() - domain.boundary_normal).max()
+    bnd_err = np.abs(n.boundary - domain.boundary_normal).max()
     if bnd_err > 1e-6:
         raise NormalFieldError(
             f"field is not a normal field on the boundary (err {bnd_err:.3e})")
@@ -149,7 +149,7 @@ def divergence_identity_check(domain: Domain, n: VectorField,
     grad_psi = laplace.gradient(psi)
     transport = integrate_volume(
         domain,
-        np.sum(n.interior_matrix() * grad_psi.interior_matrix(), axis=1))
+        np.sum(n.interior * grad_psi.interior, axis=1))
     compression = integrate_volume(
         domain, laplace.divergence(n).interior * psi.interior)
     return abs(lhs - transport - compression)

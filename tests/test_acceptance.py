@@ -24,7 +24,7 @@ from trace_bounds import (
     sobolev_trace as S,
 )
 from trace_bounds.cli import ld_battery_fields, w11_battery_fields
-from trace_bounds.fields import ScalarField, VectorField
+from trace_bounds.fields import Field
 
 NECK_EXPR = ("min(min((x-1.1)^2+y^2-1,(x+1.1)^2+y^2-1),"
              "max(x^2-1.21,y^2-0.015625))")
@@ -106,7 +106,7 @@ def test_criterion_3_w11_trace_battery(disk, ellipse):
                      ("linear_x", lambda p: p[:, 0]),
                      ("sign_changing", lambda p: p[:, 0]**2 - p[:, 1]**2)):
         rep = S.verify_trace_inequality(
-            ellipse, ScalarField.from_function(ellipse, fn), B=B_ell)
+            ellipse, Field.from_function(ellipse, fn), B=B_ell)
         check(lines, f"ellipse_{name}", rep.slack >= -rep.eps_disc,
               f"slack {rep.slack:.4f} >= -eps_disc {-rep.eps_disc:.4f} (h=0.02)")
     finish(3, lines)
@@ -235,11 +235,11 @@ def test_criterion_8_structural_properties(disk, ball, ellipse, annulus, ball_fi
     for _ in range(100):
         rigid = LD.RigidField(a=rng.normal(size=2), b=float(rng.normal()))
         eps = LD.strain(rigid.as_vector_field(disk))
-        worst = max(worst, max(np.abs(c.interior).max() for c in eps.components))
+        worst = max(worst, np.abs(eps.interior).max())
     check(lines, "strain_of_rigid", worst <= 1e-10,
           f"max |eps(rigid)| = {worst:.2e} <= 1e-10 over 100 random rigid fields")
 
-    w = VectorField.from_function(
+    w = Field.from_function(
         disk, lambda p: np.stack([p[:, 0] ** 2 + 0.3, p[:, 1] - 0.1 * p[:, 0]],
                                  axis=1))
     once = LD.rigid_projection(disk, w)

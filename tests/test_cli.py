@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trace_bounds import cli, config as C, geometry as G
-from trace_bounds.fields import ScalarField, VectorField, field_to_csv
+from trace_bounds.fields import Field, field_to_csv
 from trace_bounds.ld_trace import harmonic_ek_tensor
 from trace_bounds.laplace import solve_dirichlet
 
@@ -19,6 +19,17 @@ norm = vec2
 tasks = sobolev
 seed = 1234
 """
+
+
+# configs that leave out a required key, or leave it empty, and the key the
+# error must name
+MISSING_KEY = {
+    "radius = 1.0\nh = 0.1": "kind",
+    "kind = disk\nradius = 1.0": "h",
+    "kind = disk\nh = 0.1": "radius",
+    "kind = disk\nradius =\nh = 0.1": "radius",
+    "kind = annulus\nr_in = 0.5\nh = 0.1": "r_out",
+}
 
 
 class TestConfigParsing:
@@ -77,9 +88,14 @@ h = 0.1
         "kind = disk\nradius = 1.0\nh = 0.1, 0",     # non-positive finer h
         "kind = disk\nradius = 1.0\nh = 0.1\nsamples = 0",
         "kind = disk\nradius = 1.0\nh = 0.1\nsteps = 0",
+        "kind = disk\nh = 0.1",                      # missing shape size
+        "kind = disk\nradius =\nh = 0.1",            # empty shape size
+        "kind = annulus\nr_in = 0.5\nh = 0.1",       # one of two sizes missing
     ])
     def test_rejects_malformed(self, text):
-        with pytest.raises(C.ConfigError):
+        key = MISSING_KEY.get(text)
+        with pytest.raises(C.ConfigError,
+                           match=key and f"missing required key '{key}'"):
             C.parse_config(text)
 
 
@@ -231,13 +247,11 @@ tasks = ld
 
         def spiked(field):
             div = real(field)
-            first = div.components[0]
-            node = first.interior.size // 3
+            node = len(div.interior) // 3
             spikes.append(field.domain.interior_coords[node].tolist())
-            interior = first.interior.copy()
-            interior[node] = 100.0 * np.abs(first.boundary).max()
-            return VectorField((ScalarField(first.domain, interior, first.boundary),)
-                               + div.components[1:])
+            interior = div.interior.copy()
+            interior[node, 0] = 100.0 * np.abs(div.boundary[:, 0]).max()
+            return Field(div.domain, interior, div.boundary)
 
         monkeypatch.setattr(laplace, "tensor_divergence", spiked)
         cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.04\ntasks = ld")
@@ -263,7 +277,7 @@ tasks = ld
             spikes.append(field.domain.interior_coords[node].tolist())
             interior = div.interior.copy()
             interior[node] = 100.0 * np.abs(div.boundary).max()
-            return ScalarField(div.domain, interior, div.boundary)
+            return Field(div.domain, interior, div.boundary)
 
         monkeypatch.setattr(laplace, "divergence", spiked)
         cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.04\ntasks = sobolev")
@@ -443,8 +457,14 @@ class TestExportPlotData:
         field_to_csv(sigma, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + disk_coarse.n_interior + disk_coarse.n_boundary
+        assert lines[0] == "x,y,node_type,c0,c1,c2"
+        # the (i, j), i <= j entries in row order, read back exactly
+        columns = np.array([[float(c) for c in line.split(",")[3:]] for line in lines[1:]])
+        values = np.concatenate([sigma.interior, sigma.boundary])
+        for c, (i, j) in enumerate([(0, 0), (0, 1), (1, 1)]):
+            assert np.array_equal(columns[:, c], values[:, i, j])
 
     def test_unwritable_path(self, tmp_path, disk_coarse):
-        f = ScalarField.constant(disk_coarse, 1.0)
+        f = Field.constant(disk_coarse, 1.0)
         with pytest.raises(OSError):
             field_to_csv(f, tmp_path / "no_dir" / "x.csv")

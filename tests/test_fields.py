@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -9,47 +7,42 @@ from trace_bounds.geometry import GeometryError
 
 def test_scalar_field_validation(disk):
     with pytest.raises(GeometryError):
-        F.ScalarField(disk, np.ones(3), np.ones(disk.n_boundary))
+        F.Field(disk, np.ones(3), np.ones(disk.n_boundary))
+    with pytest.raises(GeometryError, match="boundary values shape"):
+        F.Field(disk, np.ones(disk.n_interior), np.ones((disk.n_boundary, 2)))
     bad = np.ones(disk.n_interior)
     bad[0] = np.nan
     with pytest.raises(GeometryError):
-        F.ScalarField(disk, bad, np.ones(disk.n_boundary))
-
-
-def test_vector_field_shares_domain(disk, disk_coarse):
-    a = F.ScalarField.constant(disk, 1.0)
-    b = F.ScalarField.constant(disk_coarse, 1.0)
-    with pytest.raises(GeometryError):
-        F.VectorField((a, b))
-    with pytest.raises(GeometryError):
-        F.VectorField((a,))
-    # a replace copy is another domain, though its arrays are equal
-    copy = F.ScalarField.constant(dataclasses.replace(disk), 1.0)
-    with pytest.raises(GeometryError, match="share one domain"):
-        F.VectorField((a, copy))
-    assert F.VectorField((a, a)).domain is disk
+        F.Field(disk, bad, np.ones(disk.n_boundary))
 
 
 def test_sym_tensor_component_access(disk):
-    comps = tuple(F.ScalarField.constant(disk, float(v)) for v in (1, 2, 3))
-    t = F.SymTensorField(comps, 2)
-    assert t.component(0, 1).interior[0] == 2.0
-    assert t.component(1, 0).interior[0] == 2.0
-    m = t.interior_matrices()
-    assert m.shape == (disk.n_interior, 2, 2)
-    assert m[0, 0, 1] == m[0, 1, 0] == 2.0
+    t = F.Field.constant(disk, [[1.0, 2.0], [2.0, 3.0]])
+    assert t.shape == (2, 2)
+    assert t.interior.shape == (disk.n_interior, 2, 2)
+    assert t.interior[0, 0, 1] == t.interior[0, 1, 0] == 2.0
+    assert t.boundary[-1, 0, 1] == t.boundary[-1, 1, 0] == 2.0
+    # a symmetric tensor is stored as its full matrix, so both entries must agree
+    with pytest.raises(GeometryError, match="not symmetric"):
+        F.Field.constant(disk, [[1.0, 2.0], [2.5, 3.0]])
+    skew = np.zeros((disk.n_boundary, 2, 2))
+    skew[0, 0, 1] = 1e-300
+    with pytest.raises(GeometryError, match="not symmetric"):
+        F.Field(disk, t.interior, skew)
 
 
 def test_sym_tensor_dim_must_be_the_domains(disk, ball):
-    # six components make a 3D tensor, but not on a 2D domain (and three not on a 3D one)
+    # a 3x3 tensor does not fit a 2D domain, nor a 2x2 one a 3D domain, and a
+    # vector needs one component per axis
     for dom, dim in ((disk, 3), (ball, 2)):
-        comps = tuple(F.ScalarField.constant(dom, float(v)) for v in range(dim * (dim + 1) // 2))
-        with pytest.raises(GeometryError, match="dimension"):
-            F.SymTensorField(comps, dim)
+        for shape in ((dim, dim), (dim,)):
+            with pytest.raises(GeometryError, match="dimension"):
+                F.Field.constant(dom, np.ones(shape))
+    assert F.Field.constant(disk, [1.0, 2.0]).domain is disk
 
 
 def test_csv_export(tmp_path, disk_coarse):
-    f = F.ScalarField.from_function(disk_coarse, lambda p: p[:, 0])
+    f = F.Field.from_function(disk_coarse, lambda p: p[:, 0])
     path = tmp_path / "field.csv"
     F.field_to_csv(f, path)
     lines = path.read_text().splitlines()
@@ -58,7 +51,7 @@ def test_csv_export(tmp_path, disk_coarse):
 
 
 def test_vector_field_csv(tmp_path, disk_coarse):
-    f = F.VectorField.from_function(disk_coarse, lambda p: p)
+    f = F.Field.from_function(disk_coarse, lambda p: p)
     path = tmp_path / "vector.csv"
     F.field_to_csv(f, path)
     lines = path.read_text().splitlines()

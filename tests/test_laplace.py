@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 from trace_bounds import geometry as G, laplace as L, ld_trace as LD
 from trace_bounds import sobolev_trace as S
-from trace_bounds.fields import ScalarField, SymTensorField, VectorField, sym_index_pairs
+from trace_bounds.fields import Field
 from trace_bounds.geometry import GeometryError
 
 
@@ -416,12 +416,20 @@ class TestMaxPrinciple:
         n = dom.n_interior
         for inside in (0.5 * (lo + hi), lo, hi, hi + 0.5e-8 * scale,
                        lo - 0.5e-8 * scale):
-            field = ScalarField(dom, np.full(n, inside), g)
+            field = Field(dom, np.full(n, inside), g)
             assert L._check_max_principle(field) <= 1e-8
         for outside in (hi + 2e-8 * scale, lo - 2e-8 * scale):
-            field = ScalarField(dom, np.full(n, outside), g)
+            field = Field(dom, np.full(n, outside), g)
             with pytest.raises(L.SolverError):
                 L._check_max_principle(field)
+        # a vector field is checked entry by entry, each against its own data
+        mid = np.full(n, 0.5 * (lo + hi))
+        inside = Field(dom, np.column_stack([mid, 1e3 * mid]), np.column_stack([g, 1e3 * g]))
+        assert L._check_max_principle(inside) <= 1e-8
+        worst = Field(dom, np.column_stack([np.full(n, hi + 2e-8 * scale), 1e3 * mid]),
+                      np.column_stack([g, 1e3 * g]))
+        with pytest.raises(L.SolverError):
+            L._check_max_principle(worst)
         assert L.solver_stats(dom)["max_principle_violation"] > 1e-8
 
 
@@ -459,58 +467,61 @@ class TestSolveRecord:
         assert merged["iterations"] > 0
 
 
+def _harmonic_normal(dom):
+    """The vector field of the solves H[nu_j], one per axis."""
+    comps = [L.solve_dirichlet(dom, dom.boundary_normal[:, j]) for j in range(dom.dim)]
+    return Field(dom, np.stack([c.interior for c in comps], axis=1),
+                 np.stack([c.boundary for c in comps], axis=1))
+
+
 class TestOperators:
     def test_gradient_linear(self, disk):
-        f = ScalarField.from_function(disk, lambda p: p[:, 0])
+        f = Field.from_function(disk, lambda p: p[:, 0])
         g = L.gradient(f)
-        assert np.abs(g.components[0].interior - 1.0).max() < 1e-10
-        assert np.abs(g.components[1].interior).max() < 1e-10
+        assert np.abs(g.interior[:, 0] - 1.0).max() < 1e-10
+        assert np.abs(g.interior[:, 1]).max() < 1e-10
 
     def test_gradient_quadratic(self, disk):
-        f = ScalarField.from_function(disk, lambda p: p[:, 0]**2 + p[:, 1]**2)
+        f = Field.from_function(disk, lambda p: p[:, 0]**2 + p[:, 1]**2)
         g = L.gradient(f)
-        err0 = np.abs(g.components[0].interior - 2 * disk.interior_coords[:, 0]).max()
-        err1 = np.abs(g.components[1].interior - 2 * disk.interior_coords[:, 1]).max()
+        err0 = np.abs(g.interior[:, 0] - 2 * disk.interior_coords[:, 0]).max()
+        err1 = np.abs(g.interior[:, 1] - 2 * disk.interior_coords[:, 1]).max()
         assert max(err0, err1) <= 5 * disk.h
 
     def test_gradient_of_harmonic_solution(self, disk):
         u = L.solve_dirichlet(disk, disk.boundary_normal[:, 0])
         g = L.gradient(u)
-        assert np.abs(g.components[0].interior - 1.0).max() <= 10 * disk.h
-        assert np.abs(g.components[1].interior).max() <= 10 * disk.h
+        assert np.abs(g.interior[:, 0] - 1.0).max() <= 10 * disk.h
+        assert np.abs(g.interior[:, 1]).max() <= 10 * disk.h
 
     def test_divergence_identity_field(self, disk):
-        w = VectorField.from_function(disk, lambda p: p.copy())
+        w = Field.from_function(disk, lambda p: p.copy())
         div = L.divergence(w)
         assert np.abs(div.interior - 2.0).max() <= 5 * disk.h
 
     def test_divergence_rotation_free(self, disk):
-        w = VectorField.from_function(
+        w = Field.from_function(
             disk, lambda p: np.stack([p[:, 1], -p[:, 0]], axis=1))
         div = L.divergence(w)
         assert np.abs(div.interior).max() <= 5 * disk.h
 
     def test_divergence_harmonic_normal_ball(self, ball):
-        comps = tuple(L.solve_dirichlet(ball, ball.boundary_normal[:, j])
-                      for j in range(3))
-        div = L.divergence(VectorField(comps))
+        div = L.divergence(_harmonic_normal(ball))
         assert np.abs(div.interior - 3.0).max() <= 10 * ball.h
         assert np.abs(div.boundary - 3.0).max() <= 10 * ball.h
 
     def test_laplacian_quadratic_exact(self, disk):
-        f = ScalarField.from_function(disk, lambda p: p[:, 0]**2 + p[:, 1]**2)
+        f = Field.from_function(disk, lambda p: p[:, 0]**2 + p[:, 1]**2)
         lap = L.laplacian(f)
         assert np.abs(lap - 4.0).max() < 1e-6
 
     def test_subharmonicity_of_normal_magnitude(self, disk, ellipse):
         # |n0|^2 has nonnegative discrete Laplacian for harmonic n0
         for dom in (disk, ellipse):
-            comps = tuple(L.solve_dirichlet(dom, dom.boundary_normal[:, j])
-                          for j in range(2))
-            n0 = VectorField(comps)
-            mag2_i = n0.euclidean_norm_interior() ** 2
-            mag2_b = np.sum(n0.boundary_matrix() ** 2, axis=1)
-            lap = L.laplacian(ScalarField(dom, mag2_i, mag2_b))
+            n0 = _harmonic_normal(dom)
+            mag2_i = np.linalg.norm(n0.interior, axis=1) ** 2
+            mag2_b = np.sum(n0.boundary ** 2, axis=1)
+            lap = L.laplacian(Field(dom, mag2_i, mag2_b))
             assert lap.min() >= -1e-6 * max(1.0, np.abs(lap).max())
 
 
@@ -580,7 +591,13 @@ def _extrapolate(dom, values):
 
 
 def _with_boundary(dom, values):
-    return ScalarField(dom, values, _extrapolate(dom, values))
+    return Field(dom, values, _extrapolate(dom, values))
+
+
+def _entry(field, *index):
+    """Oracle input: one entry of the field's values, as a scalar field."""
+    at = (slice(None),) + index
+    return Field(field.domain, field.interior[at], field.boundary[at])
 
 
 def _sum_derivatives(fields_and_axes, n):
@@ -590,10 +607,13 @@ def _sum_derivatives(fields_and_axes, n):
     return vals
 
 
-def _assert_fields_equal(got, expect):
-    for g, e in zip(got, expect, strict=True):
-        assert np.array_equal(g.interior, e.interior)
-        assert np.array_equal(g.boundary, e.boundary)
+def _assert_entries_equal(got, expect):
+    """Every entry of got, interior and boundary, equals its scalar oracle in
+    expect, a dict keyed by the entry's index."""
+    assert set(expect) == set(np.ndindex(got.shape))
+    for index, e in expect.items():
+        assert np.array_equal(_entry(got, *index).interior, e.interior)
+        assert np.array_equal(_entry(got, *index).boundary, e.boundary)
 
 
 STENCIL_DOMAINS = ["disk", "ball", "annulus", "neck", "off_centre_ellipsoid"]
@@ -658,26 +678,28 @@ class TestStencils:
         dom = request.getfixturevalue(name)
         rng = np.random.default_rng(17)
         n, dim = dom.n_interior, dom.dim
-        rand = lambda: ScalarField(dom, rng.normal(size=n),
-                                   rng.normal(size=dom.n_boundary))
-        f = rand()
-        w = VectorField(tuple(rand() for _ in range(dim)))
-        sigma = SymTensorField(tuple(rand() for _ in sym_index_pairs(dim)), dim)
+        rand = lambda *s: (rng.normal(size=(n, *s)), rng.normal(size=(dom.n_boundary, *s)))
+        f, w = Field(dom, *rand()), Field(dom, *rand(dim))
+        sigma = Field(dom, *(t + t.swapaxes(1, 2) for t in rand(dim, dim)))
         values = rng.normal(size=n)
         assert np.array_equal(L.extrapolate_to_boundary(dom, values),
                               _extrapolate(dom, values))
-        _assert_fields_equal(L.gradient(f).components, [
-            _with_boundary(dom, _derivative_interior(f, ax)) for ax in range(dim)])
-        _assert_fields_equal([L.divergence(w)], [_with_boundary(dom, _sum_derivatives(
-            [(w.components[ax], ax) for ax in range(dim)], n))])
-        _assert_fields_equal(L.tensor_divergence(sigma).components, [
-            _with_boundary(dom, _sum_derivatives(
-                [(sigma.component(i, j), j) for j in range(dim)], n))
-            for i in range(dim)])
-        _assert_fields_equal(LD.strain(w).components, [
-            _with_boundary(dom, 0.5 * (_derivative_interior(w.components[i], j)
-                                       + _derivative_interior(w.components[j], i)))
-            for i, j in sym_index_pairs(dim)])
+        pairs = list(itertools.product(range(dim), repeat=2))
+        stacked = L.extrapolate_to_boundary(dom, sigma.interior)
+        for i, j in pairs:
+            assert np.array_equal(stacked[:, i, j], _extrapolate(dom, sigma.interior[:, i, j]))
+        _assert_entries_equal(L.gradient(f), {
+            (ax,): _with_boundary(dom, _derivative_interior(f, ax)) for ax in range(dim)})
+        _assert_entries_equal(L.divergence(w), {(): _with_boundary(dom, _sum_derivatives(
+            [(_entry(w, ax), ax) for ax in range(dim)], n))})
+        _assert_entries_equal(L.tensor_divergence(sigma), {
+            (i,): _with_boundary(dom, _sum_derivatives(
+                [(_entry(sigma, i, j), j) for j in range(dim)], n))
+            for i in range(dim)})
+        _assert_entries_equal(LD.strain(w), {
+            (i, j): _with_boundary(dom, 0.5 * (_derivative_interior(_entry(w, i), j)
+                                               + _derivative_interior(_entry(w, j), i)))
+            for i, j in pairs})
         stencils = vars(L._operator(dom))["stencils"]
         L.divergence(w)
         assert L._operator(dom).stencils is stencils
@@ -713,40 +735,33 @@ class TestStencils:
             for part in (field.interior, field.boundary):
                 assert np.abs(part - value).max() <= 1e-10
 
-        grad = L.gradient(ScalarField.from_function(dom, linear))
-        for ax, comp in enumerate(grad.components):
-            assert_const(comp, c[ax])
-        w = VectorField.from_function(dom, lambda p: p @ A.T)
+        assert_const(L.gradient(Field.from_function(dom, linear)), c)
+        w = Field.from_function(dom, lambda p: p @ A.T)
         assert_const(L.divergence(w), np.trace(A))
-        for (i, j), comp in zip(sym_index_pairs(dim), LD.strain(w).components):
-            assert_const(comp, 0.5 * (A[i, j] + A[j, i]))
-        sigma = SymTensorField(tuple(
-            ScalarField.from_function(dom, lambda p, i=i, j=j: S[i, j] * linear(p) + i)
-            for i, j in sym_index_pairs(dim)), dim)
-        for i, comp in enumerate(L.tensor_divergence(sigma).components):
-            assert_const(comp, S[i] @ c)
+        assert_const(LD.strain(w), 0.5 * (A + A.T))
+        sigma = Field.from_function(
+            dom, lambda p: S * linear(p)[:, None, None] + np.add.outer(np.arange(dim), np.arange(dim)))
+        assert_const(L.tensor_divergence(sigma), S @ c)
 
 
 class TestSupNorm:
     def test_linear_field(self, disk):
-        f = ScalarField.from_function(disk, lambda p: p[:, 0])
+        f = Field.from_function(disk, lambda p: p[:, 0])
         assert abs(L.sup_norm(f, "closure") - 1.0) <= disk.h
 
     def test_constant_exact(self, disk):
-        f = ScalarField.constant(disk, -2.5)
+        f = Field.constant(disk, -2.5)
         assert L.sup_norm(f, "closure") == 2.5
         assert L.sup_norm(f, "interior") == 2.5
         assert L.sup_norm(f, "boundary") == 2.5
 
     def test_divergence_sup_attained_on_boundary(self, ellipse):
-        comps = tuple(L.solve_dirichlet(ellipse, ellipse.boundary_normal[:, j])
-                      for j in range(2))
-        div = L.divergence(VectorField(comps))
+        div = L.divergence(_harmonic_normal(ellipse))
         sup_cl = L.sup_norm(div, "closure")
         sup_bnd = L.sup_norm(div, "boundary")
         assert sup_cl - sup_bnd <= 10 * ellipse.h * sup_cl
 
     def test_bad_region(self, disk):
-        f = ScalarField.constant(disk, 1.0)
+        f = Field.constant(disk, 1.0)
         with pytest.raises(ValueError):
             L.sup_norm(f, "everywhere")

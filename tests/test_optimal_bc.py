@@ -91,6 +91,20 @@ class TestClosedForm:
         # NORMS defines op2 in 2D only: a 3D op2 sweep fails in TractionProblem
         with pytest.raises(ValueError, match="'op2' has no optimal stress in 3D"):
             O.sweep_theta("op2", dim=3)
+        with pytest.raises(ValueError, match="unsupported norm 'op1'"):
+            O.sweep_theta("op1")
+
+    def test_sweep_dimension_defaults_to_the_norms_largest(self, monkeypatch):
+        default = O.sweep_theta("op2", steps=5, brute_force=True)
+        explicit = O.sweep_theta("op2", steps=5, dim=2, brute_force=True)
+        assert default.keys() == explicit.keys()
+        for key in default:
+            assert np.array_equal(default[key], explicit[key])
+        dims = []
+        exact = O.optimal_stress
+        monkeypatch.setattr(O, "optimal_stress", lambda p: dims.append(p.dim) or exact(p))
+        O.sweep_theta("vec2", steps=5)
+        assert dims == [3] * 5
 
 
 class TestEkConstruction:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trace_bounds import geometry as G, laplace as L, ld_trace as LD, sobolev_trace as S
-from trace_bounds.fields import ScalarField, VectorField
+from trace_bounds.fields import Field
 
 NECK_EXPR = ("min(min((x-1.1)^2+y^2-1,(x+1.1)^2+y^2-1),"
              "max(x^2-1.21,y^2-0.015625))")
@@ -30,23 +30,20 @@ def ellipse_nf(ellipse):
 class TestHarmonicNormalField:
     def test_disk_extends_identity(self, disk, disk_nf):
         # nu on the circle extends to n0(x) = x
-        err = np.abs(disk_nf.field.interior_matrix()
-                     - disk.interior_coords).max()
+        err = np.abs(disk_nf.field.interior - disk.interior_coords).max()
         assert err <= 5 * disk.h
         assert np.abs(disk_nf.divergence.interior - 2.0).max() <= 10 * disk.h
 
     def test_ball_extends_identity(self, ball, ball_nf):
-        err = np.abs(ball_nf.field.interior_matrix()
-                     - ball.interior_coords).max()
+        err = np.abs(ball_nf.field.interior - ball.interior_coords).max()
         assert err <= 5 * ball.h
         assert np.abs(ball_nf.divergence.interior - 3.0).max() <= 10 * ball.h
 
     def test_boundary_values_are_normals(self, disk, disk_nf):
-        assert np.abs(disk_nf.field.boundary_matrix()
-                      - disk.boundary_normal).max() < 1e-12
+        assert np.abs(disk_nf.field.boundary - disk.boundary_normal).max() < 1e-12
 
     def test_magnitude_bound(self, ellipse, ellipse_nf):
-        mags = ellipse_nf.field.euclidean_norm_interior()
+        mags = np.linalg.norm(ellipse_nf.field.interior, axis=1)
         assert mags.max() <= 1.0 + 5 * ellipse.h
 
     def test_divergence_sup_on_boundary(self, ellipse_nf):
@@ -180,7 +177,7 @@ class TestScaleCovariance:
 class TestTraceInequality:
     def test_constant_field_equality(self, disk, disk_nf):
         rep = S.verify_trace_inequality(
-            disk, ScalarField.constant(disk, 1.0),
+            disk, Field.constant(disk, 1.0),
             B=disk_nf.sup_div_boundary)
         assert rep.slack >= -rep.eps_disc
         # exactness witness: equality within 2%
@@ -189,7 +186,7 @@ class TestTraceInequality:
 
     def test_linear_field(self, disk, disk_nf):
         rep = S.verify_trace_inequality(
-            disk, ScalarField.from_function(disk, lambda p: p[:, 0]),
+            disk, Field.from_function(disk, lambda p: p[:, 0]),
             B=disk_nf.sup_div_boundary)
         # closed forms: lhs = 4, grad term = pi, mass term = B * 4/3
         assert abs(rep.lhs - 4.0) < 0.04
@@ -199,7 +196,7 @@ class TestTraceInequality:
 
     def test_zero_field(self, disk, disk_nf):
         rep = S.verify_trace_inequality(
-            disk, ScalarField.constant(disk, 0.0),
+            disk, Field.constant(disk, 0.0),
             B=disk_nf.sup_div_boundary)
         assert rep.lhs == 0.0
         assert rep.slack == 0.0
@@ -216,7 +213,7 @@ class TestTraceInequality:
         for fn in (lambda p: np.ones(p.shape[0]),
                    lambda p: p[:, 0],
                    lambda p: p[:, 0] ** 2 - p[:, 1] ** 2):
-            phi = ScalarField.from_function(ellipse, fn)
+            phi = Field.from_function(ellipse, fn)
             rep = S.verify_trace_inequality(ellipse, phi, B=B)
             assert rep.slack >= -rep.eps_disc
 
@@ -224,21 +221,21 @@ class TestTraceInequality:
 class TestDivergenceIdentity:
     def test_constant(self, disk, disk_nf):
         res = S.divergence_identity_check(
-            disk, disk_nf.field, ScalarField.constant(disk, 1.0))
+            disk, disk_nf.field, Field.constant(disk, 1.0))
         assert res <= 0.02 * 2 * np.pi
 
     def test_x_squared(self, disk, disk_nf):
-        psi = ScalarField.from_function(disk, lambda p: p[:, 0] ** 2)
+        psi = Field.from_function(disk, lambda p: p[:, 0] ** 2)
         res = S.divergence_identity_check(disk, disk_nf.field, psi)
         lhs = G.integrate_boundary(disk, psi.boundary)
         assert res <= 0.02 * lhs
 
     def test_zero(self, disk, disk_nf):
         res = S.divergence_identity_check(
-            disk, disk_nf.field, ScalarField.constant(disk, 0.0))
+            disk, disk_nf.field, Field.constant(disk, 0.0))
         assert res == 0.0
 
     def test_rejects_non_normal_field(self, disk):
-        w = VectorField.from_function(disk, lambda p: 2.0 * p)
+        w = Field.from_function(disk, lambda p: 2.0 * p)
         with pytest.raises(S.NormalFieldError):
-            S.divergence_identity_check(disk, w, ScalarField.constant(disk, 1.0))
+            S.divergence_identity_check(disk, w, Field.constant(disk, 1.0))
