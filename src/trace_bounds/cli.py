@@ -332,6 +332,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, not {value}")
+    return value
+
+
 def _sweep_steps(text: str) -> int:
     value = _positive_int(text)
     if value < MIN_STEPS:
@@ -353,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="verify the matrix-norm equivalence constants")
     p_mat.add_argument("--dim", type=int, choices=(2, 3), required=True)
     p_mat.add_argument("--samples", type=_positive_int, default=RunConfig.samples)
-    p_mat.add_argument("--seed", type=int, default=RunConfig.seed)
+    p_mat.add_argument("--seed", type=_seed, default=RunConfig.seed)
     p_mat.add_argument("--output", help="CSV output path")
 
     p_sweep = sub.add_parser("sweep-theta",

@@ -15,7 +15,7 @@ Keys: ``kind`` (disk|ball|ellipse|ellipsoid|annulus|levelset) with its shape
 parameters (radius | a,b[,c] | r_in,r_out | expression,dim,bbox), ``h``
 (descending list), ``norm`` (vec2|vecInf, the norms with a worst case D),
 ``tasks`` (comma list of sobolev, ld, matnorm-verify, optimal-bc-sweep,
-battery), ``output`` (directory), ``seed`` (int), ``samples`` (matnorm sample
+battery), ``output`` (directory), ``seed`` (int >= 0), ``samples`` (matnorm sample
 count), ``steps`` (theta sweep). Only ``kind`` and ``h`` are required; the
 defaults are ``RunConfig``'s, and a level set's ``DomainSpec.levelset``'s.
 """
@@ -70,6 +70,8 @@ class RunConfig:
             raise ConfigError(f"norm must be one of {with_D}, not {self.norm!r}")
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, not {self.seed}")
         if self.steps < MIN_STEPS:
             raise ConfigError(f"steps {STEPS_RULE}, not {self.steps}")
 

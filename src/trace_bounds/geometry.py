@@ -593,30 +593,26 @@ def build_domain(spec: DomainSpec) -> Domain:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _interior_values(domain: Domain, data) -> np.ndarray:
-    values = getattr(data, "interior", data)
+def _quadrature(values, weights: np.ndarray, nodes: str) -> float | np.ndarray:
+    """sum_n values[n] * weights[n] of (n,) or (n, *s) values: per entry, one dot over a
+    contiguous copy of its column (a matrix product or a strided dot adds in another order)."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (domain.n_interior,):
-        raise GeometryError(
-            f"expected {domain.n_interior} interior values, got shape {values.shape}")
-    return values
-
-
-def integrate_volume(domain: Domain, data) -> float:
-    """Nodal quadrature with partial-cell boundary weights; exact for constants."""
-    values = _interior_values(domain, data)
+    if values.shape[:1] != weights.shape:
+        raise GeometryError(f"expected {len(weights)} {nodes} values, got shape {values.shape}")
     if not np.isfinite(values).all():
-        raise GeometryError("integrate_volume: non-finite field values")
-    return float(values @ domain.volume_weights)
+        raise GeometryError(f"non-finite {nodes} values")
+    integrals = np.array([np.ascontiguousarray(c) @ weights
+                          for c in values.reshape(len(weights), -1).T])
+    return float(integrals[0]) if values.ndim == 1 else integrals.reshape(values.shape[1:])
 
 
-def integrate_boundary(domain: Domain, values) -> float:
-    """Facet-weighted sum over boundary nodes."""
-    values = getattr(values, "boundary", values)
-    values = np.asarray(values, dtype=float)
-    if values.shape != (domain.n_boundary,):
-        raise GeometryError(
-            f"expected {domain.n_boundary} boundary values, got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise GeometryError("integrate_boundary: non-finite values")
-    return float(values @ domain.boundary_weight)
+def integrate_volume(domain: Domain, data) -> float | np.ndarray:
+    """Nodal quadrature with partial-cell boundary weights, exact for constants, of
+    (N,) or (N, *s) interior values or a Field's: a float, or s-shaped integrals."""
+    return _quadrature(getattr(data, "interior", data), domain.volume_weights, "interior")
+
+
+def integrate_boundary(domain: Domain, data) -> float | np.ndarray:
+    """Facet-weighted sum of (M,) or (M, *s) boundary values or a Field's: a
+    float, or s-shaped integrals."""
+    return _quadrature(getattr(data, "boundary", data), domain.boundary_weight, "boundary")

@@ -66,7 +66,8 @@ with last index j, along axis j. ``extrapolate_to_boundary`` takes (N, *s)
 interior values onto the boundary nodes the same way, one product per axis.
 A row of a stencil adds its terms in the order the difference formulas do,
 and a stacked product adds each column's terms in that same order, so every
-entry is bit-identical to differencing that entry on its own.
+entry is bit-identical to differencing that entry on its own. Integrands
+take ``_derivatives`` and ``_divergence``, which extrapolate nothing.
 
 One ``_Operator`` per domain, the only entry of ``Domain._cache``, owns
 everything this module derives for that domain: the colour blocks of the
@@ -425,13 +426,14 @@ def _check_max_principle(field: Field) -> float:
     entries, each relative to its own data; recorded in the field's domain
     record, and fatal above tolerance."""
     k = int(np.prod(field.shape))
-    u = field.interior.reshape(-1, k)
-    constrained = field.boundary[field.domain.boundary_is_axis].reshape(-1, k)
+    # one contiguous row per entry: NumPy reduces an (N, k) array over N slowly
+    u = np.ascontiguousarray(field.interior.reshape(-1, k).T)
+    data = np.ascontiguousarray(field.boundary[field.domain.boundary_is_axis].reshape(-1, k).T)
     violation = 0.0
-    if u.size and constrained.size:
-        for values, data in zip(u.T, constrained.T):
-            excess = max(values.max() - data.max(), data.min() - values.min())
-            violation = max(violation, excess / max(np.abs(data).max(), 1e-300))
+    if u.size and data.size:
+        excess = np.maximum(u.max(axis=1) - data.max(axis=1), data.min(axis=1) - u.min(axis=1))
+        scale = np.maximum(np.abs(data).max(axis=1), 1e-300)
+        violation = max(violation, float((excess / scale).max()))
     record = _operator(field.domain).record
     record["max_principle_violation"] = max(record["max_principle_violation"],
                                             violation)
@@ -567,12 +569,16 @@ def gradient(field: Field) -> Field:
     return _with_boundary(field.domain, _derivatives(field))
 
 
+def _divergence(field: Field) -> np.ndarray:
+    """Divergence over the last index at the interior nodes, (N, *s[:-1])."""
+    return sum(_derivative(field.domain, field.interior[..., i], field.boundary[..., i], i)
+               for i in range(field.domain.dim))
+
+
 def divergence(field: Field) -> Field:
     """Divergence over the last index: sum_i d(v_i)/dx_i of a vector field, and
     of a tensor field the row divergence (see tensor_divergence)."""
-    return _with_boundary(field.domain, sum(
-        _derivative(field.domain, field.interior[..., i], field.boundary[..., i], i)
-        for i in range(field.domain.dim)))
+    return _with_boundary(field.domain, _divergence(field))
 
 
 def tensor_divergence(field: Field) -> Field:

@@ -18,7 +18,9 @@ H[sigma^k_ij] = -H[nu_i nu_j nu_k] + delta_jk H[nu_i] + delta_ik H[nu_j].
 Vectors and tensors are fields.Field values shaped (dim,) and (dim, dim); a
 symmetric tensor (sigma^k, eps(w)) is stored as its full matrix. eps(w) is
 the laplace module's stencil derivatives of all components at once,
-symmetrized at the interior nodes and then extrapolated to the boundary.
+symmetrized at the interior nodes; the norms, the virtual-work terms and
+the trace inequality (sobolev_trace's ``trace_slack``) integrate only those,
+and ``strain`` alone extrapolates them to the boundary.
 
 Tensor-field L1 norms use the all-ordered-pairs convention (off-diagonal
 components count twice), consistent with the Frobenius identification.
@@ -26,6 +28,7 @@ components count twice), consistent with the Frobenius identification.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,7 +36,7 @@ import numpy as np
 from . import laplace, optimal_bc
 from .fields import Field
 from .geometry import CheckError, Domain, integrate_boundary, integrate_volume
-from .sobolev_trace import TraceReport, discretization_estimate
+from .sobolev_trace import TraceReport, ordered_sum, trace_slack
 
 __all__ = [
     "RigidField",
@@ -85,13 +88,18 @@ class RigidField:
         return Field.from_function(domain, self.evaluate)
 
 
-def strain(w: Field) -> Field:
-    """eps(w)_ij = (d_j w_i + d_i w_j) / 2 via the stencil derivatives,
-    symmetrized at the interior nodes and then extrapolated."""
+def _strain(w: Field) -> np.ndarray:
+    """eps(w)_ij = (d_j w_i + d_i w_j) / 2 at the interior nodes, (N, dim, dim),
+    via the stencil derivatives."""
     eps = laplace._derivatives(w)
     eps += eps.swapaxes(1, 2)   # NumPy reads overlapping operands as copies
     eps *= 0.5
-    return Field(w.domain, eps, laplace.extrapolate_to_boundary(w.domain, eps))
+    return eps
+
+
+def strain(w: Field) -> Field:
+    """eps(w) at the interior nodes, extrapolated to the boundary."""
+    return laplace._with_boundary(w.domain, _strain(w))
 
 
 def rigid_projection(domain: Domain, w: Field, region: str = "interior") -> RigidField:
@@ -102,63 +110,48 @@ def rigid_projection(domain: Domain, w: Field, region: str = "interior") -> Rigi
     the projection is exact on rigid inputs wherever the domain sits; the
     returned field is expressed about the origin.
     """
-    dim = domain.dim
     if region == "interior":
-        pos = domain.interior_coords
-        vals = w.interior
-        quad = lambda f: integrate_volume(domain, f)
+        pos, vals, integrate = domain.interior_coords, w.interior, integrate_volume
     elif region == "boundary":
-        pos = domain.boundary_pos
-        vals = w.boundary
-        quad = lambda f: integrate_boundary(domain, f)
+        pos, vals, integrate = domain.boundary_pos, w.boundary, integrate_boundary
     else:
         raise ValueError(f"unknown region {region!r}")
+    quad = lambda f: integrate(domain, f)
 
     measure = quad(np.ones(pos.shape[0]))
-    mean = np.array([quad(vals[:, i]) for i in range(dim)]) / measure
-    centroid = np.array([quad(pos[:, i]) for i in range(dim)]) / measure
+    mean = quad(vals) / measure
+    centroid = quad(pos) / measure
     pos = pos - centroid
-    if dim == 2:
+    if domain.dim == 2:
         inertia = quad(np.sum(pos * pos, axis=1))
         if inertia <= 1e-300:
             raise ValueError("degenerate region: singular moment of inertia")
         b = quad(pos[:, 0] * vals[:, 1] - pos[:, 1] * vals[:, 0]) / inertia
     else:
-        inertia = np.zeros((3, 3))
-        for i in range(3):
-            for m in range(3):
-                integrand = -pos[:, i] * pos[:, m]
-                if i == m:
-                    integrand = integrand + np.sum(pos * pos, axis=1)
-                inertia[i, m] = quad(integrand)
-        cross = np.cross(pos, vals)
-        moments = np.array([quad(cross[:, i]) for i in range(3)])
+        # |x - c|^2 I - (x - c)(x - c)^T
+        integrand = -pos[:, :, None] * pos[:, None, :]
+        integrand[:, range(3), range(3)] += np.sum(pos * pos, axis=1)[:, None]
         try:
-            b = np.linalg.solve(inertia, moments)
+            b = np.linalg.solve(quad(integrand), quad(np.cross(pos, vals)))
         except np.linalg.LinAlgError as exc:
             raise ValueError("degenerate region: singular moment of inertia") from exc
     # w = mean + b x (x - c) about the centroid c, so about the origin a = mean - b x c
-    a = mean - RigidField(a=np.zeros(dim), b=b).evaluate(centroid[None, :])[0]
+    a = mean - RigidField(a=np.zeros(domain.dim), b=b).evaluate(centroid[None, :])[0]
     return RigidField(a=a, b=b)
 
 
 def ld_norm(w: Field) -> float:
     """||w||_1 + ||eps(w)||_1 with the all-ordered-pairs tensor convention."""
-    return _l1_vector(w) + _l1_tensor(strain(w))
+    return (ordered_sum(integrate_volume(w.domain, np.abs(w.interior)))
+            + _l1_tensor(w.domain, _strain(w)))
 
 
-def _l1_vector(w: Field) -> float:
-    return float(sum(integrate_volume(w.domain, np.abs(w.interior[:, i]))
-                     for i in range(w.domain.dim)))
-
-
-def _l1_tensor(t: Field) -> float:
-    """Each off-diagonal pair counted twice, as its (i, j), i < j entry doubled."""
-    total = 0.0
-    for i, j in zip(*np.triu_indices(t.domain.dim)):
-        weight = 1.0 if i == j else 2.0
-        total += weight * integrate_volume(t.domain, np.abs(t.interior[:, i, j]))
-    return float(total)
+def _l1_tensor(domain: Domain, interior: np.ndarray) -> float:
+    """L1 norm of (N, dim, dim) symmetric interior values: the (i, j), i <= j
+    entries in that order, off-diagonal ones doubled."""
+    i, j = np.triu_indices(domain.dim)
+    integrals = integrate_volume(domain, np.abs(interior))[i, j]
+    return ordered_sum(np.where(i == j, 1.0, 2.0) * integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +188,7 @@ def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[Field, EkTensorDiagnosti
     on a sphere) and is reported as a diagnostic.
     """
     tensors = optimal_bc.ek_boundary_tensor(domain, k)
-    e = np.zeros(domain.dim)
-    e[k] = 1.0
+    e = np.eye(domain.dim)[k]
     compat = np.abs(np.einsum("mij,mj->mi", tensors, domain.boundary_normal)
                     - e[None, :]).max()
     if compat > 1e-12:
@@ -220,11 +212,12 @@ def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[Field, EkTensorDiagnosti
     sup_entry_c = max(sup_entry_b, float(np.abs(interior).max()))
     frame_inf_b = float(optimal_bc.ek_frame_inf_values(domain, k).max())
 
+    # max over the entries of each node, taken across the columns: NumPy's max
+    # along a short last axis runs ~10x slower
     div = laplace.tensor_divergence(sigma)
     div_b, div_c = laplace.check_sup_on_boundary(
-        "divergence", domain,
-        np.max([np.abs(c) for c in div.interior.T], axis=0),
-        np.max([np.abs(c) for c in div.boundary.T], axis=0))
+        "divergence", domain, functools.reduce(np.maximum, np.abs(div.interior).T),
+        functools.reduce(np.maximum, np.abs(div.boundary).T))
     vec2_b, vec2_c = laplace.check_sup_on_boundary(
         "Frobenius", domain, np.sqrt((interior ** 2).sum(axis=(1, 2))),
         np.sqrt((tensors ** 2).sum(axis=(1, 2))))
@@ -279,27 +272,17 @@ def ld_bounds(domain: Domain, norm: str = "vec2") -> LDBoundReport:
     the norm through D_par, and optimal_bc.worst_case_D rejects any other norm.
     """
     A = domain.dim * optimal_bc.worst_case_D(norm)
-    diags = []
-    B = 0.0
-    for k in range(domain.dim):
-        _, diag = harmonic_ek_tensor(domain, k)
-        diags.append(diag)
-        B += diag.div_sup_boundary
+    diags = tuple(harmonic_ek_tensor(domain, k)[1] for k in range(domain.dim))
+    B = ordered_sum([d.div_sup_boundary for d in diags])
     return LDBoundReport(norm=norm, dim=domain.dim, h=domain.h,
-                         A=float(A), B=float(B), per_k=tuple(diags))
+                         A=float(A), B=B, per_k=diags)
 
 
 def verify_ld_trace_inequality(domain: Domain, w: Field,
                                report: LDBoundReport) -> TraceReport:
-    """Slack of sum_i int_bnd |w_i| <= A ||eps(w)||_1 + B ||w||_1."""
-    lhs = float(sum(integrate_boundary(domain, np.abs(w.boundary[:, i]))
-                    for i in range(domain.dim)))
-    strain_term = report.A * _l1_tensor(strain(w))
-    mass_term = report.B * _l1_vector(w)
-    eps = discretization_estimate(domain.h, lhs, strain_term, mass_term)
-    return TraceReport(lhs=lhs, grad_term=strain_term, mass_term=mass_term,
-                       B_used=report.B, slack=strain_term + mass_term - lhs,
-                       eps_disc=eps, h=domain.h)
+    """Slack of sum_i int_bnd |w_i| <= A ||eps(w)||_1 + B ||w||_1, with eps(w)
+    at the interior nodes only."""
+    return trace_slack(domain, w, report.A * _l1_tensor(domain, _strain(w)), report.B)
 
 
 def _virtual_work_integrands(domain: Domain, sigma: Field,
@@ -307,13 +290,12 @@ def _virtual_work_integrands(domain: Domain, sigma: Field,
     """Integrands of the three terms: weighted sigma_ij eps_ij (one interior row
     per (i, j), i <= j pair), boundary flux sigma_ij w_i nu_j, interior
     (div sigma) . w."""
-    eps = strain(w)
+    eps = _strain(w)
     contraction = np.stack([
-        (1.0 if i == j else 2.0) * sigma.interior[:, i, j] * eps.interior[:, i, j]
+        (1.0 if i == j else 2.0) * sigma.interior[:, i, j] * eps[:, i, j]
         for i, j in zip(*np.triu_indices(domain.dim))])
     flux = np.einsum("mij,mi,mj->m", sigma.boundary, w.boundary, domain.boundary_normal)
-    div = laplace.tensor_divergence(sigma)
-    work = np.sum(div.interior * w.interior, axis=1)
+    work = np.sum(laplace._divergence(sigma) * w.interior, axis=1)
     return contraction, flux, work
 
 

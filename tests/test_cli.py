@@ -21,14 +21,15 @@ seed = 1234
 """
 
 
-# configs that leave out a required key, or leave it empty, and the key the
-# error must name
-MISSING_KEY = {
-    "radius = 1.0\nh = 0.1": "kind",
-    "kind = disk\nradius = 1.0": "h",
-    "kind = disk\nh = 0.1": "radius",
-    "kind = disk\nradius =\nh = 0.1": "radius",
-    "kind = annulus\nr_in = 0.5\nh = 0.1": "r_out",
+# malformed configs and the message that must name the offending key: one
+# left out or left empty, or a negative seed
+MESSAGE = {
+    "radius = 1.0\nh = 0.1": "missing required key 'kind'",
+    "kind = disk\nradius = 1.0": "missing required key 'h'",
+    "kind = disk\nh = 0.1": "missing required key 'radius'",
+    "kind = disk\nradius =\nh = 0.1": "missing required key 'radius'",
+    "kind = annulus\nr_in = 0.5\nh = 0.1": "missing required key 'r_out'",
+    "kind = disk\nradius = 1.0\nh = 0.1\nseed = -1": "seed must be non-negative",
 }
 
 
@@ -88,14 +89,13 @@ h = 0.1
         "kind = disk\nradius = 1.0\nh = 0.1, 0",     # non-positive finer h
         "kind = disk\nradius = 1.0\nh = 0.1\nsamples = 0",
         "kind = disk\nradius = 1.0\nh = 0.1\nsteps = 0",
+        "kind = disk\nradius = 1.0\nh = 0.1\nseed = -1",   # numpy rejects it later
         "kind = disk\nh = 0.1",                      # missing shape size
         "kind = disk\nradius =\nh = 0.1",            # empty shape size
         "kind = annulus\nr_in = 0.5\nh = 0.1",       # one of two sizes missing
     ])
     def test_rejects_malformed(self, text):
-        key = MISSING_KEY.get(text)
-        with pytest.raises(C.ConfigError,
-                           match=key and f"missing required key '{key}'"):
+        with pytest.raises(C.ConfigError, match=MESSAGE.get(text)):
             C.parse_config(text)
 
 
@@ -383,6 +383,13 @@ class TestMain:
         assert cli.main(["verify-matnorm", "--dim", "2", "--samples", "0"]) == cli.EXIT_CONFIG
         assert cli.main(["sweep-theta", "--norm", "vec2", "--steps", "0"]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.count("must be a positive integer") == 2
+
+    def test_negative_seed_is_a_config_error(self, capsys):
+        # unchecked, np.random.default_rng(-1) raises ValueError: a traceback, exit 1
+        assert cli.main(["verify-matnorm", "--dim", "2", "--seed", "-1"]) == cli.EXIT_CONFIG
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert cli.main(["verify-matnorm", "--dim", "2", "--seed", "0",
+                         "--samples", "10"]) == cli.EXIT_OK
 
     def test_one_sweep_step_is_a_config_error(self, tmp_path, capsys):
         # one step samples only theta = 0, and the vec2 worst case sqrt(2) is

@@ -568,6 +568,26 @@ class TestQuadrature:
         with pytest.raises(G.GeometryError):
             G.integrate_volume(disk, np.ones(3))
 
+    @pytest.mark.parametrize("fixture", ["disk", "ball"])
+    def test_stacked_values_integrate_entry_by_entry(self, fixture, request, rng):
+        # each entry bit-identical to integrating that entry on its own; the
+        # checks of scalar values hold for stacked ones
+        dom = request.getfixturevalue(fixture)
+        for integrate, n in ((G.integrate_volume, dom.n_interior),
+                             (G.integrate_boundary, dom.n_boundary)):
+            for shape in ((dom.dim,), (dom.dim, dom.dim)):
+                values = rng.standard_normal((n, *shape))
+                stacked = integrate(dom, values)
+                assert stacked.shape == shape
+                assert np.array_equal(stacked, np.reshape(
+                    [integrate(dom, np.ascontiguousarray(values[(slice(None), *entry)]))
+                     for entry in np.ndindex(shape)], shape))
+                with pytest.raises(G.GeometryError, match=f"expected {n} "):
+                    integrate(dom, values[1:])
+                values[n // 2, 0] = np.nan
+                with pytest.raises(G.GeometryError, match="non-finite"):
+                    integrate(dom, values)
+
 
 class TestSimplexFraction:
     def test_against_convex_hull_oracle(self, rng):

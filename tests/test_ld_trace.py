@@ -282,6 +282,26 @@ class TestLdTraceInequality:
             rep = LD.verify_ld_trace_inequality(disk, w, disk_bounds)
             assert rep.slack >= -rep.eps_disc, (name, rep.slack, rep.eps_disc)
 
+    def test_integrands_extrapolate_nothing(self, disk_coarse, monkeypatch):
+        # both trace inequalities and the LD norm integrate interior derivatives
+        # only, so they compute no boundary extrapolation
+        from trace_bounds.cli import ld_battery_fields, w11_battery_fields
+        B, bounds = S.sobolev_B(disk_coarse), LD.ld_bounds(disk_coarse, "vec2")
+        scalars, vectors = w11_battery_fields(disk_coarse), ld_battery_fields(disk_coarse)
+
+        def evaluate():
+            return ([S.verify_trace_inequality(disk_coarse, phi, B=B) for _, phi in scalars]
+                    + [LD.verify_ld_trace_inequality(disk_coarse, w, bounds) for _, w in vectors]
+                    + [LD.ld_norm(w) for _, w in vectors])
+
+        expected = evaluate()
+
+        def refuse(*args):
+            raise AssertionError("boundary extrapolation computed")
+
+        monkeypatch.setattr(L, "extrapolate_to_boundary", refuse)
+        assert evaluate() == expected
+
 
 class TestVirtualWork:
     def test_identity_stress_radial_field(self, disk):
