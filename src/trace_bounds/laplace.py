@@ -28,24 +28,30 @@ when it is made that every interior arm joins opposite colours, and keeps
 only the two diagonals and the two coupling blocks, read off the arm-end map.
 
 In 2D, S is built and factored on the first solve, the factor is reused by
-every later one, and S is dropped. S is factored in symmetric mode: a
-minimum-degree ordering of S^T + S applied to rows and columns alike, with
-diagonal pivots only, which is stable for M-matrices and has 0.5-0.75 of
-the fill of a COLAMD ordering with partial pivoting. Under that ordering
-the supernodes are only a few columns wide, so SuperLU's left-looking
-updates (Demmel et al. 1999) run on a 2-column panel rather than its
-default 20: the same fill and less factor time and dense work space. At
-disk h 0.005 the factor of S has 6.5 M nonzeros, against 7.9 M for the
-same ordering of the full matrix. In 3D, S is kept: it is the operator of
-BiCGSTAB (van der Vorst 1992), preconditioned with a plain-aggregation
-multigrid V-cycle (Vanek, Mandel & Brezina 1996) built on S and the
-lattice indices of the black nodes, whose coarsest level is factored the
-same way. LU fill grows much faster in 3D, and measured over the
-resolutions the tool runs, the Krylov solve wins at every 3D size and the
-factorization at every 2D size. At ball h 0.05 a solve takes 12 iterations
-on S, against 19 on the full matrix. Residuals of the full system are
-verified against the 1e-10 relative tolerance after every solve, whichever
-backend produced it; Krylov iterations are counted in the solve record too.
+every later one, and S is dropped. The black nodes are ordered by nested
+dissection (George 1973): on their sublattice u = (i + j - 1)/2,
+v = (i - j - 1)/2, S couples only nodes at most one step apart along each
+axis, so the nodes on any lattice line separate those on its two sides.
+Each box is cut at the midpoint line across its longer side, its two
+halves are ordered first and the line last, down to boxes of 4 nodes. S is
+permuted to that order and factored in symmetric mode, the order applied to
+rows and columns alike, with diagonal pivots only, which is stable for
+M-matrices. At disk h 0.005 the factor has 5.24 M nonzeros and takes 0.21 s
+(2 vCPUs), against 6.51 M and 0.43 s under a minimum-degree ordering of
+S^T + S, 7.86 M for minimum degree on the full matrix, and 12.2 M for
+COLAMD with partial pivoting on S; the ordering takes 0.02 s. The
+supernodes are only a few columns wide, so SuperLU's left-looking updates
+(Demmel et al. 1999) run on a 2-column panel rather than its default 20.
+In 3D, S is kept: it is the operator of BiCGSTAB (van der Vorst 1992),
+preconditioned with a plain-aggregation multigrid V-cycle (Vanek, Mandel &
+Brezina 1996) built on S and the lattice indices of the black nodes, whose
+coarsest level is factored under minimum degree. LU fill grows much
+faster in 3D, and measured over the resolutions the tool runs, the Krylov
+solve wins at every 3D size and the factorization at every 2D size. At
+ball h 0.05 a solve takes 12 iterations on S, against 19 on the full
+matrix. Residuals of the full system are verified against the 1e-10
+relative tolerance after every solve, whichever backend produced it; Krylov
+iterations are counted in the solve record too.
 
 Every harmonic object the trace bounds need is a linear combination of
 harmonic extensions of monomials in the outward normal: H[nu_a] (the normal
@@ -71,14 +77,14 @@ take ``_derivatives`` and ``_divergence``, which extrapolate nothing.
 
 One ``_Operator`` per domain, the only entry of ``Domain._cache``, owns
 everything this module derives for that domain: the colour blocks of the
-matrix, assembled when the operator is made; the LU factor of S (2D), the
-multigrid hierarchy of S (3D) and the per-axis difference stencils, cached
-properties built on first use; the memoized extensions; and the solve
-record (solves, Krylov iterations, worst residual, worst maximum-principle
-margin). The domain's arrays are read-only
-and a ``dataclasses.replace`` copy starts with an empty cache, so none of it
-goes stale. ``solver_stats(*domains)`` merges the records of the given
-domains, so a run reports exactly the solves on its own domains.
+matrix, assembled when the operator is made; the nested-dissection order
+and the LU factor of S (2D), the multigrid hierarchy of S (3D) and the
+per-axis difference stencils, cached properties built on first use; the
+memoized extensions; and the solve record (solves, Krylov iterations,
+worst residual, worst maximum-principle margin). The domain's arrays are
+read-only and a ``dataclasses.replace`` copy starts with an empty cache, so
+none of it goes stale. ``solver_stats(*domains)`` merges the records of the
+given domains, so a run reports exactly the solves on its own domains.
 """
 
 from __future__ import annotations
@@ -115,12 +121,20 @@ MAX_PRINCIPLE_TOL = 1e-8
 # the true residuals stay near 3e-15, far inside SOLVER_TOL.
 KRYLOV_RTOL = 1e-15
 
-# columns SuperLU updates at a time (its default is 20). Under the minimum-degree
-# ordering the supernodes of these factors are only a few columns wide. On the
-# reduced matrix S at disk h 0.005, 2 columns factor in 0.50 s against 0.59 s
-# for 1 and 0.72 s for 20, with the same ordering and fill; on the annulus
-# (0.5, 1) at h 0.005, 1 column took 0.23 s against 0.27 s (3 runs).
+# columns SuperLU updates at a time (its default is 20). The supernodes of these
+# factors are only a few columns wide. On the reduced matrix S in
+# nested-dissection order, 1, 2, 4, 8 and 20 columns factor in 0.192, 0.183,
+# 0.187, 0.185 and 0.208 s at disk h 0.005, and in 0.103, 0.106, 0.109, 0.112
+# and 0.126 s on the annulus (0.5, 1) at h 0.005 (best of 5, 2 vCPUs), with
+# the same ordering and fill: 2 is the fastest on the disk, and within 3% of
+# the fastest on the annulus.
 _PANEL_SIZE = 2
+
+# boxes of at most this many nodes are not dissected further. At disk h 0.005,
+# leaves of 1, 4 and 16 nodes give 5.22, 5.24 and 5.40 M nonzeros in the
+# factor of S in the same factor time; each halving of the leaf adds one pass
+# to the ordering.
+_DISSECTION_LEAF = 4
 
 
 class SolverError(RuntimeError):
@@ -129,26 +143,83 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-def _factor(matrix: sp.spmatrix):
-    """Sparse LU of the reduced Shortley-Weller matrix S or of a Galerkin
-    coarsening of it.
+def _factor(matrix: sp.spmatrix, permc_spec: str):
+    """Sparse LU of the reduced Shortley-Weller matrix S, permuted to
+    nested-dissection order beforehand (``permc_spec`` "NATURAL"), or of a
+    Galerkin coarsening of it, ordered by minimum degree on A^T + A
+    ("MMD_AT_PLUS_A"). Nested dissection of S has 0.80-0.86 of the fill of
+    minimum degree and about half its factor time on the disk, the annulus
+    and the ellipse at h 0.01 and 0.005 (module docstring); the coarsest
+    multigrid level, of at most 500 unknowns, keeps minimum degree.
 
     Both are M-matrices with a symmetric pattern (A_BR has the transposed
     pattern of A_RB, and P^T S P keeps the symmetry), and an M-matrix factors
     stably with diagonal pivots in any symmetric order (Fiedler & Ptak 1962):
-    minimum degree on S^T + S for rows and columns alike, no row pivoting.
-    That has 0.5-0.75 of the fill of the default COLAMD ordering with partial
-    pivoting. SuperLU updates a panel of ``_PANEL_SIZE`` columns at a time
+    in SymmetricMode the column order is applied to the rows alike, with no
+    row pivoting. SuperLU updates a panel of ``_PANEL_SIZE`` columns at a time
     through dense (n, panel) work arrays; the supernodes are narrow, so a
     narrow panel wastes less of that work and memory. It changes only the
     order of the floating-point updates, not the ordering or the fill.
     """
     try:
-        return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+        return spla.splu(sp.csc_matrix(matrix), permc_spec=permc_spec,
                          diag_pivot_thresh=0.0, panel_size=_PANEL_SIZE,
                          options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+
+
+def _dissection(coords: np.ndarray) -> np.ndarray:
+    """Nested-dissection keys (George 1973) of nodes at integer coordinates
+    (2, n), for a matrix that couples only nodes at most one step apart along
+    each axis: there the nodes on any lattice line separate those on its two
+    sides.
+
+    The root box is the nodes' bounding rectangle. A box of more than
+    ``_DISSECTION_LEAF`` nodes is cut at the midpoint line across its longer
+    side: the nodes below the line form its first half, those above it the
+    second and those on it the separator, and each half's box is the
+    rectangle on its side of the line. A node's key is its path down this
+    tree in base 3, one digit per level: 0 for the first half, 1 for the
+    second, 2 for the separator or a leaf, and 0 on every level after that.
+    Sorted stably, the keys put each box's two halves before its separator
+    and keep a leaf's nodes in their given order. Each level is one
+    vectorised pass over all nodes, the placed ones in a sentinel box past
+    the last. Every level halves the longer side of each box, so the depth is
+    about log2 of the root's area: the 39 digits an int64 holds cover 2^39
+    lattice points.
+    """
+    u, v = coords
+    if u.size <= _DISSECTION_LEAF:   # one leaf; it may be empty, and has no bounds
+        return np.zeros(u.size, dtype=np.int64)
+    step = v - u
+    key = np.zeros(u.size, dtype=np.int64)
+    box = np.zeros(u.size, dtype=np.intp)
+    count = np.array([u.size])                   # nodes per box
+    lo = np.array([[u.min()], [v.min()]])        # (2, boxes) rectangles
+    hi = np.array([[u.max()], [v.max()]])
+    while count.size:
+        axis = (hi[1] - lo[1] > hi[0] - lo[0]).astype(np.intp)
+        cut = np.where(axis, lo[1] + hi[1], lo[0] + hi[0]) // 2
+        # class 3b, 3b + 1, 3b + 2: below, on and above the cut of box b
+        cls = 3 * box + 1 + np.sign(u + np.append(axis, 0)[box] * step
+                                    - np.append(cut, 0)[box])
+        split = np.append(count > _DISSECTION_LEAF, False)
+        digit = np.where(split[:, None], [0, 2, 1], 2)
+        digit[-1] = 0
+        key = key * 3 + digit.ravel()[cls]
+        sizes = np.bincount(cls, minlength=digit.size).reshape(digit.shape)
+        half = split[:, None] & (sizes > 0) & [True, False, True]
+        count = sizes[half]
+        nxt = np.full(digit.shape, count.size)
+        nxt[half] = np.arange(count.size)
+        box = nxt.ravel()[cls]
+        parent, side = np.nonzero(half)
+        lo, hi = lo[:, parent], hi[:, parent]
+        for bound, which, shift in ((hi, 0, -1), (lo, 2, 1)):
+            k = np.flatnonzero(side == which)
+            bound[axis[parent[k]], k] = cut[parent[k]] + shift
+    return key
 
 
 # aggregation V-cycle: damped-Jacobi weight, coarse-correction scaling, and the
@@ -189,7 +260,7 @@ class _Multigrid:
                                 aggregate, keys.size))
             matrix = (P.T.tocsr() @ (matrix @ P)).tocsr()
             ijk = np.array(np.unravel_index(keys, shape))
-        self.coarsest = _factor(matrix)
+        self.coarsest = _factor(matrix, "MMD_AT_PLUS_A")
 
     def cycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         """One V-cycle from a zero guess for A x = r on the given level."""
@@ -310,9 +381,20 @@ class _Operator:
         return (sp.diags(self.black_diag) - eliminated).tocsr()
 
     @cached_property
+    def order(self) -> np.ndarray:
+        """2D: the positions in ``self.black`` in nested-dissection order. S
+        couples black nodes one lattice step apart along a diagonal or two
+        along an axis: one step along each axis of the black sublattice's
+        coordinates u = (i + j - 1)/2, v = (i - j - 1)/2, which ``_dissection``
+        orders by."""
+        i, j = _lattice(self.domain)[self.black].T
+        keys = _dissection(np.stack([(i + j - 1) // 2, (i - j - 1) // 2]))
+        return np.argsort(keys, kind="stable")
+
+    @cached_property
     def lu(self):
-        # 2D: S is factored and dropped
-        return _factor(self.schur())
+        # 2D: S, permuted to nested-dissection order, is factored and dropped
+        return _factor(self.schur()[self.order][:, self.order], "NATURAL")
 
     @cached_property
     def multigrid(self) -> _Multigrid:
@@ -398,8 +480,10 @@ class _Operator:
         red_rhs = rhs[self.red]
         reduced = rhs[self.black] - self.black_red @ (red_rhs / self.red_diag)
         u = np.empty(domain.n_interior)
-        u[self.black] = (self.lu.solve(reduced) if domain.dim == 2
-                         else self._bicgstab(reduced))
+        if domain.dim == 2:
+            u[self.black[self.order]] = self.lu.solve(reduced[self.order])
+        else:
+            u[self.black] = self._bicgstab(reduced)
         u[self.red] = (red_rhs - self.red_black @ u[self.black]) / self.red_diag
         return self.verified(u, g, solved=True)
 

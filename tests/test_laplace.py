@@ -209,10 +209,10 @@ TINY_ARM_RADIUS = 0.5000000001
 
 class TestDirect:
     """2D systems are reduced to the black nodes and the reduced matrix is
-    factorized once, with a symmetric ordering, diagonal pivots and a narrow
-    panel; the solutions must match a default (COLAMD, partial pivoting)
-    factorization of the full matrix and a symmetric-mode one with SuperLU's
-    default panel to round-off."""
+    factorized once, in nested-dissection order, with diagonal pivots and a
+    narrow panel; the solutions must match a default (COLAMD, partial
+    pivoting) factorization of the full matrix and a symmetric-mode one with
+    SuperLU's default panel to round-off."""
 
     @pytest.mark.parametrize("spec", [
         G.DomainSpec.disk(1.0, 0.02),
@@ -228,22 +228,23 @@ class TestDirect:
         schur = op.schur()
         pattern = (schur != 0).astype(int)
         assert (pattern != pattern.T).nnz == 0
+        # diagonal pivots: the rows are eliminated in the columns' order
         assert np.array_equal(op.lu.perm_r, op.lu.perm_c)
-        # the minimum-degree ordering of S^T + S: 0.67-0.73 of COLAMD's fill
         fill = op.lu.L.nnz + op.lu.U.nnz
         colamd = spla.splu(schur.tocsc())
         assert fill <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
-        # the narrow panel changes only the order of the updates: the default
-        # 20-column panel gives the same ordering and fill
-        wide = spla.splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        assert np.array_equal(op.lu.perm_c, wide.perm_c)
-        assert (op.lu.L.nnz, op.lu.U.nnz) == (wide.L.nnz, wide.U.nnz)
+        # minimum degree on S^T + S is the reference: nested dissection has
+        # 0.80-0.86 of its fill at h 0.01 and 0.005, 0.90-1.00 on these
+        # domains, and at most 1.09 times it on the smallest one measured
+        # (annulus (0.5, 1) at h 0.05)
+        mmd = spla.splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        assert fill <= 1.1 * (mmd.L.nnz + mmd.U.nnz)
         oracle = spla.splu(op.neg_laplacian)
         full = spla.splu(op.neg_laplacian, permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        # eliminating the red nodes first leaves less fill than ordering all
-        # nodes by minimum degree: 0.74-0.83 of it
+        # eliminating the red nodes first and dissecting the black ones leaves
+        # less fill than ordering all nodes by minimum degree: 0.72-0.77 of it
         assert fill < full.L.nnz + full.U.nnz
         monomials = [(a,) for a in range(2)] + list(
             itertools.combinations_with_replacement(range(2), 3))
@@ -537,6 +538,66 @@ def neck():
 @pytest.fixture(scope="module")
 def off_centre_disk():
     return G.build_domain(G.DomainSpec.levelset("(x-0.13)^2+(y+0.07)^2-0.81", 0.05))
+
+
+class TestDissection:
+    """The 2D factor orders the black nodes by nested dissection of their
+    rotated lattice, on which S couples only nodes at most one step apart
+    along each axis, so every cut line separates its box's two halves."""
+
+    @pytest.mark.parametrize("spec", [
+        G.DomainSpec.disk(1.0, 0.02),
+        G.DomainSpec.annulus(0.5, 1.0, 0.02),
+        G.DomainSpec.levelset(NECK_EXPR, 0.025, 2, (-2.3, 2.3)),
+        G.DomainSpec.disk(TINY_ARM_RADIUS, 0.02),
+        G.DomainSpec.levelset(OFF_CENTRE_ELLIPSE, 0.02),
+    ], ids=["disk", "annulus", "neck", "tiny_arm_disk", "off_centre_ellipse"])
+    def test_separators_split_the_reduced_matrix(self, spec):
+        op = L._operator(G.build_domain(spec))
+        i, j = L._lattice(op.domain)[op.black].T
+        keys = L._dissection(np.stack([(i + j - 1) // 2, (i - j - 1) // 2]))
+        assert np.array_equal(np.sort(op.order), np.arange(op.black.size))
+        assert np.array_equal(op.order, np.argsort(keys, kind="stable"))
+        # the base-3 digits of each key, most significant first: a node's
+        # path down the dissection tree
+        digits = keys[:, None] // 3 ** np.arange(39, -1, -1) % 3
+        rows, cols = op.schur().nonzero()
+        differ = digits[rows] != digits[cols]
+        apart = differ.any(axis=1)
+        level = differ.argmax(axis=1)[apart]
+        below = digits[rows[apart], level]
+        above = digits[cols[apart], level]
+        # S couples nodes of different leaves only through a separator
+        # (digit 2), never across one box's two halves (digits 0 and 1), on
+        # every level of the tree: 8 on the tiny-arm disk, 10-11 elsewhere
+        assert np.unique(level).size >= 8
+        assert (np.maximum(below, above) == 2).all()
+
+    def test_a_leaf_keeps_its_order(self):
+        rng = np.random.default_rng(7)
+        for n in range(L._DISSECTION_LEAF + 1):
+            keys = L._dissection(rng.integers(-3, 4, (2, n)))
+            assert np.array_equal(np.argsort(keys, kind="stable"), np.arange(n))
+        keys = L._dissection(np.array([[0, 1, 2, 3, 4], [0, 0, 0, 0, 0]]))
+        # one more node is split: the midpoint u = 2 comes last
+        assert np.array_equal(np.argsort(keys, kind="stable"), [0, 1, 3, 4, 2])
+        # domains whose black nodes fit in one leaf, or that have none (only
+        # the node at the origin), solve like any other
+        for radius, black in ((0.15, L._DISSECTION_LEAF), (0.09, 0)):
+            dom = G.build_domain(G.DomainSpec.disk(radius, 0.1))
+            op = L._operator(dom)
+            assert op.black.size == black
+            g = dom.boundary_normal[:, 0]
+            u = L.solve_dirichlet(dom, g).interior
+            expect = spla.spsolve(op.neg_laplacian, op.boundary_coupling @ g)
+            assert np.abs(u - expect).max() <= 1e-14
+
+    def test_less_fill_than_minimum_degree(self):
+        # 1.08 M nonzeros in the factor against 1.31 M for minimum degree
+        op = L._operator(G.build_domain(G.DomainSpec.disk(1.0, 0.01)))
+        mmd = spla.splu(op.schur().tocsc(), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        assert op.lu.L.nnz + op.lu.U.nnz < mmd.L.nnz + mmd.U.nnz
 
 
 @pytest.fixture(scope="module")
