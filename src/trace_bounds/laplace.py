@@ -27,31 +27,32 @@ backends below take it as they took the full matrix. The operator checks
 when it is made that every interior arm joins opposite colours, and keeps
 only the two diagonals and the two coupling blocks, read off the arm-end map.
 
-In 2D, S is built and factored on the first solve, the factor is reused by
-every later one, and S is dropped. The black nodes are ordered by nested
-dissection (George 1973): on their sublattice u = (i + j - 1)/2,
-v = (i - j - 1)/2, S couples only nodes at most one step apart along each
-axis, so the nodes on any lattice line separate those on its two sides.
-Each box is cut at the midpoint line across its longer side, its two
-halves are ordered first and the line last, down to boxes of 4 nodes. S is
-permuted to that order and factored in symmetric mode, the order applied to
-rows and columns alike, with diagonal pivots only, which is stable for
-M-matrices. At disk h 0.005 the factor has 5.24 M nonzeros and takes 0.21 s
-(2 vCPUs), against 6.51 M and 0.43 s under a minimum-degree ordering of
-S^T + S, 7.86 M for minimum degree on the full matrix, and 12.2 M for
-COLAMD with partial pivoting on S; the ordering takes 0.02 s. The
+In 2D, S is built and factored on the first solve, and S is dropped; the
+factor is reused by every later solve until the domain's normal-monomial
+basis is complete, and then dropped too (see the last paragraph). The black
+nodes are ordered by nested dissection (George 1973): on their sublattice
+u = (i + j - 1)/2, v = (i - j - 1)/2, S couples only nodes at most one step
+apart along each axis, so the nodes on any lattice line separate those on
+its two sides. Each box is cut at the midpoint line across its longer side,
+its two halves are ordered first and the line last, down to boxes of 4
+nodes. S is permuted to that order and factored in symmetric mode, the order
+applied to rows and columns alike, with diagonal pivots only, which is
+stable for M-matrices. At disk h 0.005 the factor has 5.24 M nonzeros and
+takes 0.21 s (2 vCPUs), against 6.51 M and 0.43 s under a minimum-degree
+ordering of S^T + S, 7.86 M for minimum degree on the full matrix, and
+12.2 M for COLAMD with partial pivoting on S; the ordering takes 0.02 s. The
 supernodes are only a few columns wide, so SuperLU's left-looking updates
-(Demmel et al. 1999) run on a 2-column panel rather than its default 20.
-In 3D, S is kept: it is the operator of BiCGSTAB (van der Vorst 1992),
-preconditioned with a plain-aggregation multigrid V-cycle (Vanek, Mandel &
-Brezina 1996) built on S and the lattice indices of the black nodes, whose
-coarsest level is factored under minimum degree. LU fill grows much
-faster in 3D, and measured over the resolutions the tool runs, the Krylov
-solve wins at every 3D size and the factorization at every 2D size. At
-ball h 0.05 a solve takes 12 iterations on S, against 19 on the full
-matrix. Residuals of the full system are verified against the 1e-10
-relative tolerance after every solve, whichever backend produced it; Krylov
-iterations are counted in the solve record too.
+(Demmel et al. 1999) run on a 2-column panel rather than its default 20. In
+3D, S is kept in the hierarchy: it is the operator of BiCGSTAB (van der
+Vorst 1992), preconditioned with a plain-aggregation multigrid V-cycle
+(Vanek, Mandel & Brezina 1996) built on S and the lattice indices of the
+black nodes, whose coarsest level is factored under minimum degree. LU fill
+grows much faster in 3D, and measured over the resolutions the tool runs,
+the Krylov solve wins at every 3D size and the factorization at every 2D
+size. At ball h 0.05 a solve takes 12 iterations on S, against 19 on the
+full matrix. Residuals of the full system are verified against the
+1e-10 relative tolerance after every solve, whichever backend produced it;
+Krylov iterations are counted in the solve record too.
 
 Every harmonic object the trace bounds need is a linear combination of
 harmonic extensions of monomials in the outward normal: H[nu_a] (the normal
@@ -85,10 +86,23 @@ worst residual, worst maximum-principle margin). The domain's arrays are
 read-only and a ``dataclasses.replace`` copy starts with an empty cache, so
 none of it goes stale. ``solver_stats(*domains)`` merges the records of the
 given domains, so a run reports exactly the solves on its own domains.
+
+The LU factor (2D) and the multigrid hierarchy with S (3D) are the largest
+of these, and only solves read them. So once the domain's 6 (2D) or 13 (3D)
+normal-monomial extensions are all memoized, solved or derived, the operator
+drops that backend: the bounds need nothing else that solves. Everything
+else stays, since the checks of a derived extension, ``laplacian`` and the
+difference operators read the colour blocks, the boundary coupling and the
+stencils. A later ``solve_dirichlet`` on the domain builds the backend again,
+once, on first use, from the same colour blocks and the same order, so it
+solves with the same factor or hierarchy and gets the same solution. A run
+that asks for only some of the extensions (the sobolev task alone) keeps
+its backend.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -557,6 +571,13 @@ def _cubic(a: int, b: int) -> tuple[int, ...]:
     return tuple(sorted((a, b, b)))
 
 
+def _basis(dim: int) -> set[tuple[int, ...]]:
+    """The normal monomials the trace bounds extend: every nu_a and every
+    nu_a nu_b nu_c, 6 in 2D and 13 in 3D, as sorted axis tuples."""
+    return {(a,) for a in range(dim)} | set(
+        itertools.combinations_with_replacement(range(dim), 3))
+
+
 def _identity_terms(key: tuple[int, ...], dim: int) -> list[tuple[float, tuple]] | None:
     """H[key] as a signed sum of the other members of its |nu|^2 = 1 identity
     H[nu_a] = sum_b H[nu_a nu_b nu_b], as (sign, monomial) pairs; None if the
@@ -578,7 +599,11 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> Field:
     of such an identity are memoized, the last one is their signed sum, with
     the exact monomial as boundary values, checked and recorded like a solve
     but not counted as one. So a domain needs 10 solves in 3D and 4 in 2D
-    for all 13 (6) extensions, in whatever order they are asked for."""
+    for all 13 (6) extensions, in whatever order they are asked for.
+
+    The insert that completes these 13 (6), solved or derived, drops the
+    operator's LU factor (2D) or multigrid hierarchy (3D), which a later
+    ``solve_dirichlet`` builds again (module docstring)."""
     key = tuple(sorted(axes))
     op = _operator(domain)
     memo = op.monomials
@@ -590,6 +615,10 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> Field:
             memo[key] = op.verified(u, values, solved=False)
         else:
             memo[key] = solve_dirichlet(domain, values)
+        basis = _basis(domain.dim)
+        if key in basis and basis <= memo.keys():
+            # nothing the trace bounds need solves on this domain again
+            vars(op).pop("lu" if domain.dim == 2 else "multigrid", None)
     return memo[key]
 
 

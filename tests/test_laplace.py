@@ -165,14 +165,7 @@ class TestKrylov:
             assert op.record["iterations"] - before == 1
 
     def test_hierarchy_built_once(self, monkeypatch):
-        built = []
-
-        class Counted(L._Multigrid):
-            def __init__(self, *args):
-                built.append(self)
-                super().__init__(*args)
-
-        monkeypatch.setattr(L, "_Multigrid", Counted)
+        built = _count_backend_builds(monkeypatch, 3)
         dom = G.build_domain(G.DomainSpec.ball(1.0, 0.15))
         L._operator(dom)
         assert built == []
@@ -405,6 +398,78 @@ class TestReplacedDomain:
     def test_cache_is_not_an_argument(self, disk):
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(disk, _cache={})
+
+
+def _count_backend_builds(monkeypatch, dim: int) -> list:
+    """Patch the 2D factor of S (ordered "NATURAL") or the 3D hierarchy so that
+    each build appends to the returned list."""
+    built = []
+    if dim == 2:
+        factor = L._factor
+
+        def counted(matrix, permc_spec):
+            if permc_spec == "NATURAL":
+                built.append(permc_spec)
+            return factor(matrix, permc_spec)
+
+        monkeypatch.setattr(L, "_factor", counted)
+    else:
+        class Counted(L._Multigrid):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(L, "_Multigrid", Counted)
+    return built
+
+
+class TestBackendRelease:
+    """The insert that completes a domain's 6 (2D) or 13 (3D) normal-monomial
+    extensions drops its LU factor or multigrid hierarchy; a later solve
+    builds it again, once, and solves as before."""
+
+    SPECS = [G.DomainSpec.disk(1.0, 0.02), G.DomainSpec.ball(1.0, 0.15)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["disk", "ball"])
+    def test_released_when_the_basis_completes(self, spec, monkeypatch):
+        dom = G.build_domain(spec)
+        built = _count_backend_builds(monkeypatch, dom.dim)
+        op = L._operator(dom)
+        backend = "lu" if dom.dim == 2 else "multigrid"
+        held = []
+
+        class Watched(dict):
+            # whether the backend is held when each extension is memoized
+            def __setitem__(self, key, value):
+                held.append(backend in vars(op))
+                super().__setitem__(key, value)
+
+        op.monomials = Watched()
+        S.harmonic_normal_field(dom)
+        assert backend in vars(op)
+        LD.ld_bounds(dom)
+        assert op.monomials.keys() == L._basis(dom.dim)
+        assert held == [True] * len(op.monomials)
+        assert len(built) == 1
+        assert not {"lu", "multigrid"} & set(vars(op))
+        assert L.solver_stats(dom)["solves"] == (4 if dom.dim == 2 else 10)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["disk", "ball"])
+    def test_a_later_solve_rebuilds_it_once(self, spec, monkeypatch):
+        dom = G.build_domain(spec)
+        built = _count_backend_builds(monkeypatch, dom.dim)
+        S.harmonic_normal_field(dom)
+        LD.ld_bounds(dom)
+        op = L._operator(dom)
+        # solved, not derived, since the normal field came first
+        memo = op.monomials[(0,)]
+        for rebuilt in range(2):
+            solves = op.record["solves"]
+            u = L.solve_dirichlet(dom, memo.boundary)
+            assert np.array_equal(u.interior, memo.interior)
+            assert op.record["solves"] == solves + 1
+            assert len(built) == 2
+        assert ("lu" if dom.dim == 2 else "multigrid") in vars(op)
 
 
 class TestMaxPrinciple:

@@ -220,6 +220,24 @@ class TestEquivalenceConstants:
         assert abs(rows["op2/vecInf"].observed_max - 3.0) < 1e-12
         assert abs(rows["vec2/op2"].observed_min - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_pass_per_stack(self, n, monkeypatch):
+        # one symmetry check and one eigenvalue pass give all five norms, each
+        # bit-identical to norm_stack of that kind alone
+        checked, shared, eig_passes = [], [], []
+        check, norms, eigvalsh = M._check_sym, M._norms, np.linalg.eigvalsh
+        monkeypatch.setattr(M, "_check_sym", lambda T: checked.append(T) or check(T))
+        monkeypatch.setattr(M, "_norms", lambda A, kinds: shared.append(norms(A, kinds))
+                            or shared[-1])
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda A: eig_passes.append(1) or eigvalsh(A))
+        M.verify_equivalence_constants(n, 1000, seed=101)
+        monkeypatch.undo()
+        assert len(checked) == len(shared) == len(eig_passes) == 1
+        assert set(shared[0]) == {"op1", "op2", "vec2", "vecInf", "dual_op2"}
+        for kind, values in shared[0].items():
+            np.testing.assert_array_equal(values, M.norm_stack(checked[0], kind))
+
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             M.verify_equivalence_constants(3, 0)
