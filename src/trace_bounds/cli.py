@@ -8,6 +8,8 @@ Subcommands::
 
 sweep-theta's ``--dim`` defaults to the largest dimension the norm is defined
 in; a dimension the norm lacks is a configuration error.
+Tasks run in ``config.TASKS`` order; the per-level tasks (sobolev, ld) share
+one level loop, coarsest level first, and one refinement summary.
 Exit codes: 0 all checks passed; 2 configuration error; 3 solver failure;
 4 at least one verification check failed (the report names the first).
 Reports are JSON with sorted keys; identical config + seed reproduce them
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from . import laplace, matnorm, optimal_bc, sobolev_trace as st, ld_trace as ld
-from .config import MIN_STEPS, STEPS_RULE, ConfigError, RunConfig, load_config
+from .config import MIN_STEPS, STEPS_RULE, TASKS, ConfigError, RunConfig, load_config
 from .fields import Field, write_csv
 from .geometry import CheckError, Domain, GeometryError, build_domain
 from .laplace import SolverError
@@ -114,73 +116,59 @@ def _richardson(h_levels, values) -> float | None:
     """First-order Richardson extrapolation from the two finest levels."""
     if len(values) < 2:
         return None
-    h1, h2 = h_levels[-2], h_levels[-1]
-    v1, v2 = values[-2], values[-1]
-    r = h1 / h2
-    return (r * v2 - v1) / (r - 1.0)
+    r = h_levels[-2] / h_levels[-1]
+    return (r * values[-1] - values[-2]) / (r - 1.0)
 
 
-def _task_sobolev(domains, config: RunConfig,
-                  checks: _Checks) -> tuple[dict, st.NormalField]:
-    out = {"levels": []}
-    b_values = []
-    for h, domain in domains:
-        nf = st.harmonic_normal_field(domain)
-        B = st.sobolev_B(domain, nf)
-        iso_bound = st.isoperimetric_lower_bound(domain)
-        b_values.append(B)
-        out["levels"].append({
-            "h": h,
-            "B": B,
-            "isoperimetric_lower_bound": iso_bound,
-            "sup_div_closure": nf.sup_div_closure,
-            "volume": domain.volume,
-            "area": domain.area,
-        })
-        checks.add("sobolev.B_above_isoperimetric", B >= iso_bound * 0.98,
-                   value=B - iso_bound, tolerance=0.02 * iso_bound, h=h,
-                   detail="B >= |bnd|/|Omega| up to 2% equality tolerance")
-    out["richardson_B"] = _richardson([h for h, _ in domains], b_values)
-    return out, nf
-
-
-def _task_ld(domains, config: RunConfig, checks: _Checks,
-             outdir: str) -> tuple[dict, ld.LDBoundReport]:
-    out = {"levels": []}
-    b_values = []
-    csv_rows = []
-    for h, domain in domains:
-        rep = ld.ld_bounds(domain, config.norm)
-        b_values.append(rep.B)
-        out["levels"].append(rep.as_dict())
-        csv_rows.append(ld.ld_report_csv_row(rep, kind=config.domain.kind))
-        a_exact = domain.dim * optimal_bc.worst_case_D(config.norm)
-        checks.add("ld.A_formula", abs(rep.A - a_exact) < 1e-12,
-                   value=rep.A, tolerance=1e-12, h=h,
-                   detail=f"A = dim * D for norm {config.norm}")
-        for d in rep.per_k:
-            checks.add(f"ld.frame_inf_equals_Dinf.k{d.k}",
-                       abs(d.sup_frame_inf_boundary - 1.0) <= 0.02,
-                       value=d.sup_frame_inf_boundary, tolerance=0.02, h=h,
-                       detail="frame-relative boundary sup = D_inf = 1")
-    if len(b_values) >= 2:
-        drift = abs(b_values[-1] - b_values[-2]) / max(abs(b_values[-1]), 1e-300)
-        checks.add("ld.B_refinement_agreement", drift <= 0.10,
-                   value=drift, tolerance=0.10, h=domains[-1][0],
-                   detail="B at h and h/2 agree within 10%")
-    out["richardson_B"] = _richardson([h for h, _ in domains], b_values)
-    write_csv(os.path.join(outdir, "ld_bounds.csv"), ld.LD_CSV_HEADER, csv_rows)
-    return out, rep
-
-
-def _task_battery(domains, config: RunConfig, checks: _Checks,
-                  nf: st.NormalField | None, ld_rep: ld.LDBoundReport | None) -> dict:
-    """Batteries on the finest level, reusing its sobolev and ld task results
-    (nf, ld_rep) when those tasks ran."""
-    h, domain = domains[-1]
-    nf = nf or st.harmonic_normal_field(domain)
+def _sobolev_level(h: float, domain: Domain, config: RunConfig,
+                   checks: _Checks) -> tuple[dict, st.NormalField]:
+    nf = st.harmonic_normal_field(domain)
     B = st.sobolev_B(domain, nf)
-    ld_rep = ld_rep or ld.ld_bounds(domain, config.norm)
+    iso_bound = st.isoperimetric_lower_bound(domain)
+    checks.add("sobolev.B_above_isoperimetric", B >= iso_bound * 0.98,
+               value=B - iso_bound, tolerance=0.02 * iso_bound, h=h,
+               detail="B >= |bnd|/|Omega| up to 2% equality tolerance")
+    return {"h": h, "B": B, "isoperimetric_lower_bound": iso_bound,
+            "sup_div_closure": nf.sup_div_closure, "volume": domain.volume,
+            "area": domain.area}, nf
+
+
+def _ld_level(h: float, domain: Domain, config: RunConfig,
+              checks: _Checks) -> tuple[dict, ld.LDBoundReport]:
+    rep = ld.ld_bounds(domain, config.norm)
+    a_exact = domain.dim * optimal_bc.worst_case_D(config.norm)
+    checks.add("ld.A_formula", abs(rep.A - a_exact) < 1e-12,
+               value=rep.A, tolerance=1e-12, h=h,
+               detail=f"A = dim * D for norm {config.norm}")
+    for d in rep.per_k:
+        checks.add(f"ld.frame_inf_equals_Dinf.k{d.k}",
+                   abs(d.sup_frame_inf_boundary - 1.0) <= 0.02,
+                   value=d.sup_frame_inf_boundary, tolerance=0.02, h=h,
+                   detail="frame-relative boundary sup = D_inf = 1")
+    return rep.as_dict(), rep
+
+
+def _ld_summary(block: dict, config: RunConfig, checks: _Checks, outdir: str) -> dict:
+    """The ld task after its level loop: the refinement check and ld_bounds.csv."""
+    levels = block["levels"]
+    if len(levels) >= 2:
+        b1, b2 = levels[-2]["B"], levels[-1]["B"]
+        drift = abs(b2 - b1) / max(abs(b2), 1e-300)
+        checks.add("ld.B_refinement_agreement", drift <= 0.10,
+                   value=drift, tolerance=0.10, h=config.h_levels[-1],
+                   detail="B at h and h/2 agree within 10%")
+    write_csv(os.path.join(outdir, "ld_bounds.csv"), ld.LD_CSV_HEADER,
+              [ld.ld_report_csv_row(level, kind=config.domain.kind) for level in levels])
+    return block
+
+
+def _task_battery(h: float, domain: Domain, config: RunConfig, checks: _Checks,
+                  finest: dict) -> dict:
+    """Batteries on the finest level, reusing the finest results of the sobolev
+    and ld tasks (``finest``, keyed by task name) when those tasks ran."""
+    nf = finest.get("sobolev") or st.harmonic_normal_field(domain)
+    B = st.sobolev_B(domain, nf)
+    ld_rep = finest.get("ld") or ld.ld_bounds(domain, config.norm)
     out = {"h": h, "B": B, "A": ld_rep.A, "B_ld": ld_rep.B}
     # every name is looked up when called, so a wrapper put on the module
     # attribute (as perfbench's tracer does) sees each call
@@ -272,28 +260,39 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
         "tasks": {},
     }
 
-    needs_domain = any(t in config.tasks for t in ("sobolev", "ld", "battery"))
     domains = []
+    finest = {}   # per-level task -> the result of its finest level so far
+
+    def per_level(task: str, evaluate) -> dict:
+        """The one level loop: ``evaluate(h, domain, config, checks)`` on every
+        level, coarsest first, adds the level's checks and returns its report
+        block and result; then the refinement summary of the blocks' B."""
+        levels = []
+        for h, domain in domains:
+            block, finest[task] = evaluate(h, domain, config, checks)
+            levels.append(block)
+        return {"levels": levels,
+                "richardson_B": _richardson(config.h_levels, [lv["B"] for lv in levels])}
+
+    runners = {
+        "sobolev": lambda: per_level("sobolev", _sobolev_level),
+        "ld": lambda: _ld_summary(per_level("ld", _ld_level), config, checks, outdir),
+        "battery": lambda: _task_battery(*domains[-1], config, checks, finest),
+        "matnorm-verify": lambda: _task_matnorm(config, checks, outdir),
+        "optimal-bc-sweep": lambda: _task_sweep(config, checks, outdir),
+    }
     code = EXIT_OK
     try:
-        if needs_domain:
+        if {"sobolev", "ld", "battery"} & set(config.tasks):
             for h in config.h_levels:
                 domains.append((h, build_domain(config.domain_at(h))))
-        nf = ld_rep = None
-        if "sobolev" in config.tasks:
-            report["tasks"]["sobolev"], nf = _task_sobolev(domains, config, checks)
-        if "ld" in config.tasks:
-            report["tasks"]["ld"], ld_rep = _task_ld(domains, config, checks, outdir)
-        if "battery" in config.tasks:
-            report["tasks"]["battery"] = _task_battery(domains, config, checks,
-                                                       nf, ld_rep)
-        if "matnorm-verify" in config.tasks:
-            report["tasks"]["matnorm_verify"] = _task_matnorm(config, checks, outdir)
-        if "optimal-bc-sweep" in config.tasks:
-            report["tasks"]["optimal_bc_sweep"] = _task_sweep(config, checks, outdir)
+        for task in TASKS:
+            if task in config.tasks:
+                report["tasks"][task.replace("-", "_")] = runners[task]()
     except SolverError as exc:
+        # a residual the error did not measure (NaN) is null: JSON has no NaN
         report["error"] = {"type": "solver", "message": str(exc),
-                           "residual": getattr(exc, "residual", None)}
+                           "residual": exc.residual if np.isfinite(exc.residual) else None}
         code = EXIT_SOLVER
     except (GeometryError, matnorm.NormEquivalenceError, CheckError) as exc:
         report["error"] = {"type": "check", "message": str(exc)}

@@ -14,10 +14,11 @@ Example::
 Keys: ``kind`` (disk|ball|ellipse|ellipsoid|annulus|levelset) with its shape
 parameters (radius | a,b[,c] | r_in,r_out | expression,dim,bbox), ``h``
 (descending list), ``norm`` (vec2|vecInf, the norms with a worst case D),
-``tasks`` (comma list of sobolev, ld, matnorm-verify, optimal-bc-sweep,
-battery), ``output`` (directory), ``seed`` (int >= 0), ``samples`` (matnorm sample
-count), ``steps`` (theta sweep). Only ``kind`` and ``h`` are required; the
-defaults are ``RunConfig``'s, and a level set's ``DomainSpec.levelset``'s.
+``tasks`` (comma list of sobolev, ld, battery, matnorm-verify,
+optimal-bc-sweep; they run in that order, ``TASKS``), ``output`` (directory),
+``seed`` (int >= 0), ``samples`` (matnorm sample count), ``steps`` (theta
+sweep). Only ``kind`` and ``h`` are required; the defaults are ``RunConfig``'s,
+and a level set's ``DomainSpec.levelset``'s.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 MIN_STEPS = 2
 STEPS_RULE = f"must be at least {MIN_STEPS}, so that the sweep samples theta = pi/2"
 
-TASKS = ("sobolev", "ld", "matnorm-verify", "optimal-bc-sweep", "battery")
+# the order the tasks run in, whatever order a config lists them in
+TASKS = ("sobolev", "ld", "battery", "matnorm-verify", "optimal-bc-sweep")
 
 
 class ConfigError(ValueError):

@@ -256,12 +256,12 @@ LD_CSV_HEADER = ("kind", "dim", "h", "norm", "A", "B", "trace_norm_bound",
                  "div_sup_k0", "div_sup_k1", "div_sup_k2")
 
 
-def ld_report_csv_row(report: LDBoundReport, kind: str) -> list:
-    """Flat write_csv row of a report, for batch sweeps over domains."""
-    per_k = list(report.per_k) + [None] * (3 - len(report.per_k))
-    return [kind, str(report.dim), report.h, report.norm, report.A, report.B,
-            report.trace_norm_bound] + ["" if d is None else d.div_sup_boundary
-                                        for d in per_k]
+def ld_report_csv_row(level: dict, kind: str) -> list:
+    """Flat write_csv row of a report's ``as_dict()``, for batch sweeps over
+    domains."""
+    sups = [d["div_sup_boundary"] for d in level["per_k"]]
+    return ([kind, str(level["dim"])] + [level[key] for key in LD_CSV_HEADER[2:7]]
+            + sups + [""] * (3 - len(sups)))
 
 
 def ld_bounds(domain: Domain, norm: str = "vec2") -> LDBoundReport:

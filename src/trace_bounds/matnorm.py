@@ -30,6 +30,7 @@ __all__ = [
     "eigenvalues_stack",
     "norm",
     "norm_stack",
+    "symmetric_norms",
     "EquivalenceRow",
     "verify_equivalence_constants",
     "equivalence_table_csv",
@@ -63,9 +64,11 @@ def eigenvalues(T: np.ndarray) -> np.ndarray:
     return eigenvalues_stack(np.asarray(T, dtype=float)[None])[0]
 
 
-def _norms(A: np.ndarray, kinds: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Each kind's norm of every matrix in a symmetrized stack A. op2 and
-    dual_op2 are the max and the sum of the same |eigenvalues|, taken once."""
+def symmetric_norms(A: np.ndarray, kinds: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Each kind's norm of every matrix in an (m, n, n) stack A that is
+    symmetric already (unchecked: op2 and dual_op2 read its lower triangle).
+    op2 and dual_op2 are the max and the sum of the same |eigenvalues|, taken
+    once."""
     norms, eig = {}, None
     for kind in kinds:
         if kind in ("op1", "opInf"):
@@ -87,7 +90,7 @@ def _norms(A: np.ndarray, kinds: tuple[str, ...]) -> dict[str, np.ndarray]:
 
 def norm_stack(T: np.ndarray, kind: str) -> np.ndarray:
     """One norm value per matrix in the stack (checked for symmetry once)."""
-    return _norms(_check_sym(T), (kind,))[kind]
+    return symmetric_norms(_check_sym(T), (kind,))[kind]
 
 
 def norm(T: np.ndarray, kind: str) -> float:
@@ -151,7 +154,7 @@ def verify_equivalence_constants(n: int, sample_count: int,
     mats = np.concatenate([_structured_seeds(n, rng), mats])
 
     # one symmetry check and one eigenvalue pass for the whole stack
-    norms = _norms(_check_sym(mats), ("op1", "op2", "vec2", "vecInf", "dual_op2"))
+    norms = symmetric_norms(_check_sym(mats), ("op1", "op2", "vec2", "vecInf", "dual_op2"))
     rows = []
     slack = 1e-12
     for num, den, lower_bound, upper_bound in _bounds(n):

@@ -153,17 +153,6 @@ def optimal_stress(problem: TractionProblem) -> OptimalBC:
     return bc
 
 
-def _frame_norm_stack(frame_mats: np.ndarray, norm: str) -> np.ndarray:
-    """Norms of candidate matrices given in frame coordinates."""
-    if norm == "vec2":
-        return np.sqrt((frame_mats ** 2).sum(axis=(1, 2)))
-    if norm == "vecInf":
-        return np.abs(frame_mats).max(axis=(1, 2))
-    if norm == "op2":
-        return matnorm.norm_stack(frame_mats, "op2")
-    raise ValueError(f"unsupported norm {norm!r}")
-
-
 def brute_force_optimal(problems: TractionProblem | Sequence[TractionProblem]) -> np.ndarray:
     """Independent minimizer: nested grid search over the free components.
 
@@ -208,7 +197,8 @@ def brute_force_optimal(problems: TractionProblem | Sequence[TractionProblem]) -
         if dim == 3:
             cand[..., 1, 2] = cand[..., 2, 1] = z[..., 1]
             cand[..., 2, 2] = z[..., 2]
-        values = _frame_norm_stack(cand.reshape(-1, dim, dim), norm).reshape(z.shape[:2])
+        values = matnorm.symmetric_norms(cand.reshape(-1, dim, dim), (norm,))[norm]
+        values = values.reshape(z.shape[:2])
         vmin = values.min(axis=1, keepdims=True)
         tied = values <= vmin + 1e-9 * (1.0 + vmin)
         # the first of the tied candidates with the least Frobenius norm
@@ -251,7 +241,7 @@ def sweep_theta(norm: str, steps: int = 91, dim: int | None = None,
         sigmas = np.concatenate([brute_force_optimal(problems[i:i + chunk])
                                  for i in range(0, len(problems), chunk)])
         out["brute_force"] = np.array([
-            float(_frame_norm_stack((bc.frame.T @ sig @ bc.frame)[None], norm)[0])
+            float(matnorm.symmetric_norms((bc.frame.T @ sig @ bc.frame)[None], (norm,))[norm][0])
             for sig, bc in zip(sigmas, optima)])
         out["max_entry_gap"] = max(float(np.abs(sig - bc.sigma).max())
                                    for sig, bc in zip(sigmas, optima))

@@ -138,6 +138,51 @@ tasks = sobolev
         assert report["tasks"]["sobolev"]["richardson_B"] is not None
         assert abs(report["tasks"]["sobolev"]["richardson_B"] - 2.0) < 0.05
 
+    def test_run_two_levels_ld(self, tmp_path):
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.08, 0.04\ntasks = ld")
+        code, report = cli.run_config(cfg, outdir=str(tmp_path))
+        assert code == cli.EXIT_OK
+        ld_block = report["tasks"]["ld"]
+        assert [level["h"] for level in ld_block["levels"]] == [0.08, 0.04]
+        assert abs(ld_block["richardson_B"] - 7.0) < 0.05 * 7.0
+        names = [c["name"] for c in report["checks"]]
+        assert names.count("ld.B_refinement_agreement") == 1
+        assert len((tmp_path / "ld_bounds.csv").read_text().splitlines()) == 3
+
+    def test_task_order_is_the_run_order(self, tmp_path):
+        # the tasks run in config.TASKS order whatever order the config lists
+        # them in, so only the recorded list differs
+        text = ("kind = disk\nradius = 1.0\nh = 0.1, 0.05\nsamples = 200\nsteps = 5\n"
+                "tasks = {}\n")
+        outs, reports = [tmp_path / "a", tmp_path / "b"], []
+        for out, tasks in zip(outs, (", ".join(C.TASKS),
+                                     "optimal-bc-sweep, battery, matnorm-verify, ld, sobolev")):
+            code, report = cli.run_config(C.parse_config(text.format(tasks)), outdir=str(out))
+            assert code == cli.EXIT_OK
+            assert report["config"].pop("tasks") == [t.strip() for t in tasks.split(",")]
+            report.pop("generated_at")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert list(reports[0]["tasks"]) == [t.replace("-", "_") for t in C.TASKS]
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == sorted(p.name for p in outs[1].iterdir())
+        for name in files:
+            if name != "report.json":
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_battery_reuses_the_finest_results(self, tmp_path, monkeypatch):
+        from trace_bounds import ld_trace, sobolev_trace
+        calls = []
+        for module, name in ((sobolev_trace, "harmonic_normal_field"),
+                             (ld_trace, "ld_bounds")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k:
+                                calls.append(name) or real(*a, **k))
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.08, 0.04\n"
+                             "tasks = sobolev, ld, battery")
+        assert cli.run_config(cfg, outdir=str(tmp_path))[0] == cli.EXIT_OK
+        assert calls == ["harmonic_normal_field"] * 2 + ["ld_bounds"] * 2
+
     def test_checks_carry_tolerance_and_h(self, tmp_path):
         cfg = C.parse_config(DISK_CONFIG)
         _, report = cli.run_config(cfg, outdir=str(tmp_path))
@@ -266,6 +311,31 @@ tasks = ld
         assert report["solver_stats"]["solves"] == 4
         assert report["solver_stats"]["max_residual"] <= 1e-10
 
+    def test_failed_task_keeps_the_tasks_before_it(self, tmp_path, monkeypatch):
+        # every level of one task runs before the next task starts: an ld check
+        # failing on the coarse level leaves the complete sobolev block
+        from trace_bounds import laplace
+        real = laplace.tensor_divergence
+
+        def spiked(field):
+            div = real(field)
+            interior = div.interior.copy()
+            interior[len(interior) // 3, 0] = 100.0 * np.abs(div.boundary[:, 0]).max()
+            return Field(div.domain, interior, div.boundary)
+
+        monkeypatch.setattr(laplace, "tensor_divergence", spiked)
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.08, 0.04\n"
+                             "tasks = sobolev, ld")
+        code, report = cli.run_config(cfg, outdir=str(tmp_path))
+        assert code == cli.EXIT_CHECK_FAILED
+        assert report["error"]["type"] == "check"
+        assert list(report["tasks"]) == ["sobolev"]
+        sobolev = report["tasks"]["sobolev"]
+        assert [level["h"] for level in sobolev["levels"]] == [0.08, 0.04]
+        assert sobolev["richardson_B"] is not None
+        assert [c["name"] for c in report["checks"]] == [
+            "sobolev.B_above_isoperimetric"] * 2 + ["laplace.max_principle_all_solves"]
+
     def test_failed_normal_field_names_position(self, tmp_path, monkeypatch):
         from trace_bounds import laplace, sobolev_trace
         real = laplace.divergence
@@ -367,9 +437,16 @@ class TestMain:
         cfg_file.write_text("kind = disk\nradius = 1.0\nh = 0.1\n"
                             f"tasks = sobolev\noutput = {tmp_path}/out\n")
         assert cli.main(["run", str(cfg_file)]) == cli.EXIT_SOLVER
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        # strict JSON: the residual the error did not measure is null, not NaN
+        text = (tmp_path / "out" / "report.json").read_text()
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(text, parse_constant=no_constant)
         assert report["error"]["type"] == "solver"
         assert "sparse factorization failed" in report["error"]["message"]
+        assert report["error"]["residual"] is None
 
     def test_malformed_config_exits_2(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"

@@ -225,10 +225,10 @@ class TestEquivalenceConstants:
         # one symmetry check and one eigenvalue pass give all five norms, each
         # bit-identical to norm_stack of that kind alone
         checked, shared, eig_passes = [], [], []
-        check, norms, eigvalsh = M._check_sym, M._norms, np.linalg.eigvalsh
+        check, norms, eigvalsh = M._check_sym, M.symmetric_norms, np.linalg.eigvalsh
         monkeypatch.setattr(M, "_check_sym", lambda T: checked.append(T) or check(T))
-        monkeypatch.setattr(M, "_norms", lambda A, kinds: shared.append(norms(A, kinds))
-                            or shared[-1])
+        monkeypatch.setattr(M, "symmetric_norms",
+                            lambda A, kinds: shared.append(norms(A, kinds)) or shared[-1])
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda A: eig_passes.append(1) or eigvalsh(A))
         M.verify_equivalence_constants(n, 1000, seed=101)
