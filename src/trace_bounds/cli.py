@@ -8,8 +8,16 @@ Subcommands::
 
 sweep-theta's ``--dim`` defaults to the largest dimension the norm is defined
 in; a dimension the norm lacks is a configuration error.
-Tasks run in ``config.TASKS`` order; the per-level tasks (sobolev, ld) share
-one level loop, coarsest level first, and one refinement summary.
+Tasks run in ``config.TASKS`` order. One level loop takes the h levels one
+at a time, coarsest first. It builds a level only if a task reads it (the
+per-level tasks sobolev and ld read every level, the battery the finest
+only), runs those tasks on it, and keeps their report blocks and checks and
+the level's solve record: the level's domain and solver state are freed
+before the next level is built. Each per-level task's refinement summary
+follows the loop. A run that fails keeps every check added so far and each
+per-level task's blocks of the levels it completed, extrapolated over those
+levels' own h (null below two); the ld refinement check and ld_bounds.csv
+need every level.
 Exit codes: 0 all checks passed; 2 configuration error; 3 solver failure;
 4 at least one verification check failed (the report names the first).
 Reports are JSON with sorted keys; identical config + seed reproduce them
@@ -91,8 +99,8 @@ def ld_battery_fields(domain: Domain) -> list[tuple[str, Field]]:
 # ---------------------------------------------------------------------------
 
 class _Checks:
-    def __init__(self):
-        self.entries: list[dict] = []
+    def __init__(self, entries: list[dict] | None = None):
+        self.entries: list[dict] = entries or []
 
     def add(self, name: str, passed: bool, value: float, tolerance: float,
             h: float | None, detail: str = "") -> None:
@@ -148,9 +156,10 @@ def _ld_level(h: float, domain: Domain, config: RunConfig,
     return rep.as_dict(), rep
 
 
-def _ld_summary(block: dict, config: RunConfig, checks: _Checks, outdir: str) -> dict:
-    """The ld task after its level loop: the refinement check and ld_bounds.csv."""
-    levels = block["levels"]
+def _ld_summary(levels: list[dict], config: RunConfig, checks: _Checks,
+                outdir: str) -> None:
+    """The ld task once it has completed every level: the refinement check
+    and ld_bounds.csv."""
     if len(levels) >= 2:
         b1, b2 = levels[-2]["B"], levels[-1]["B"]
         drift = abs(b2 - b1) / max(abs(b2), 1e-300)
@@ -159,7 +168,10 @@ def _ld_summary(block: dict, config: RunConfig, checks: _Checks, outdir: str) ->
                    detail="B at h and h/2 agree within 10%")
     write_csv(os.path.join(outdir, "ld_bounds.csv"), ld.LD_CSV_HEADER,
               [ld.ld_report_csv_row(level, kind=config.domain.kind) for level in levels])
-    return block
+
+
+# the per-level tasks, in run order: each evaluates one level
+_LEVEL_TASKS = {"sobolev": _sobolev_level, "ld": _ld_level}
 
 
 def _task_battery(h: float, domain: Domain, config: RunConfig, checks: _Checks,
@@ -241,7 +253,6 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
     """Execute the configured tasks; returns (exit_code, report)."""
     outdir = outdir or config.output
     os.makedirs(outdir, exist_ok=True)
-    checks = _Checks()
 
     report: dict = {
         "version": __version__,
@@ -260,35 +271,41 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
         "tasks": {},
     }
 
-    domains = []
-    finest = {}   # per-level task -> the result of its finest level so far
+    # each configured task's checks, in run order
+    checks = {task: _Checks() for task in TASKS if task in config.tasks}
+    # per-level task -> the report blocks of the levels it completed
+    levels = {task: [] for task in _LEVEL_TASKS if task in checks}
+    tasks = {}     # task -> its report block
+    records = []   # the solve record of every level built
 
-    def per_level(task: str, evaluate) -> dict:
-        """The one level loop: ``evaluate(h, domain, config, checks)`` on every
-        level, coarsest first, adds the level's checks and returns its report
-        block and result; then the refinement summary of the blocks' B."""
-        levels = []
-        for h, domain in domains:
-            block, finest[task] = evaluate(h, domain, config, checks)
-            levels.append(block)
-        return {"levels": levels,
-                "richardson_B": _richardson(config.h_levels, [lv["B"] for lv in levels])}
+    def run_level(h: float, battery: bool) -> None:
+        """The one level loop's body: build level h and run on it every
+        per-level task, then the battery if ``battery``. Only the blocks, the
+        checks and the solve record outlive this call: the domain and every
+        result on it are freed when it returns."""
+        domain = build_domain(config.domain_at(h))
+        try:
+            results = {}
+            for task, blocks in levels.items():
+                block, results[task] = _LEVEL_TASKS[task](h, domain, config, checks[task])
+                blocks.append(block)
+            if battery:
+                tasks["battery"] = _task_battery(
+                    h, domain, config, checks["battery"], results)
+        finally:
+            records.append(laplace.solver_stats(domain))
 
-    runners = {
-        "sobolev": lambda: per_level("sobolev", _sobolev_level),
-        "ld": lambda: _ld_summary(per_level("ld", _ld_level), config, checks, outdir),
-        "battery": lambda: _task_battery(*domains[-1], config, checks, finest),
-        "matnorm-verify": lambda: _task_matnorm(config, checks, outdir),
-        "optimal-bc-sweep": lambda: _task_sweep(config, checks, outdir),
-    }
     code = EXIT_OK
     try:
-        if {"sobolev", "ld", "battery"} & set(config.tasks):
-            for h in config.h_levels:
-                domains.append((h, build_domain(config.domain_at(h))))
-        for task in TASKS:
-            if task in config.tasks:
-                report["tasks"][task.replace("-", "_")] = runners[task]()
+        for h in config.h_levels:
+            # the battery reads only the finest level
+            battery = "battery" in checks and h == config.h_levels[-1]
+            if levels or battery:
+                run_level(h, battery)
+        for task, run in (("matnorm-verify", _task_matnorm),
+                          ("optimal-bc-sweep", _task_sweep)):
+            if task in checks:
+                tasks[task] = run(config, checks[task], outdir)
     except SolverError as exc:
         # a residual the error did not measure (NaN) is null: JSON has no NaN
         report["error"] = {"type": "solver", "message": str(exc),
@@ -298,18 +315,28 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
         report["error"] = {"type": "check", "message": str(exc)}
         code = EXIT_CHECK_FAILED
 
-    # the levels built so far, also when a task failed part way
-    stats = laplace.solver_stats(*(domain for _, domain in domains))
-    report["solver_stats"] = stats
-    if stats["solves"]:
-        checks.add("laplace.max_principle_all_solves",
-                   stats["max_principle_violation"] <= laplace.MAX_PRINCIPLE_TOL,
-                   value=stats["max_principle_violation"],
-                   tolerance=laplace.MAX_PRINCIPLE_TOL,
-                   h=None, detail=f"over {stats['solves']} Dirichlet solves")
+    # the refinement summary of each per-level task, over the levels it
+    # completed, also when the run failed part way
+    for task, blocks in levels.items():
+        if blocks:
+            tasks[task] = {"levels": blocks, "richardson_B": _richardson(
+                config.h_levels[:len(blocks)], [block["B"] for block in blocks])}
+    if len(levels.get("ld", ())) == len(config.h_levels):
+        _ld_summary(levels["ld"], config, checks["ld"], outdir)
+    report["tasks"] = {task.replace("-", "_"): tasks[task] for task in checks if task in tasks}
 
-    failure = checks.first_failure()
-    report["checks"] = checks.entries
+    stats = laplace.merge_records(*records)
+    report["solver_stats"] = stats
+    run_checks = _Checks([e for task_checks in checks.values() for e in task_checks.entries])
+    if stats["solves"]:
+        run_checks.add("laplace.max_principle_all_solves",
+                       stats["max_principle_violation"] <= laplace.MAX_PRINCIPLE_TOL,
+                       value=stats["max_principle_violation"],
+                       tolerance=laplace.MAX_PRINCIPLE_TOL,
+                       h=None, detail=f"over {stats['solves']} Dirichlet solves")
+
+    failure = run_checks.first_failure()
+    report["checks"] = run_checks.entries
     report["all_passed"] = failure is None and "error" not in report
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)

@@ -308,9 +308,10 @@ class Domain:
     arm_boundary: np.ndarray           # (2*dim, N) crossing boundary id or -1
     volume: float
     area: float
-    # laplace's operator for this domain, its only entry: everything derived
-    # from the fields above and the solve record. Not an __init__ argument,
-    # so every Domain, a replace copy too, starts with an empty one.
+    # laplace's operator state for this domain, its only entry: everything
+    # derived from the fields above and the solve record, none of it referring
+    # back to the domain. Not an __init__ argument, so every Domain, a replace
+    # copy too, starts with an empty one.
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

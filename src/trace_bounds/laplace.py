@@ -76,16 +76,17 @@ and a stacked product adds each column's terms in that same order, so every
 entry is bit-identical to differencing that entry on its own. Integrands
 take ``_derivatives`` and ``_divergence``, which extrapolate nothing.
 
-One ``_Operator`` per domain, the only entry of ``Domain._cache``, owns
-everything this module derives for that domain: the colour blocks of the
-matrix, assembled when the operator is made; the nested-dissection order
-and the LU factor of S (2D), the multigrid hierarchy of S (3D) and the
-per-axis difference stencils, cached properties built on first use; the
-memoized extensions; and the solve record (solves, Krylov iterations,
-worst residual, worst maximum-principle margin). The domain's arrays are
-read-only and a ``dataclasses.replace`` copy starts with an empty cache, so
-none of it goes stale. ``solver_stats(*domains)`` merges the records of the
-given domains, so a run reports exactly the solves on its own domains.
+One ``_Operator`` per domain owns everything this module derives for that
+domain: the colour blocks of the matrix, assembled when the operator is
+made; the nested-dissection order and the LU factor of S (2D), the
+multigrid hierarchy of S (3D) and the per-axis difference stencils, cached
+properties built on first use; the memoized extensions; and the solve record
+(solves, Krylov iterations, worst residual, worst maximum-principle margin).
+The domain's arrays are read-only and a ``dataclasses.replace`` copy starts
+with an empty cache, so none of it goes stale. ``solver_stats(*domains)``
+merges the records of the given domains, and ``merge_records`` merges
+records kept after their domains are gone, so a run reports exactly the
+solves on its own domains.
 
 The LU factor (2D) and the multigrid hierarchy with S (3D) are the largest
 of these, and only solves read them. So once the domain's 6 (2D) or 13 (3D)
@@ -98,12 +99,24 @@ once, on first use, from the same colour blocks and the same order, so it
 solves with the same factor or hierarchy and gets the same solution. A run
 that asks for only some of the extensions (the sobolev task alone) keeps
 its backend.
+
+What keeps all of this alive is the domain alone. The operator's state,
+the one entry of ``Domain._cache``, is the operator's attribute dict, and
+``_operator(domain)`` binds it to the domain in a new view each call. The
+state holds arrays, sparse matrices, the backend, the record and the
+memoized extensions as bare (interior, boundary) arrays: nothing in it
+refers back to the domain, so the two form no reference cycle. A domain
+that nothing else refers to (no caller, and no ``Field`` or result made on
+it) is freed at once with its state, without waiting for Python's cyclic
+garbage collector. So a refinement ladder evaluated level by level holds
+one level's domain and solver state at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,6 +136,7 @@ __all__ = [
     "check_sup_on_boundary",
     "extrapolate_to_boundary",
     "solver_stats",
+    "merge_records",
 ]
 
 SOLVER_TOL = 1e-10
@@ -326,7 +340,13 @@ class _Operator:
         A = [[D_R, A_RB], [A_BR, D_B]]
 
     with D_R and D_B diagonal. The operator keeps only the two diagonals and
-    the two coupling blocks, each read off the arm-end map."""
+    the two coupling blocks, each read off the arm-end map.
+
+    ``domain`` is a slot, outside the attribute dict that holds everything
+    else: that dict is the state the domain keeps, and ``_operator`` binds a
+    new view of it to the domain on each call (module docstring)."""
+
+    __slots__ = ("domain", "__dict__")
 
     def __init__(self, domain: Domain):
         self.domain = domain
@@ -358,7 +378,7 @@ class _Operator:
         rows = np.broadcast_to(np.arange(n), ends.shape)
         self.boundary_coupling = sp.csc_matrix(
             (coeff[~inner], (rows[~inner], ends[~inner] - n)), shape=(n, domain.n_boundary))
-        self.monomials: dict[tuple[int, ...], Field] = {}
+        self.monomials: dict[tuple[int, ...], _Extension] = {}
         self.record = {"solves": 0, "iterations": 0, "max_residual": 0.0,
                        "max_principle_violation": 0.0}
 
@@ -541,20 +561,38 @@ def _check_max_principle(field: Field) -> float:
     return violation
 
 
+class _Extension(NamedTuple):
+    """A memoized harmonic extension's values, without its domain."""
+
+    interior: np.ndarray
+    boundary: np.ndarray
+
+
 def _operator(domain: Domain) -> _Operator:
-    op = domain._cache.get("laplace_operator")
-    if op is None:
+    """The domain's operator: made on first use, which stores its attribute
+    dict in the domain's cache; later calls bind a new view to that dict."""
+    state = domain._cache.get("laplace_operator")
+    if state is None:
         op = _Operator(domain)
-        domain._cache["laplace_operator"] = op
+        domain._cache["laplace_operator"] = vars(op)
+    else:
+        op = object.__new__(_Operator)
+        op.domain, op.__dict__ = domain, state
     return op
 
 
 def solver_stats(*domains: Domain) -> dict:
-    """The solve records of the given domains merged: solve and iteration counts
-    summed, worst residual and maximum-principle margin maxed. A domain never
-    solved on contributes nothing; with no domains every entry is zero."""
-    records = [d._cache["laplace_operator"].record for d in domains
-               if "laplace_operator" in d._cache]
+    """The solve records of the given domains merged (``merge_records``). A
+    domain never solved on contributes nothing; with no domains every entry
+    is zero."""
+    return merge_records(*(d._cache["laplace_operator"]["record"] for d in domains
+                           if "laplace_operator" in d._cache))
+
+
+def merge_records(*records: dict) -> dict:
+    """Solve records merged: solve and iteration counts summed, worst residual
+    and maximum-principle margin maxed. A ``solver_stats`` result has a
+    record's keys, so the stats of domains that are gone merge the same way."""
     return {"solves": sum(r["solves"] for r in records),
             "iterations": sum(r["iterations"] for r in records),
             "max_residual": max((r["max_residual"] for r in records), default=0.0),
@@ -607,19 +645,22 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> Field:
     key = tuple(sorted(axes))
     op = _operator(domain)
     memo = op.monomials
-    if key not in memo:
-        values = np.prod(domain.boundary_normal[:, list(key)], axis=1)
-        terms = _identity_terms(key, domain.dim)
-        if terms and all(k in memo for _, k in terms):
-            u = sum(sign * memo[k].interior for sign, k in terms)
-            memo[key] = op.verified(u, values, solved=False)
-        else:
-            memo[key] = solve_dirichlet(domain, values)
-        basis = _basis(domain.dim)
-        if key in basis and basis <= memo.keys():
-            # nothing the trace bounds need solves on this domain again
-            vars(op).pop("lu" if domain.dim == 2 else "multigrid", None)
-    return memo[key]
+    if key in memo:
+        return Field(domain, *memo[key])
+    values = np.prod(domain.boundary_normal[:, list(key)], axis=1)
+    terms = _identity_terms(key, domain.dim)
+    if terms and all(k in memo for _, k in terms):
+        u = sum(sign * memo[k].interior for sign, k in terms)
+        field = op.verified(u, values, solved=False)
+    else:
+        field = solve_dirichlet(domain, values)
+    # the values only: a Field would refer back to the domain
+    memo[key] = _Extension(field.interior, field.boundary)
+    basis = _basis(domain.dim)
+    if key in basis and basis <= memo.keys():
+        # nothing the trace bounds need solves on this domain again
+        vars(op).pop("lu" if domain.dim == 2 else "multigrid", None)
+    return field
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -181,7 +183,8 @@ tasks = sobolev
         cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.08, 0.04\n"
                              "tasks = sobolev, ld, battery")
         assert cli.run_config(cfg, outdir=str(tmp_path))[0] == cli.EXIT_OK
-        assert calls == ["harmonic_normal_field"] * 2 + ["ld_bounds"] * 2
+        # one call per level each, level by level
+        assert calls == ["harmonic_normal_field", "ld_bounds"] * 2
 
     def test_checks_carry_tolerance_and_h(self, tmp_path):
         cfg = C.parse_config(DISK_CONFIG)
@@ -312,8 +315,9 @@ tasks = ld
         assert report["solver_stats"]["max_residual"] <= 1e-10
 
     def test_failed_task_keeps_the_tasks_before_it(self, tmp_path, monkeypatch):
-        # every level of one task runs before the next task starts: an ld check
-        # failing on the coarse level leaves the complete sobolev block
+        # the levels run coarsest first, each through every per-level task: an
+        # ld check failing on the coarse level leaves the sobolev block of that
+        # level, whose one level has no refinement summary
         from trace_bounds import laplace
         real = laplace.tensor_divergence
 
@@ -331,10 +335,41 @@ tasks = ld
         assert report["error"]["type"] == "check"
         assert list(report["tasks"]) == ["sobolev"]
         sobolev = report["tasks"]["sobolev"]
-        assert [level["h"] for level in sobolev["levels"]] == [0.08, 0.04]
-        assert sobolev["richardson_B"] is not None
+        assert [level["h"] for level in sobolev["levels"]] == [0.08]
+        assert sobolev["richardson_B"] is None
         assert [c["name"] for c in report["checks"]] == [
-            "sobolev.B_above_isoperimetric"] * 2 + ["laplace.max_principle_all_solves"]
+            "sobolev.B_above_isoperimetric", "laplace.max_principle_all_solves"]
+
+    def test_failed_finest_level_keeps_the_completed_levels(self, tmp_path, monkeypatch):
+        from trace_bounds import laplace
+        build, splu = cli.build_domain, laplace.spla.splu
+        built = []
+        monkeypatch.setattr(cli, "build_domain",
+                            lambda spec: built.append(spec.h) or build(spec))
+
+        def splu_but_finest(*args, **kwargs):
+            if built[-1] == 0.03:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(laplace.spla, "splu", splu_but_finest)
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.08, 0.04, 0.03\n"
+                             "tasks = sobolev, ld")
+        code, report = cli.run_config(cfg, outdir=str(tmp_path))
+        assert code == cli.EXIT_SOLVER
+        assert report["error"]["type"] == "solver"
+        # 4 per completed level; the finest failed on its first
+        assert report["solver_stats"]["solves"] == 8
+        for task in ("sobolev", "ld"):
+            levels = report["tasks"][task]["levels"]
+            assert [level["h"] for level in levels] == [0.08, 0.04]
+            # extrapolated with the completed levels' own h, not the ladder's
+            # two finest (0.04, 0.03)
+            assert report["tasks"][task]["richardson_B"] == cli._richardson(
+                [0.08, 0.04], [level["B"] for level in levels])
+        # the ld refinement check and CSV need every level
+        assert "ld.B_refinement_agreement" not in [c["name"] for c in report["checks"]]
+        assert not (tmp_path / "ld_bounds.csv").exists()
 
     def test_failed_normal_field_names_position(self, tmp_path, monkeypatch):
         from trace_bounds import laplace, sobolev_trace
@@ -406,6 +441,64 @@ tasks = ld
             rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
             assert rows.shape == (31, 3)
             assert rows[:, 1].max() == sweep["vec2"]["max_closed_form"]
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Reference counting alone frees what the test drops."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+class TestLevelByLevel:
+    """The ladder is evaluated one level at a time, coarsest first: a level
+    is built only if a task reads it, and freed, by reference counting
+    alone, before the next one is built."""
+
+    def _watch_builds(self, monkeypatch) -> tuple[list, list]:
+        """Patch cli.build_domain; returns the weak references to the domains
+        built so far, and per build which of the earlier ones were alive."""
+        build = cli.build_domain
+        built, alive = [], []
+
+        def watched(spec):
+            alive.append([ref() is not None for ref in built])
+            domain = build(spec)
+            built.append(weakref.ref(domain))
+            return domain
+
+        monkeypatch.setattr(cli, "build_domain", watched)
+        return built, alive
+
+    def test_each_level_is_freed_before_the_next_is_built(
+            self, tmp_path, monkeypatch, no_cyclic_gc):
+        built, alive = self._watch_builds(monkeypatch)
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.08, 0.04, 0.02\n"
+                             "tasks = sobolev, ld, battery")
+        assert cli.run_config(cfg, outdir=str(tmp_path))[0] == cli.EXIT_OK
+        assert alive == [[], [False], [False, False]]
+
+    def test_no_domain_outlives_the_run(self, tmp_path, monkeypatch, no_cyclic_gc):
+        built, _ = self._watch_builds(monkeypatch)
+        cfg = C.parse_config("kind = ball\nradius = 1.0\nh = 0.15, 0.1\n"
+                             "tasks = sobolev, ld, battery")
+        code, report = cli.run_config(cfg, outdir=str(tmp_path))
+        assert code == cli.EXIT_OK
+        assert len(built) == 2
+        assert [ref() is None for ref in built] == [True, True]
+
+    def test_battery_alone_builds_only_the_finest_level(self, tmp_path, monkeypatch):
+        built, _ = self._watch_builds(monkeypatch)
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.08, 0.04\ntasks = battery")
+        code, report = cli.run_config(cfg, outdir=str(tmp_path))
+        assert code == cli.EXIT_OK
+        assert len(built) == 1
+        assert report["tasks"]["battery"]["h"] == 0.04
+        # the normal field's 2 and the e_k stresses' 2 more, on that level only
+        assert report["solver_stats"]["solves"] == 4
 
 
 class TestMain:
