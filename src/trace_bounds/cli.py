@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -128,8 +129,8 @@ def _richardson(h_levels, values) -> float | None:
     return (r * values[-1] - values[-2]) / (r - 1.0)
 
 
-def _sobolev_level(h: float, domain: Domain, config: RunConfig,
-                   checks: _Checks) -> tuple[dict, st.NormalField]:
+def _sobolev_level(domain: Domain, checks: _Checks) -> tuple[dict, st.NormalField]:
+    h = domain.h
     nf = st.harmonic_normal_field(domain)
     B = st.sobolev_B(domain, nf)
     iso_bound = st.isoperimetric_lower_bound(domain)
@@ -141,13 +142,14 @@ def _sobolev_level(h: float, domain: Domain, config: RunConfig,
             "area": domain.area}, nf
 
 
-def _ld_level(h: float, domain: Domain, config: RunConfig,
-              checks: _Checks) -> tuple[dict, ld.LDBoundReport]:
-    rep = ld.ld_bounds(domain, config.norm)
-    a_exact = domain.dim * optimal_bc.worst_case_D(config.norm)
+def _ld_level(domain: Domain, checks: _Checks,
+              norm: str) -> tuple[dict, ld.LDBoundReport]:
+    h = domain.h
+    rep = ld.ld_bounds(domain, norm)
+    a_exact = domain.dim * optimal_bc.worst_case_D(norm)
     checks.add("ld.A_formula", abs(rep.A - a_exact) < 1e-12,
                value=rep.A, tolerance=1e-12, h=h,
-               detail=f"A = dim * D for norm {config.norm}")
+               detail=f"A = dim * D for norm {norm}")
     for d in rep.per_k:
         checks.add(f"ld.frame_inf_equals_Dinf.k{d.k}",
                    abs(d.sup_frame_inf_boundary - 1.0) <= 0.02,
@@ -170,17 +172,13 @@ def _ld_summary(levels: list[dict], config: RunConfig, checks: _Checks,
               [ld.ld_report_csv_row(level, kind=config.domain.kind) for level in levels])
 
 
-# the per-level tasks, in run order: each evaluates one level
-_LEVEL_TASKS = {"sobolev": _sobolev_level, "ld": _ld_level}
-
-
-def _task_battery(h: float, domain: Domain, config: RunConfig, checks: _Checks,
-                  finest: dict) -> dict:
+def _task_battery(domain: Domain, checks: _Checks, norm: str, finest: dict) -> dict:
     """Batteries on the finest level, reusing the finest results of the sobolev
     and ld tasks (``finest``, keyed by task name) when those tasks ran."""
+    h = domain.h
     nf = finest.get("sobolev") or st.harmonic_normal_field(domain)
     B = st.sobolev_B(domain, nf)
-    ld_rep = finest.get("ld") or ld.ld_bounds(domain, config.norm)
+    ld_rep = finest.get("ld") or ld.ld_bounds(domain, norm)
     out = {"h": h, "B": B, "A": ld_rep.A, "B_ld": ld_rep.B}
     # every name is looked up when called, so a wrapper put on the module
     # attribute (as perfbench's tracer does) sees each call
@@ -273,8 +271,12 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
 
     # each configured task's checks, in run order
     checks = {task: _Checks() for task in TASKS if task in config.tasks}
+    # the per-level tasks, in run order: each evaluates one level's domain
+    # into its checks, bound to the config values it reads
+    level_tasks = {"sobolev": _sobolev_level,
+                   "ld": functools.partial(_ld_level, norm=config.norm)}
     # per-level task -> the report blocks of the levels it completed
-    levels = {task: [] for task in _LEVEL_TASKS if task in checks}
+    levels = {task: [] for task in level_tasks if task in checks}
     tasks = {}     # task -> its report block
     records = []   # the solve record of every level built
 
@@ -287,11 +289,11 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
         try:
             results = {}
             for task, blocks in levels.items():
-                block, results[task] = _LEVEL_TASKS[task](h, domain, config, checks[task])
+                block, results[task] = level_tasks[task](domain, checks[task])
                 blocks.append(block)
             if battery:
                 tasks["battery"] = _task_battery(
-                    h, domain, config, checks["battery"], results)
+                    domain, checks["battery"], config.norm, results)
         finally:
             records.append(laplace.solver_stats(domain))
 

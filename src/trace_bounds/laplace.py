@@ -27,10 +27,11 @@ backends below take it as they took the full matrix. The operator checks
 when it is made that every interior arm joins opposite colours, and keeps
 only the two diagonals and the two coupling blocks, read off the arm-end map.
 
-In 2D, S is built and factored on the first solve, and S is dropped; the
-factor is reused by every later solve until the domain's normal-monomial
-basis is complete, and then dropped too (see the last paragraph). The black
-nodes are ordered by nested dissection (George 1973): on their sublattice
+Each operator solves S with one backend, built from S on the first solve
+and chosen once by the dimension: every solve hands it the reduced data and
+takes back u_B and the Krylov iterations it made, which the solve record
+counts. In 2D the backend is the LU factor of S. The black nodes are
+ordered by nested dissection (George 1973): on their sublattice
 u = (i + j - 1)/2, v = (i - j - 1)/2, S couples only nodes at most one step
 apart along each axis, so the nodes on any lattice line separate those on
 its two sides. Each box is cut at the midpoint line across its longer side,
@@ -43,16 +44,15 @@ ordering of S^T + S, 7.86 M for minimum degree on the full matrix, and
 12.2 M for COLAMD with partial pivoting on S; the ordering takes 0.02 s. The
 supernodes are only a few columns wide, so SuperLU's left-looking updates
 (Demmel et al. 1999) run on a 2-column panel rather than its default 20. In
-3D, S is kept in the hierarchy: it is the operator of BiCGSTAB (van der
-Vorst 1992), preconditioned with a plain-aggregation multigrid V-cycle
-(Vanek, Mandel & Brezina 1996) built on S and the lattice indices of the
-black nodes, whose coarsest level is factored under minimum degree. LU fill
-grows much faster in 3D, and measured over the resolutions the tool runs,
-the Krylov solve wins at every 3D size and the factorization at every 2D
-size. At ball h 0.05 a solve takes 12 iterations on S, against 19 on the
-full matrix. Residuals of the full system are verified against the
-1e-10 relative tolerance after every solve, whichever backend produced it;
-Krylov iterations are counted in the solve record too.
+3D the backend is BiCGSTAB (van der Vorst 1992) on S, preconditioned with a
+plain-aggregation multigrid V-cycle (Vanek, Mandel & Brezina 1996) built on
+S and the lattice indices of the black nodes, whose coarsest level is
+factored under minimum degree. LU fill grows much faster in 3D, and measured
+over the resolutions the tool runs, the Krylov solve wins at every 3D size
+and the factorization at every 2D size. At ball h 0.05 a solve takes 12
+iterations on S, against 19 on the full matrix. Residuals of the full system
+are verified against the 1e-10 relative tolerance after every solve,
+whichever backend produced it.
 
 Every harmonic object the trace bounds need is a linear combination of
 harmonic extensions of monomials in the outward normal: H[nu_a] (the normal
@@ -78,27 +78,25 @@ take ``_derivatives`` and ``_divergence``, which extrapolate nothing.
 
 One ``_Operator`` per domain owns everything this module derives for that
 domain: the colour blocks of the matrix, assembled when the operator is
-made; the nested-dissection order and the LU factor of S (2D), the
-multigrid hierarchy of S (3D) and the per-axis difference stencils, cached
-properties built on first use; the memoized extensions; and the solve record
-(solves, Krylov iterations, worst residual, worst maximum-principle margin).
-The domain's arrays are read-only and a ``dataclasses.replace`` copy starts
+made; the backend and the per-axis difference stencils, cached properties
+built on first use; the memoized extensions; and the solve record (solves,
+Krylov iterations, worst residual, worst maximum-principle margin). The
+domain's arrays are read-only and a ``dataclasses.replace`` copy starts
 with an empty cache, so none of it goes stale. ``solver_stats(*domains)``
 merges the records of the given domains, and ``merge_records`` merges
 records kept after their domains are gone, so a run reports exactly the
 solves on its own domains.
 
-The LU factor (2D) and the multigrid hierarchy with S (3D) are the largest
-of these, and only solves read them. So once the domain's 6 (2D) or 13 (3D)
-normal-monomial extensions are all memoized, solved or derived, the operator
-drops that backend: the bounds need nothing else that solves. Everything
-else stays, since the checks of a derived extension, ``laplacian`` and the
-difference operators read the colour blocks, the boundary coupling and the
-stencils. A later ``solve_dirichlet`` on the domain builds the backend again,
-once, on first use, from the same colour blocks and the same order, so it
-solves with the same factor or hierarchy and gets the same solution. A run
-that asks for only some of the extensions (the sobolev task alone) keeps
-its backend.
+The backend is the largest of these, and only solves read it. So once the
+domain's normal-monomial extensions are all memoized, solved or derived,
+the operator drops its backend: the bounds need nothing else that solves.
+Everything else stays, since the checks of a derived extension,
+``laplacian`` and the difference operators read the colour blocks, the
+boundary coupling and the stencils. A later ``solve_dirichlet`` on the
+domain builds the backend again, once, on first use, from the same colour
+blocks, so it solves with the same factor or hierarchy and gets the same
+solution. A run that asks for only some of the extensions (the sobolev task
+alone) keeps its backend.
 
 What keeps all of this alive is the domain alone. The operator's state,
 the one entry of ``Domain._cache``, is the operator's attribute dict, and
@@ -250,6 +248,32 @@ def _dissection(coords: np.ndarray) -> np.ndarray:
     return key
 
 
+def _dissection_order(ij: np.ndarray) -> np.ndarray:
+    """The positions of the black nodes at lattice coordinates (n, 2) in
+    nested-dissection order. S couples black nodes one lattice step apart
+    along a diagonal or two along an axis: one step along each axis of the
+    black sublattice's coordinates u = (i + j - 1)/2, v = (i - j - 1)/2,
+    which ``_dissection`` orders by."""
+    i, j = ij.T
+    return np.argsort(_dissection(np.stack([(i + j - 1) // 2, (i - j - 1) // 2])),
+                      kind="stable")
+
+
+class _DissectedLU:
+    """The nested-dissection ``order`` of the black nodes and the LU factor of
+    S permuted to it, which is the only copy of S the factorization holds."""
+
+    def __init__(self, order: np.ndarray, permuted: sp.csr_matrix):
+        self.order = order
+        self.lu = _factor(permuted, "NATURAL")
+
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """The solution, and no iterations."""
+        u = np.empty_like(rhs)
+        u[self.order] = self.lu.solve(rhs[self.order])
+        return u, 0
+
+
 # aggregation V-cycle: damped-Jacobi weight, coarse-correction scaling, and the
 # size at or below which a level is factored instead of coarsened
 _JACOBI_WEIGHT = 0.8
@@ -269,8 +293,9 @@ class _Multigrid:
     correction falls short and is scaled by 1.5 (over-correction, Braess
     1995). One damped-Jacobi sweep comes before it and one after. Levels are coarsened until one has
     at most 500 unknowns, and that level is factored. The cycle is a fixed
-    linear map, so it serves as BiCGSTAB's preconditioner. Unsmoothed
-    aggregates keep the coarse operators as sparse as the fine one.
+    linear map, so it serves as BiCGSTAB's preconditioner on the finest
+    level's matrix, the 3D backend's ``solve``. Unsmoothed aggregates keep the
+    coarse operators as sparse as the fine one.
     """
 
     def __init__(self, matrix: sp.csr_matrix, ijk: np.ndarray):
@@ -300,6 +325,35 @@ class _Multigrid:
         x += _COARSE_SCALE * self.cycle(coarse, level + 1)[aggregate]
         x += smoother * (r - A @ x)
         return x
+
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """BiCGSTAB on the finest level's matrix, preconditioned with the
+        cycle: the solution and the iterations it took."""
+        # SciPy's breakdown tests are absolute (eps^2), so solve for data
+        # scaled to unit norm; a power of two keeps the rescaling exact
+        exponent = np.frexp(np.linalg.norm(rhs))[1]
+        applications = 0
+
+        def precondition(r):
+            nonlocal applications
+            applications += 1
+            return self.cycle(r)
+
+        # a dtype, or LinearOperator applies the cycle once to find one
+        M = spla.LinearOperator(self.matrix.shape, precondition, dtype=float)
+        u, info = spla.bicgstab(self.matrix, np.ldexp(rhs, -exponent),
+                                rtol=KRYLOV_RTOL, atol=0.0, M=M)
+        u = np.ldexp(u, exponent)
+        # two preconditioner applications per iteration; SciPy returns from
+        # the half step, after the first, when that already converges
+        iterations = (applications + 1) // 2
+        if info != 0:
+            residual = _relative_residual(self.matrix @ u - rhs, u, rhs)
+            reason = (f"did not converge in {info} iterations" if info > 0 else
+                      f"broke down (info {info}) after {iterations} iterations")
+            raise SolverError(f"BiCGSTAB {reason}, residual {residual:.3e}",
+                              residual=residual)
+        return u, iterations
 
 
 def _arm_ends(domain: Domain) -> np.ndarray:
@@ -382,23 +436,6 @@ class _Operator:
         self.record = {"solves": 0, "iterations": 0, "max_residual": 0.0,
                        "max_principle_violation": 0.0}
 
-    @property
-    def neg_laplacian(self) -> sp.spmatrix:
-        """The full (N, N) matrix -lap_h (CSR in 3D, CSC in 2D), which no solve
-        forms: assembled anew from the arm-end map on each access, as the
-        reference that the colour blocks and the solutions are checked against."""
-        domain = self.domain
-        n = domain.n_interior
-        coeff, diag, ends = _shortley_weller(domain)
-        idx = np.arange(n)
-        rows = np.broadcast_to(idx, ends.shape)
-        inner = ends < n
-        matrix = sp.csr_matrix if domain.dim == 3 else sp.csc_matrix
-        return matrix(
-            (np.concatenate([-coeff[inner], diag]),
-             (np.concatenate([rows[inner], idx]), np.concatenate([ends[inner], idx]))),
-            shape=(n, n))
-
     def apply(self, u: np.ndarray) -> np.ndarray:
         """-lap_h u at the interior nodes, from the colour blocks."""
         out = np.empty_like(u)
@@ -415,24 +452,12 @@ class _Operator:
         return (sp.diags(self.black_diag) - eliminated).tocsr()
 
     @cached_property
-    def order(self) -> np.ndarray:
-        """2D: the positions in ``self.black`` in nested-dissection order. S
-        couples black nodes one lattice step apart along a diagonal or two
-        along an axis: one step along each axis of the black sublattice's
-        coordinates u = (i + j - 1)/2, v = (i - j - 1)/2, which ``_dissection``
-        orders by."""
-        i, j = _lattice(self.domain)[self.black].T
-        keys = _dissection(np.stack([(i + j - 1) // 2, (i - j - 1) // 2]))
-        return np.argsort(keys, kind="stable")
-
-    @cached_property
-    def lu(self):
-        # 2D: S, permuted to nested-dissection order, is factored and dropped
-        return _factor(self.schur()[self.order][:, self.order], "NATURAL")
-
-    @cached_property
-    def multigrid(self) -> _Multigrid:
-        # 3D: S is the finest level of the hierarchy and the Krylov operator
+    def backend(self) -> _DissectedLU | _Multigrid:
+        """The solver of S, built from S on first use: its LU factor in 2D, the
+        multigrid hierarchy on it in 3D (module docstring)."""
+        if self.domain.dim == 2:
+            order = _dissection_order(_lattice(self.domain)[self.black])
+            return _DissectedLU(order, self.schur()[order][:, order])
         lattice = _lattice(self.domain)
         return _Multigrid(self.schur(), (lattice[self.black] - lattice.min(axis=0)).T)
 
@@ -472,35 +497,6 @@ class _Operator:
                              np.where(has_p & has_m, 2 * h, h), offset[:, ax]))
         return stencils
 
-    def _bicgstab(self, rhs: np.ndarray) -> np.ndarray:
-        # SciPy's breakdown tests are absolute (eps^2), so solve for data
-        # scaled to unit norm; a power of two keeps the rescaling exact
-        exponent = np.frexp(np.linalg.norm(rhs))[1]
-        matrix, cycle = self.multigrid.matrix, self.multigrid.cycle
-        applications = 0
-
-        def precondition(r):
-            nonlocal applications
-            applications += 1
-            return cycle(r)
-
-        # a dtype, or LinearOperator applies the cycle once to find one
-        M = spla.LinearOperator(matrix.shape, precondition, dtype=float)
-        u, info = spla.bicgstab(matrix, np.ldexp(rhs, -exponent),
-                                rtol=KRYLOV_RTOL, atol=0.0, M=M)
-        u = np.ldexp(u, exponent)
-        # two preconditioner applications per iteration; SciPy returns from
-        # the half step, after the first, when that already converges
-        iterations = (applications + 1) // 2
-        if info != 0:
-            residual = _relative_residual(matrix @ u - rhs, u, rhs)
-            reason = (f"did not converge in {info} iterations" if info > 0 else
-                      f"broke down (info {info}) after {iterations} iterations")
-            raise SolverError(f"BiCGSTAB {reason}, residual {residual:.3e}",
-                              residual=residual)
-        self.record["iterations"] += iterations
-        return u
-
     def solve(self, boundary_values: np.ndarray) -> Field:
         domain = self.domain
         g = np.asarray(boundary_values, dtype=float)
@@ -514,10 +510,8 @@ class _Operator:
         red_rhs = rhs[self.red]
         reduced = rhs[self.black] - self.black_red @ (red_rhs / self.red_diag)
         u = np.empty(domain.n_interior)
-        if domain.dim == 2:
-            u[self.black[self.order]] = self.lu.solve(reduced[self.order])
-        else:
-            u[self.black] = self._bicgstab(reduced)
+        u[self.black], iterations = self.backend.solve(reduced)
+        self.record["iterations"] += iterations
         u[self.red] = (red_rhs - self.red_black @ u[self.black]) / self.red_diag
         return self.verified(u, g, solved=True)
 
@@ -602,7 +596,7 @@ def merge_records(*records: dict) -> dict:
 
 def solve_dirichlet(domain: Domain, boundary_values) -> Field:
     """Solve lap(u)=0 with u = boundary_values on the boundary nodes."""
-    return _operator(domain).solve(np.asarray(boundary_values, dtype=float))
+    return _operator(domain).solve(boundary_values)
 
 
 def _cubic(a: int, b: int) -> tuple[int, ...]:
@@ -640,8 +634,8 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> Field:
     for all 13 (6) extensions, in whatever order they are asked for.
 
     The insert that completes these 13 (6), solved or derived, drops the
-    operator's LU factor (2D) or multigrid hierarchy (3D), which a later
-    ``solve_dirichlet`` builds again (module docstring)."""
+    operator's backend, which a later ``solve_dirichlet`` builds again
+    (module docstring)."""
     key = tuple(sorted(axes))
     op = _operator(domain)
     memo = op.monomials
@@ -659,7 +653,7 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> Field:
     basis = _basis(domain.dim)
     if key in basis and basis <= memo.keys():
         # nothing the trace bounds need solves on this domain again
-        vars(op).pop("lu" if domain.dim == 2 else "multigrid", None)
+        vars(op).pop("backend", None)
     return field
 
 

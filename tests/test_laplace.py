@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -97,7 +98,8 @@ class TestKrylov:
     def test_normal_monomials_match_splu(self, spec):
         dom = G.build_domain(spec)
         op = L._operator(dom)
-        oracle = spla.splu(op.neg_laplacian.tocsc())
+        full = _assemble(dom)[0]
+        oracle = spla.splu(full.tocsc())
         monomials = [(a,) for a in range(3)] + list(
             itertools.combinations_with_replacement(range(3), 3))
         for axes in monomials:
@@ -107,7 +109,7 @@ class TestKrylov:
             expect = oracle.solve(rhs)
             assert np.abs(u.interior - expect).max() <= 1e-12 * np.abs(expect).max()
             scale = max(np.abs(rhs).max(), np.abs(u.interior).max())
-            residual = np.abs(op.neg_laplacian @ u.interior - rhs).max()
+            residual = np.abs(full @ u.interior - rhs).max()
             assert residual <= L.SOLVER_TOL * scale
         stats = L.solver_stats(dom)
         assert stats["solves"] == 13
@@ -120,7 +122,7 @@ class TestKrylov:
         # takes 15-16 iterations here, counting a final half step; Jacobi took
         # 38, so a hierarchy that stopped reducing the smooth error would show
         op = L._operator(ball)
-        assert len(op.multigrid.levels) >= 2
+        assert len(op.backend.levels) >= 2
         for axes in [(0,), (1,), (2,), (0, 1, 2), (2, 2, 2)]:
             before = op.record["iterations"]
             L.solve_dirichlet(ball, np.prod(ball.boundary_normal[:, list(axes)], axis=1))
@@ -130,7 +132,7 @@ class TestKrylov:
         # the cycle restricts and prolongs by a sum and a gather over each
         # unknown's aggregate; the V-cycle written with the piecewise-constant
         # P and R = P^T as matrices must give the same numbers bit for bit
-        mg = L._operator(ball).multigrid
+        mg = L._operator(ball).backend
 
         def reference(r, level=0):
             if level == len(mg.levels):
@@ -153,10 +155,10 @@ class TestKrylov:
         dom = G.build_domain(G.DomainSpec.ball(1.0, 0.3))
         assert dom.n_interior <= L._COARSEST
         op = L._operator(dom)
-        assert op.multigrid.levels == []
+        assert op.backend.levels == []
         cycles = []
-        cycle = op.multigrid.cycle
-        monkeypatch.setattr(op.multigrid, "cycle",
+        cycle = op.backend.cycle
+        monkeypatch.setattr(op.backend, "cycle",
                             lambda r: cycles.append(r) or cycle(r))
         for a in range(3):
             before, applied = op.record["iterations"], len(cycles)
@@ -165,14 +167,14 @@ class TestKrylov:
             assert op.record["iterations"] - before == 1
 
     def test_hierarchy_built_once(self, monkeypatch):
-        built = _count_backend_builds(monkeypatch, 3)
+        built = _count_backend_builds(monkeypatch)
         dom = G.build_domain(G.DomainSpec.ball(1.0, 0.15))
         L._operator(dom)
         assert built == []
         S.harmonic_normal_field(dom)
         LD.harmonic_ek_tensor(dom, 0)
         assert len(built) == 1
-        assert L._operator(dom).multigrid is built[0]
+        assert L._operator(dom).backend is built[0]
         assert list(dom._cache) == ["laplace_operator"]
 
     def test_scale_invariant(self, ball):
@@ -222,8 +224,9 @@ class TestDirect:
         pattern = (schur != 0).astype(int)
         assert (pattern != pattern.T).nnz == 0
         # diagonal pivots: the rows are eliminated in the columns' order
-        assert np.array_equal(op.lu.perm_r, op.lu.perm_c)
-        fill = op.lu.L.nnz + op.lu.U.nnz
+        lu = op.backend.lu
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        fill = lu.L.nnz + lu.U.nnz
         colamd = spla.splu(schur.tocsc())
         assert fill <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
         # minimum degree on S^T + S is the reference: nested dissection has
@@ -233,8 +236,9 @@ class TestDirect:
         mmd = spla.splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         assert fill <= 1.1 * (mmd.L.nnz + mmd.U.nnz)
-        oracle = spla.splu(op.neg_laplacian)
-        full = spla.splu(op.neg_laplacian, permc_spec="MMD_AT_PLUS_A",
+        matrix = _assemble(dom)[0]
+        oracle = spla.splu(matrix)
+        full = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         # eliminating the red nodes first and dissecting the black ones leaves
         # less fill than ordering all nodes by minimum degree: 0.72-0.77 of it
@@ -293,7 +297,7 @@ class TestRedBlack:
         assert (diag > 0).all()
         assert (sp.triu(schur, 1).data <= 0).all() and (sp.tril(schur, -1).data <= 0).all()
         assert (np.asarray(schur.sum(axis=1)).ravel() >= -1e-12 * diag).all()
-        full = op.neg_laplacian
+        full = _assemble(dom)[0]
         u = np.random.default_rng(3).normal(size=dom.n_interior)
         assert np.abs(op.apply(u) - full @ u).max() <= 1e-13 * np.abs(full @ u).max()
         oracle = spla.splu(full.tocsc())
@@ -352,7 +356,7 @@ class TestNormalMonomialIdentities:
         # every H[nu_a] and H[nu_a nu_b nu_c], dim of them derived
         assert len(op.monomials) == solves + dom.dim
         assert L.solver_stats(dom)["solves"] == solves
-        oracle = spla.splu(op.neg_laplacian.tocsc())
+        oracle = spla.splu(_assemble(dom)[0].tocsc())
         for key, field in op.monomials.items():
             g = np.prod(dom.boundary_normal[:, list(key)], axis=1)
             assert np.array_equal(field.boundary, g)
@@ -400,64 +404,56 @@ class TestReplacedDomain:
             dataclasses.replace(disk, _cache={})
 
 
-def _count_backend_builds(monkeypatch, dim: int) -> list:
-    """Patch the 2D factor of S (ordered "NATURAL") or the 3D hierarchy so that
-    each build appends to the returned list."""
+def _count_backend_builds(monkeypatch) -> list:
+    """Patch the operator's backend so that each build appends the backend to
+    the returned list."""
     built = []
-    if dim == 2:
-        factor = L._factor
+    build = L._Operator.backend.func
 
-        def counted(matrix, permc_spec):
-            if permc_spec == "NATURAL":
-                built.append(permc_spec)
-            return factor(matrix, permc_spec)
+    def counted(op):
+        built.append(build(op))
+        return built[-1]
 
-        monkeypatch.setattr(L, "_factor", counted)
-    else:
-        class Counted(L._Multigrid):
-            def __init__(self, *args):
-                built.append(self)
-                super().__init__(*args)
-
-        monkeypatch.setattr(L, "_Multigrid", Counted)
+    backend = cached_property(counted)
+    backend.__set_name__(L._Operator, "backend")
+    monkeypatch.setattr(L._Operator, "backend", backend)
     return built
 
 
 class TestBackendRelease:
     """The insert that completes a domain's 6 (2D) or 13 (3D) normal-monomial
-    extensions drops its LU factor or multigrid hierarchy; a later solve
-    builds it again, once, and solves as before."""
+    extensions drops its backend; a later solve builds it again, once, and
+    solves as before."""
 
     SPECS = [G.DomainSpec.disk(1.0, 0.02), G.DomainSpec.ball(1.0, 0.15)]
 
     @pytest.mark.parametrize("spec", SPECS, ids=["disk", "ball"])
     def test_released_when_the_basis_completes(self, spec, monkeypatch):
         dom = G.build_domain(spec)
-        built = _count_backend_builds(monkeypatch, dom.dim)
+        built = _count_backend_builds(monkeypatch)
         op = L._operator(dom)
-        backend = "lu" if dom.dim == 2 else "multigrid"
         held = []
 
         class Watched(dict):
             # whether the backend is held when each extension is memoized
             def __setitem__(self, key, value):
-                held.append(backend in vars(op))
+                held.append("backend" in vars(op))
                 super().__setitem__(key, value)
 
         op.monomials = Watched()
         S.harmonic_normal_field(dom)
-        assert backend in vars(op)
+        assert "backend" in vars(op)
         LD.ld_bounds(dom)
         assert op.monomials.keys() == L._basis(dom.dim)
         assert held == [True] * len(op.monomials)
         assert len(built) == 1
-        assert not {"lu", "multigrid"} & set(vars(op))
+        assert "backend" not in vars(op)
         assert L.solver_stats(dom)["solves"] == (4 if dom.dim == 2 else 10)
 
     @pytest.mark.parametrize("spec", SPECS, ids=["disk", "ball"])
     def test_a_later_solve_rebuilds_it_once(self, spec, monkeypatch):
         dom = G.build_domain(spec)
-        built = _count_backend_builds(monkeypatch, dom.dim)
+        built = _count_backend_builds(monkeypatch)
         S.harmonic_normal_field(dom)
         LD.ld_bounds(dom)
         op = L._operator(dom)
@@ -469,7 +465,7 @@ class TestBackendRelease:
             assert np.array_equal(u.interior, memo.interior)
             assert op.record["solves"] == solves + 1
             assert len(built) == 2
-        assert ("lu" if dom.dim == 2 else "multigrid") in vars(op)
+        assert "backend" in vars(op)
 
 
 class TestMaxPrinciple:
@@ -621,8 +617,9 @@ class TestDissection:
         op = L._operator(G.build_domain(spec))
         i, j = L._lattice(op.domain)[op.black].T
         keys = L._dissection(np.stack([(i + j - 1) // 2, (i - j - 1) // 2]))
-        assert np.array_equal(np.sort(op.order), np.arange(op.black.size))
-        assert np.array_equal(op.order, np.argsort(keys, kind="stable"))
+        order = op.backend.order
+        assert np.array_equal(np.sort(order), np.arange(op.black.size))
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
         # the base-3 digits of each key, most significant first: a node's
         # path down the dissection tree
         digits = keys[:, None] // 3 ** np.arange(39, -1, -1) % 3
@@ -654,7 +651,7 @@ class TestDissection:
             assert op.black.size == black
             g = dom.boundary_normal[:, 0]
             u = L.solve_dirichlet(dom, g).interior
-            expect = spla.spsolve(op.neg_laplacian, op.boundary_coupling @ g)
+            expect = spla.spsolve(_assemble(dom)[0], op.boundary_coupling @ g)
             assert np.abs(u - expect).max() <= 1e-14
 
     def test_less_fill_than_minimum_degree(self):
@@ -662,7 +659,7 @@ class TestDissection:
         op = L._operator(G.build_domain(G.DomainSpec.disk(1.0, 0.01)))
         mmd = spla.splu(op.schur().tocsc(), permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        assert op.lu.L.nnz + op.lu.U.nnz < mmd.L.nnz + mmd.U.nnz
+        assert op.backend.lu.L.nnz + op.backend.lu.U.nnz < mmd.L.nnz + mmd.U.nnz
 
 
 @pytest.fixture(scope="module")
@@ -783,17 +780,35 @@ def _assemble(dom):
     return neg_laplacian, boundary_coupling
 
 
+def _assert_same_sparse(got, expect):
+    assert got.format == expect.format and got.shape == expect.shape
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(expect, part))
+
+
 class TestAssembly:
     """The operator read off the arm-end map is the arm-by-arm assembly, bit for bit."""
 
     @pytest.mark.parametrize("name", STENCIL_DOMAINS)
     def test_match_arm_loop_oracle(self, name, request):
         dom = request.getfixturevalue(name)
+        _assert_same_sparse(L._Operator(dom).boundary_coupling, _assemble(dom)[1])
+
+    @pytest.mark.parametrize("name", STENCIL_DOMAINS)
+    def test_colour_blocks_match_arm_loop_oracle(self, name, request):
+        # the colour blocks are the blocks of the assembled matrix: its
+        # diagonal, its red-black and black-red couplings, and nothing else
+        dom = request.getfixturevalue(name)
         op = L._Operator(dom)
-        for got, expect in zip((op.neg_laplacian, op.boundary_coupling), _assemble(dom)):
-            assert got.format == expect.format and got.shape == expect.shape
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, part), getattr(expect, part))
+        full = _assemble(dom)[0].tocsr()
+        _assert_same_sparse(op.red_black, full[op.red][:, op.black])
+        _assert_same_sparse(op.black_red, full[op.black][:, op.red])
+        diag = full.diagonal()
+        assert np.array_equal(op.red_diag, diag[op.red])
+        assert np.array_equal(op.black_diag, diag[op.black])
+        for part in (op.red, op.black):
+            block = full[part][:, part]
+            assert sp.triu(block, 1).nnz == sp.tril(block, -1).nnz == 0
 
 
 class TestStencils:
@@ -834,14 +849,14 @@ class TestStencils:
         # each cached part is absent from the operator until first used
         dom = G.build_domain(G.DomainSpec.disk(1.0, 0.1))
         op = L._operator(dom)
-        assert not {"lu", "stencils"} & set(vars(op))
+        assert not {"backend", "stencils"} & set(vars(op))
         u = L.solve_dirichlet(dom, dom.boundary_normal[:, 0])
-        assert "lu" in vars(op) and "stencils" not in vars(op)
+        assert "backend" in vars(op) and "stencils" not in vars(op)
         L.gradient(u)
         stencils = vars(op)["stencils"]
         L.divergence(L.gradient(u))
         assert op.stencils is stencils
-        assert "multigrid" not in vars(op)
+        assert isinstance(vars(op)["backend"], L._DissectedLU)
         assert list(dom._cache) == ["laplace_operator"]
 
     @pytest.mark.parametrize("name", ["off_centre_disk", "ball", "off_centre_ellipsoid",
