@@ -281,12 +281,23 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
     records = []   # the solve record of every level built
 
     def run_level(h: float, battery: bool) -> None:
-        """The one level loop's body: build level h and run on it every
-        per-level task, then the battery if ``battery``. Only the blocks, the
-        checks and the solve record outlive this call: the domain and every
-        result on it are freed when it returns."""
+        """The one level loop's body: build level h, solve its normal-monomial
+        basis if a task reads all of it, and run on it every per-level task,
+        then the battery if ``battery``. Only the blocks, the checks and the
+        solve record outlive this call: the domain and every result on it are
+        freed when it returns."""
         domain = build_domain(config.domain_at(h))
         try:
+            if "ld" in levels or battery:
+                # the whole basis before any task: its completion drops the
+                # backend, so no check or difference operator runs beside it.
+                # Asked for in the order the tasks ask for it (the normal
+                # field's H[nu_a] first, unless ld reads first), so the same
+                # members are solved and derived as when the tasks ask
+                normal_first = "sobolev" in levels or "ld" not in levels
+                for axes in ([(a,) for a in range(domain.dim)] * normal_first
+                             + ld.monomial_order(domain.dim)):
+                    laplace._normal_monomial(domain, axes)
             results = {}
             for task, blocks in levels.items():
                 block, results[task] = level_tasks[task](domain, checks[task])

@@ -301,11 +301,13 @@ class Domain:
     boundary_normal: np.ndarray        # (M, dim) outward unit normals
     boundary_weight: np.ndarray        # (M,) surface quadrature weights
     boundary_is_axis: np.ndarray       # (M,) bool, crossing on an axis edge
-    boundary_nearest: np.ndarray       # (M,) interior id of the inside endpoint
+    boundary_nearest: np.ndarray       # (M,) int32 interior id of the inside endpoint
     # per direction d in 0..2*dim-1 (axis d//2, sign +1 for even d, -1 for odd):
     arm_length: np.ndarray             # (2*dim, N)
-    arm_interior: np.ndarray           # (2*dim, N) neighbor interior id or -1
-    arm_boundary: np.ndarray           # (2*dim, N) crossing boundary id or -1
+    # int32 ids, half the bytes of int64: under DEFAULT_NODE_CAP grid nodes,
+    # each the lower end of at most 7 Kuhn edges, N + M < 8 * 2.2e6 < 2^31
+    arm_interior: np.ndarray           # (2*dim, N) int32 neighbor interior id or -1
+    arm_boundary: np.ndarray           # (2*dim, N) int32 crossing boundary id or -1
     volume: float
     area: float
     # laplace's operator state for this domain, its only entry: everything
@@ -484,7 +486,8 @@ def build_domain(spec: DomainSpec) -> Domain:
 
     interior_flat = np.flatnonzero(inside)
     n_int = interior_flat.size
-    interior_id_flat = np.full(phi.size, -1, dtype=np.int64)
+    # int32 like the arm tables gathered from it (Domain)
+    interior_id_flat = np.full(phi.size, -1, dtype=np.int32)
     interior_id_flat[interior_flat] = np.arange(n_int)
 
     def flat_to_pos(flat: np.ndarray) -> np.ndarray:
@@ -539,7 +542,7 @@ def build_domain(spec: DomainSpec) -> Domain:
     # fill the Shortley-Weller arm tables: every axis edge is a Kuhn-simplex
     # edge, so each cut arm's edge is in the crossing table already
     ids = np.searchsorted(unique_keys, cut_keys)
-    arm_boundary = np.full(arm_interior.shape, -1, dtype=np.int64)
+    arm_boundary = np.full(arm_interior.shape, -1, dtype=np.int32)
     arm_boundary[cut] = ids
     axis = cut[0] // 2
     arm_length = np.full(arm_interior.shape, float(h))

@@ -90,13 +90,15 @@ solves on its own domains.
 The backend is the largest of these, and only solves read it. So once the
 domain's normal-monomial extensions are all memoized, solved or derived,
 the operator drops its backend: the bounds need nothing else that solves.
-Everything else stays, since the checks of a derived extension,
-``laplacian`` and the difference operators read the colour blocks, the
-boundary coupling and the stencils. A later ``solve_dirichlet`` on the
-domain builds the backend again, once, on first use, from the same colour
-blocks, so it solves with the same factor or hierarchy and gets the same
-solution. A run that asks for only some of the extensions (the sobolev task
-alone) keeps its backend.
+A run asks for a level's whole basis before any of its tasks, so the
+backend is released after the level's solves and before anything on the
+level is differentiated or checked. Everything else stays, since the checks
+of a derived extension, ``laplacian`` and the difference operators read the
+colour blocks, the boundary coupling and the stencils. A later
+``solve_dirichlet`` on the domain builds the backend again, once, on first
+use, from the same colour blocks, so it solves with the same factor or
+hierarchy and gets the same solution. A run that asks for only some of the
+extensions (the sobolev task alone) keeps its backend.
 
 What keeps all of this alive is the domain alone. The operator's state,
 the one entry of ``Domain._cache``, is the operator's attribute dict, and
@@ -173,7 +175,8 @@ def _factor(matrix: sp.spmatrix, permc_spec: str):
     """Sparse LU of the reduced Shortley-Weller matrix S, permuted to
     nested-dissection order beforehand (``permc_spec`` "NATURAL"), or of a
     Galerkin coarsening of it, ordered by minimum degree on A^T + A
-    ("MMD_AT_PLUS_A"). Nested dissection of S has 0.80-0.86 of the fill of
+    ("MMD_AT_PLUS_A"). A CSC matrix is factored as it is; any other format
+    is converted to a CSC copy first. Nested dissection of S has 0.80-0.86 of the fill of
     minimum degree and about half its factor time on the disk, the annulus
     and the ellipse at h 0.01 and 0.005 (module docstring); the coarsest
     multigrid level, of at most 500 unknowns, keeps minimum degree.
@@ -261,9 +264,10 @@ def _dissection_order(ij: np.ndarray) -> np.ndarray:
 
 class _DissectedLU:
     """The nested-dissection ``order`` of the black nodes and the LU factor of
-    S permuted to it, which is the only copy of S the factorization holds."""
+    S permuted to it. ``permuted`` comes in CSC, SuperLU's format, so it is
+    the only copy of S alive while SuperLU factors it."""
 
-    def __init__(self, order: np.ndarray, permuted: sp.csr_matrix):
+    def __init__(self, order: np.ndarray, permuted: sp.csc_matrix):
         self.order = order
         self.lu = _factor(permuted, "NATURAL")
 
@@ -457,7 +461,7 @@ class _Operator:
         multigrid hierarchy on it in 3D (module docstring)."""
         if self.domain.dim == 2:
             order = _dissection_order(_lattice(self.domain)[self.black])
-            return _DissectedLU(order, self.schur()[order][:, order])
+            return _DissectedLU(order, self.schur()[order][:, order].tocsc())
         lattice = _lattice(self.domain)
         return _Multigrid(self.schur(), (lattice[self.black] - lattice.min(axis=0)).T)
 

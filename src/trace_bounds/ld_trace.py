@@ -29,6 +29,7 @@ components count twice), consistent with the Frobenius identification.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -174,6 +175,21 @@ class EkTensorDiagnostics:
     max_principle_gap: float         # max over components of closure sup - boundary sup
 
 
+def _ek_entries(dim: int, k: int):
+    """Each upper-triangle entry (i, j) of sigma^k with the normal monomials it
+    combines, -H[nu_i nu_j nu_k] + delta_jk H[nu_i] + delta_ik H[nu_j], in the
+    order they are added."""
+    for i, j in itertools.combinations_with_replacement(range(dim), 2):
+        yield i, j, [(i, j, k)] + [(i,)] * (j == k) + [(j,)] * (i == k)
+
+
+def monomial_order(dim: int) -> list[tuple[int, ...]]:
+    """The normal monomials ``ld_bounds`` reads, in the order it reads them:
+    every one of the ``dim``-dimensional basis."""
+    return [axes for k in range(dim) for *_, monomials in _ek_entries(dim, k)
+            for axes in monomials]
+
+
 def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[Field, EkTensorDiagnostics]:
     """Harmonic extension of the optimal e_k boundary tensor, assembled from the
     memoized normal-monomial extensions with the exact tensor as boundary values.
@@ -196,12 +212,10 @@ def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[Field, EkTensorDiagnosti
 
     interior = np.empty((domain.n_interior, domain.dim, domain.dim))
     gap = 0.0
-    for i, j in zip(*np.triu_indices(domain.dim)):
-        entry = -laplace._normal_monomial(domain, (i, j, k)).interior
-        if j == k:
-            entry = entry + laplace._normal_monomial(domain, (i,)).interior
-        if i == k:
-            entry = entry + laplace._normal_monomial(domain, (j,)).interior
+    for i, j, (cubic, *linear) in _ek_entries(domain.dim, k):
+        entry = -laplace._normal_monomial(domain, cubic).interior
+        for axes in linear:
+            entry = entry + laplace._normal_monomial(domain, axes).interior
         interior[:, i, j] = interior[:, j, i] = entry
         sup_b = np.abs(tensors[:, i, j]).max()
         gap = max(gap, max(sup_b, np.abs(entry).max()) - sup_b)

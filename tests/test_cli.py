@@ -3,6 +3,7 @@ import json
 import os
 import re
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -489,6 +490,31 @@ class TestLevelByLevel:
         assert code == cli.EXIT_OK
         assert len(built) == 2
         assert [ref() is None for ref in built] == [True, True]
+
+    @pytest.mark.parametrize("shape, h_levels, solves", [
+        ("kind = disk\nradius = 1.0", "0.08, 0.04", 4),
+        ("kind = ball\nradius = 1.0", "0.15, 0.1", 10),
+    ], ids=["disk", "ball"])
+    def test_each_level_drops_its_backend_before_its_tasks_difference(
+            self, tmp_path, monkeypatch, shape, h_levels, solves):
+        from trace_bounds import laplace
+        # per level, when its first difference stencil is built: whether it
+        # holds its backend, and the solves it has made
+        seen = []
+        build = laplace._Operator.stencils.func
+
+        def watched(op):
+            seen.append(("backend" in vars(op), op.record["solves"]))
+            return build(op)
+
+        stencils = cached_property(watched)
+        stencils.__set_name__(laplace._Operator, "stencils")
+        monkeypatch.setattr(laplace._Operator, "stencils", stencils)
+        cfg = C.parse_config(f"{shape}\nh = {h_levels}\ntasks = sobolev, ld")
+        code, report = cli.run_config(cfg, outdir=str(tmp_path))
+        assert code == cli.EXIT_OK
+        assert seen == [(False, solves)] * 2
+        assert report["solver_stats"]["solves"] == 2 * solves
 
     def test_battery_alone_builds_only_the_finest_level(self, tmp_path, monkeypatch):
         built, _ = self._watch_builds(monkeypatch)

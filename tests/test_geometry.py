@@ -411,6 +411,21 @@ class TestArmTables:
         if name == "tiny_arm_disk":
             assert dom.arm_length.min() < 1e-8 * h
 
+    @pytest.mark.parametrize("spec", [G.DomainSpec.disk(1.0, 0.1), G.DomainSpec.ball(1.0, 0.2)],
+                             ids=["disk", "ball"])
+    def test_index_tables_are_int32(self, spec, monkeypatch):
+        sweep, ids = G._volume_sweep, []
+        monkeypatch.setattr(G, "_volume_sweep", lambda phi, strides, interior_id_flat, *a:
+                            ids.append(interior_id_flat.dtype) or sweep(
+                                phi, strides, interior_id_flat, *a))
+        dom = G.build_domain(spec)
+        assert ids == [np.int32]
+        assert dom.arm_interior.dtype == dom.arm_boundary.dtype == np.int32
+        # a grid node is the lower end of at most 7 Kuhn edges (3 in 2D), so
+        # under the node cap every grid index and every column N + b of the
+        # interior-then-boundary values fits
+        assert (1 + 7) * G.DEFAULT_NODE_CAP <= np.iinfo(np.int32).max
+
 
 def _all_cells_sweep(phi, strides, interior_id_flat, n_int, h):
     """The volume sweep that splits every grid cell, full or not, into simplices."""

@@ -257,6 +257,22 @@ class TestDirect:
         assert stats["max_principle_violation"] <= 1e-8
         assert stats["iterations"] == 0
 
+    def test_the_factor_gets_s_in_csc(self, monkeypatch, rng):
+        # S in CSC is the only copy alive while SuperLU factors it; the same
+        # permuted S handed over in CSR factors and solves bit for bit alike
+        factor, received = L._factor, []
+        monkeypatch.setattr(L, "_factor", lambda matrix, permc_spec:
+                            received.append(type(matrix)) or factor(matrix, permc_spec))
+        op = L._operator(G.build_domain(G.DomainSpec.disk(1.0, 0.04)))
+        backend = op.backend
+        assert received == [sp.csc_matrix]
+        order = backend.order
+        permuted = op.schur()[order][:, order]
+        assert isinstance(permuted, sp.csr_matrix)
+        csr = L._DissectedLU(order, permuted)
+        for rhs in rng.standard_normal((3, op.black.size)):
+            assert np.array_equal(backend.solve(rhs)[0], csr.solve(rhs)[0])
+
     def test_failure_is_named(self, monkeypatch):
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
