@@ -598,14 +598,16 @@ def build_domain(spec: DomainSpec) -> Domain:
 # ---------------------------------------------------------------------------
 
 def _quadrature(values, weights: np.ndarray, nodes: str) -> float | np.ndarray:
-    """sum_n values[n] * weights[n] of (n,) or (n, *s) values: per entry, one dot over a
-    contiguous copy of its column (a matrix product or a strided dot adds in another order)."""
+    """sum_n values[n] * weights[n] of (n,) or (n, *s) values: per entry, NumPy's
+    pairwise sum of its column's products. No BLAS call, so the order of the
+    additions is fixed: a BLAS dot splits long sums across its threads, and a
+    matrix product or a strided dot adds in yet another order."""
     values = np.asarray(values, dtype=float)
     if values.shape[:1] != weights.shape:
         raise GeometryError(f"expected {len(weights)} {nodes} values, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise GeometryError(f"non-finite {nodes} values")
-    integrals = np.array([np.ascontiguousarray(c) @ weights
+    integrals = np.array([np.add.reduce(c * weights)
                           for c in values.reshape(len(weights), -1).T])
     return float(integrals[0]) if values.ndim == 1 else integrals.reshape(values.shape[1:])
 

@@ -2,6 +2,8 @@ import gc
 import json
 import os
 import re
+import subprocess
+import sys
 import weakref
 from functools import cached_property
 
@@ -201,6 +203,25 @@ tasks = sobolev
         strip = lambda p: re.sub(r'^\s*"generated_at".*$', "",
                                  (p / "report.json").read_text(), flags=re.M)
         assert strip(out1) == strip(out2)
+
+    def test_report_does_not_depend_on_blas_threads(self, tmp_path):
+        # disk h 0.01 has more interior nodes (31 K) than the 10 K terms past
+        # which OpenBLAS splits a dot product across its threads
+        cfg = tmp_path / "battery.cfg"
+        cfg.write_text("kind = disk\nradius = 1.0\nh = 0.01\ntasks = battery\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        reports = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-c",
+                            "from trace_bounds.cli import main; raise SystemExit(main())",
+                            "run", str(cfg), "--output", str(out)],
+                           env=env, check=True, capture_output=True)
+            reports.append(re.sub(r'^\s*"generated_at".*$', "",
+                                  (out / "report.json").read_text(), flags=re.M))
+        assert reports[0] == reports[1]
 
     def test_matnorm_task(self, tmp_path):
         cfg = C.parse_config("""
