@@ -13,11 +13,13 @@ at a time, coarsest first. It builds a level only if a task reads it (the
 per-level tasks sobolev and ld read every level, the battery the finest
 only), runs those tasks on it, and keeps their report blocks and checks and
 the level's solve record: the level's domain and solver state are freed
-before the next level is built. Each per-level task's refinement summary
-follows the loop. A run that fails keeps every check added so far and each
-per-level task's blocks of the levels it completed, extrapolated over those
-levels' own h (null below two); the ld refinement check and ld_bounds.csv
-need every level.
+before the next level is built. A level that ld or the battery reads solves
+its whole normal-monomial basis before any task runs on it, so its solver
+backend is freed before any task post-processes. Each per-level task's
+refinement summary follows the loop. A run that fails keeps every check
+added so far and each per-level task's blocks of the levels it completed,
+extrapolated over those levels' own h (null below two); the ld refinement
+check and ld_bounds.csv need every level.
 Exit codes: 0 all checks passed; 2 configuration error; 3 solver failure;
 4 at least one verification check failed (the report names the first).
 Reports are JSON with sorted keys; identical config + seed reproduce them
@@ -294,9 +296,10 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
                 # Asked for in the order the tasks ask for it (the normal
                 # field's H[nu_a] first, unless ld reads first), so the same
                 # members are solved and derived as when the tasks ask
-                normal_first = "sobolev" in levels or "ld" not in levels
-                for axes in ([(a,) for a in range(domain.dim)] * normal_first
-                             + ld.monomial_order(domain.dim)):
+                order = ld.monomial_order(domain.dim)
+                if "sobolev" in levels or "ld" not in levels:
+                    order = [(a,) for a in range(domain.dim)] + order
+                for axes in order:
                     laplace._normal_monomial(domain, axes)
             results = {}
             for task, blocks in levels.items():

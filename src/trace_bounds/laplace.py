@@ -176,10 +176,10 @@ def _factor(matrix: sp.spmatrix, permc_spec: str):
     nested-dissection order beforehand (``permc_spec`` "NATURAL"), or of a
     Galerkin coarsening of it, ordered by minimum degree on A^T + A
     ("MMD_AT_PLUS_A"). A CSC matrix is factored as it is; any other format
-    is converted to a CSC copy first. Nested dissection of S has 0.80-0.86 of the fill of
-    minimum degree and about half its factor time on the disk, the annulus
-    and the ellipse at h 0.01 and 0.005 (module docstring); the coarsest
-    multigrid level, of at most 500 unknowns, keeps minimum degree.
+    is converted to a CSC copy first. Nested dissection of S has 0.80-0.86 of
+    the fill of minimum degree and about half its factor time on the disk,
+    the annulus and the ellipse at h 0.01 and 0.005 (module docstring); the
+    coarsest multigrid level, of at most 500 unknowns, keeps minimum degree.
 
     Both are M-matrices with a symmetric pattern (A_BR has the transposed
     pattern of A_RB, and P^T S P keeps the symmetry), and an M-matrix factors

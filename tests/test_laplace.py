@@ -257,7 +257,7 @@ class TestDirect:
         assert stats["max_principle_violation"] <= 1e-8
         assert stats["iterations"] == 0
 
-    def test_the_factor_gets_s_in_csc(self, monkeypatch, rng):
+    def test_the_factor_gets_s_in_csc(self, monkeypatch):
         # S in CSC is the only copy alive while SuperLU factors it; the same
         # permuted S handed over in CSR factors and solves bit for bit alike
         factor, received = L._factor, []
@@ -270,7 +270,7 @@ class TestDirect:
         permuted = op.schur()[order][:, order]
         assert isinstance(permuted, sp.csr_matrix)
         csr = L._DissectedLU(order, permuted)
-        for rhs in rng.standard_normal((3, op.black.size)):
+        for rhs in np.random.default_rng(7).standard_normal((3, op.black.size)):
             assert np.array_equal(backend.solve(rhs)[0], csr.solve(rhs)[0])
 
     def test_failure_is_named(self, monkeypatch):
