@@ -17,15 +17,11 @@ from .laplace import (
     SolverError,
     divergence,
     gradient,
-    laplacian,
     solve_dirichlet,
-    sup_norm,
 )
 from .matnorm import (
     NORM_KINDS,
     NormEquivalenceError,
-    eigenvalues,
-    norm,
     verify_equivalence_constants,
 )
 from .optimal_bc import (
@@ -46,14 +42,9 @@ from .sobolev_trace import (
 )
 from .ld_trace import (
     LDBoundReport,
-    RigidField,
     harmonic_ek_tensor,
     ld_bounds,
-    ld_norm,
-    rigid_projection,
-    strain,
     verify_ld_trace_inequality,
-    virtual_work_residual,
 )
 from .config import RunConfig, load_config, parse_config
 from .cli import main, run_config
@@ -71,12 +62,8 @@ __all__ = [
     "solve_dirichlet",
     "gradient",
     "divergence",
-    "laplacian",
-    "sup_norm",
     "NORM_KINDS",
     "NormEquivalenceError",
-    "eigenvalues",
-    "norm",
     "verify_equivalence_constants",
     "TractionProblem",
     "OptimalBC",
@@ -90,15 +77,10 @@ __all__ = [
     "sobolev_B",
     "isoperimetric_lower_bound",
     "verify_trace_inequality",
-    "RigidField",
     "LDBoundReport",
-    "strain",
-    "rigid_projection",
-    "ld_norm",
     "harmonic_ek_tensor",
     "ld_bounds",
     "verify_ld_trace_inequality",
-    "virtual_work_residual",
     "RunConfig",
     "parse_config",
     "load_config",

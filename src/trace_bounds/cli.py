@@ -20,8 +20,10 @@ refinement summary follows the loop. A run that fails keeps every check
 added so far and each per-level task's blocks of the levels it completed,
 extrapolated over those levels' own h (null below two); the ld refinement
 check and ld_bounds.csv need every level.
-Exit codes: 0 all checks passed; 2 configuration error; 3 solver failure;
-4 at least one verification check failed (the report names the first).
+Exit codes: 0 all checks passed; 2 configuration error, an output path that
+cannot be created or written included ("output error: ..." on stderr); 3
+solver failure; 4 at least one verification check failed (the report names
+the first).
 Reports are JSON with sorted keys; identical config + seed reproduce them
 byte-for-byte except for the ``generated_at`` line. Every reported check
 carries its tolerance and the grid spacing it was computed at.
@@ -80,14 +82,14 @@ def w11_battery_fields(domain: Domain) -> list[tuple[str, Field]]:
 def ld_battery_fields(domain: Domain) -> list[tuple[str, Field]]:
     """Rigid, linear, pure shear, radial, and sign-changing vector fields."""
     dim = domain.dim
-    if dim == 2:
-        rigid = ld.RigidField(a=np.array([0.3, -0.2]), b=1.0)
-    else:
-        rigid = ld.RigidField(a=np.array([0.3, -0.2, 0.1]),
-                              b=np.array([0.2, -0.3, 1.0]))
     zeros = lambda p: np.zeros((len(p), dim - 1))
-    return [("rigid", rigid.as_vector_field(domain))] + [
-        (name, Field.from_function(domain, fn)) for name, fn in (
+    # a + b x p; in 2D the rotation rate b = 1 turns p into (-y, x)
+    if dim == 2:
+        rigid = lambda p: np.array([0.3, -0.2]) + np.stack([-p[:, 1], p[:, 0]], axis=1)
+    else:
+        rigid = lambda p: np.array([0.3, -0.2, 0.1]) + np.cross([0.2, -0.3, 1.0], p)
+    return [(name, Field.from_function(domain, fn)) for name, fn in (
+            ("rigid", rigid),
             ("linear", lambda p: np.column_stack([p[:, 0], zeros(p)])),
             ("pure_shear", lambda p: np.column_stack([p[:, 1], zeros(p)])),
             ("radial", lambda p: p),
@@ -417,6 +419,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_error(exc: OSError) -> int:
+    """An output directory or file that cannot be created or written is a
+    configuration error; the OSError names the path."""
+    print(f"output error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -432,7 +441,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             print("usage: trace-bounds run <config-file>", file=sys.stderr)
             return EXIT_CONFIG
-        code, report = run_config(config, outdir=args.output)
+        try:
+            code, report = run_config(config, outdir=args.output)
+        except OSError as exc:
+            return _output_error(exc)
         print(json.dumps({"all_passed": report.get("all_passed"),
                           "output": args.output or config.output},
                          sort_keys=True))
@@ -446,7 +458,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"violation: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED
         if args.output:
-            matnorm.equivalence_table_csv(rows, args.output)
+            try:
+                matnorm.equivalence_table_csv(rows, args.output)
+            except OSError as exc:
+                return _output_error(exc)
         for r in rows:
             print(f"{r.ratio}: bounds [{r.lower:.6f}, {r.upper:.6f}] "
                   f"observed [{r.observed_min:.6f}, {r.observed_max:.6f}]")
@@ -459,8 +474,11 @@ def main(argv: list[str] | None = None) -> int:
                   f"{', '.join(f'{d}D' for d in dims)}, not {args.dim}D", file=sys.stderr)
             return EXIT_CONFIG
         checks = _Checks()
-        sweep = _checked_sweep(checks, args.norm, args.steps, args.dim,
-                               args.brute_force, args.output)
+        try:
+            sweep = _checked_sweep(checks, args.norm, args.steps, args.dim,
+                                   args.brute_force, args.output)
+        except OSError as exc:
+            return _output_error(exc)
         print(f"max closed-form value: {sweep['max_closed_form']!r}")
         if args.brute_force:
             print(f"max entrywise gap vs brute force: {sweep['max_entry_gap']!r}")

@@ -4,9 +4,8 @@ A ``Field`` stores one value per interior node and one per boundary node of
 its domain, as two arrays shaped (N, *s) and (M, *s): s is () for a scalar,
 (dim,) for a vector and (dim, dim) for a symmetric tensor, which is stored as
 its full symmetric matrix. Fields are immutable value containers; all
-differential operators live in the laplace module. CSV export
-(``field_to_csv``) writes any field as node coordinates, node type and one
-column per component, a tensor's in (i, j), i <= j order.
+differential operators live in the laplace module. ``write_csv`` is the one
+CSV writer of every export.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .geometry import Domain, GeometryError
 
-__all__ = ["Field", "field_to_csv", "write_csv"]
+__all__ = ["Field", "write_csv"]
 
 
 @dataclass(frozen=True)
@@ -86,18 +85,3 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             fh.write(",".join(c if isinstance(c, str) else repr(float(c))
                               for c in row) + "\n")
 
-
-def field_to_csv(field: Field, path) -> None:
-    """Node coordinates + one column per component, interior then boundary;
-    a symmetric tensor writes its (i, j), i <= j entries in row order."""
-    domain = field.domain
-    dim = domain.dim
-    values = np.concatenate([field.interior, field.boundary])
-    if len(field.shape) == 2:
-        i, j = np.triu_indices(dim)
-        values = values[:, i, j]
-    values = values.reshape(len(values), -1)
-    headers = list("xyz"[:dim]) + ["node_type"] + [f"c{k}" for k in range(values.shape[1])]
-    pos = np.concatenate([domain.interior_coords, domain.boundary_pos])
-    kinds = ["interior"] * domain.n_interior + ["boundary"] * domain.n_boundary
-    write_csv(path, headers, ([*x, kind, *v] for x, kind, v in zip(pos, kinds, values)))

@@ -66,8 +66,8 @@ sum of the others: 10 solves give all 13 extensions in 3D, 4 give all 6 in
 Every difference operator starts from one primitive, ``_derivative``: a
 field's interior-then-boundary values, stacked as (N + M, k) columns (one
 per entry of a value), go through one axis's derivative stencil in one
-sparse product. The gradient and ld_trace's strain take every entry along
-every axis (``_derivatives``, shaped (N, *s, dim)); the divergence, of a
+sparse product. The gradient and ld_trace's ``_strain`` take every entry
+along every axis (``_derivatives``, shaped (N, *s, dim)); the divergence, of a
 vector or row by row of a tensor, takes only the entries it sums: those
 with last index j, along axis j. ``extrapolate_to_boundary`` takes (N, *s)
 interior values onto the boundary nodes the same way, one product per axis.
@@ -93,8 +93,8 @@ the operator drops its backend: the bounds need nothing else that solves.
 A run asks for a level's whole basis before any of its tasks, so the
 backend is released after the level's solves and before anything on the
 level is differentiated or checked. Everything else stays, since the checks
-of a derived extension, ``laplacian`` and the difference operators read the
-colour blocks, the boundary coupling and the stencils. A later
+of a derived extension read the colour blocks and the boundary coupling,
+and the difference operators read the stencils. A later
 ``solve_dirichlet`` on the domain builds the backend again, once, on first
 use, from the same colour blocks, so it solves with the same factor or
 hierarchy and gets the same solution. A run that asks for only some of the
@@ -131,8 +131,6 @@ __all__ = [
     "gradient",
     "divergence",
     "tensor_divergence",
-    "laplacian",
-    "sup_norm",
     "check_sup_on_boundary",
     "extrapolate_to_boundary",
     "solver_stats",
@@ -716,6 +714,8 @@ def _with_boundary(domain: Domain, interior_values: np.ndarray) -> Field:
     return Field(domain, interior_values, extrapolate_to_boundary(domain, interior_values))
 
 
+# no pipeline run calls gradient; it stays because perfbench's tracer wraps
+# it by name (perfbench/child.py, Tracer.install)
 def gradient(field: Field) -> Field:
     """First derivatives of a scalar field; boundary values linearly extrapolated."""
     return _with_boundary(field.domain, _derivatives(field))
@@ -737,28 +737,6 @@ def tensor_divergence(field: Field) -> Field:
     """Row divergence (div sigma)_i = d sigma_ij / dx_j of a symmetric tensor
     field: the divergence over its last index."""
     return divergence(field)
-
-
-def laplacian(field: Field) -> np.ndarray:
-    """Discrete Shortley-Weller Laplacian at the interior nodes, using the
-    field's boundary values."""
-    op = _operator(field.domain)
-    return op.boundary_coupling @ field.boundary - op.apply(field.interior)
-
-
-def sup_norm(field: Field, region: str = "closure") -> float:
-    """Max of |values| over the requested node set."""
-    if region == "interior":
-        values = field.interior
-    elif region == "boundary":
-        values = field.boundary
-    elif region == "closure":
-        values = np.concatenate([field.interior, field.boundary])
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    if values.size == 0:
-        raise ValueError(f"region {region!r} is empty")
-    return float(np.abs(values).max())
 
 
 def check_sup_on_boundary(name: str, domain: Domain, interior: np.ndarray,

@@ -16,11 +16,11 @@ the laplace module memoizes once per domain:
 H[sigma^k_ij] = -H[nu_i nu_j nu_k] + delta_jk H[nu_i] + delta_ik H[nu_j].
 
 Vectors and tensors are fields.Field values shaped (dim,) and (dim, dim); a
-symmetric tensor (sigma^k, eps(w)) is stored as its full matrix. eps(w) is
-the laplace module's stencil derivatives of all components at once,
-symmetrized at the interior nodes; the norms, the virtual-work terms and
-the trace inequality (sobolev_trace's ``trace_slack``) integrate only those,
-and ``strain`` alone extrapolates them to the boundary.
+symmetric tensor (sigma^k, eps(w)) is stored as its full matrix. eps(w)
+(``_strain``) is the laplace module's stencil derivatives of all components
+at once, symmetrized at the interior nodes; the trace inequality
+(sobolev_trace's ``trace_slack``) integrates only those, so nothing
+extrapolates eps(w) to the boundary.
 
 Tensor-field L1 norms use the all-ordered-pairs convention (off-diagonal
 components count twice), consistent with the Frobenius identification.
@@ -36,57 +36,16 @@ import numpy as np
 
 from . import laplace, optimal_bc
 from .fields import Field
-from .geometry import CheckError, Domain, integrate_boundary, integrate_volume
+from .geometry import CheckError, Domain, integrate_volume
 from .sobolev_trace import TraceReport, ordered_sum, trace_slack
 
 __all__ = [
-    "RigidField",
     "EkTensorDiagnostics",
     "LDBoundReport",
-    "strain",
-    "rigid_projection",
-    "ld_norm",
     "harmonic_ek_tensor",
     "ld_bounds",
     "verify_ld_trace_inequality",
-    "virtual_work_terms",
-    "virtual_work_residual",
 ]
-
-
-@dataclass(frozen=True)
-class RigidField:
-    """w(x) = a + b x x; b is a scalar in 2D (rotation rate) and a 3-vector in 3D."""
-
-    a: np.ndarray
-    b: np.ndarray | float
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", a)
-        if a.shape == (2,):
-            object.__setattr__(self, "b", float(np.asarray(self.b).reshape(())))
-        elif a.shape == (3,):
-            b = np.asarray(self.b, dtype=float)
-            if b.shape != (3,):
-                raise ValueError("3D rigid field needs a 3-vector b")
-            object.__setattr__(self, "b", b)
-        else:
-            raise ValueError("a must be a 2- or 3-vector")
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if self.dim == 2:
-            rot = np.stack([-points[:, 1], points[:, 0]], axis=1)
-            return self.a[None, :] + self.b * rot
-        return self.a[None, :] + np.cross(np.broadcast_to(self.b, points.shape), points)
-
-    def as_vector_field(self, domain: Domain) -> Field:
-        return Field.from_function(domain, self.evaluate)
 
 
 def _strain(w: Field) -> np.ndarray:
@@ -96,55 +55,6 @@ def _strain(w: Field) -> np.ndarray:
     eps += eps.swapaxes(1, 2)   # NumPy reads overlapping operands as copies
     eps *= 0.5
     return eps
-
-
-def strain(w: Field) -> Field:
-    """eps(w) at the interior nodes, extrapolated to the boundary."""
-    return laplace._with_boundary(w.domain, _strain(w))
-
-
-def rigid_projection(domain: Domain, w: Field, region: str = "interior") -> RigidField:
-    """Project onto rigid fields: b = I^{-1} int (x - c) cross w, a = mean(w) - b x c.
-
-    U is the interior (volume quadrature) or the boundary (surface
-    quadrature). Moments are taken about the quadrature centroid c of U, so
-    the projection is exact on rigid inputs wherever the domain sits; the
-    returned field is expressed about the origin.
-    """
-    if region == "interior":
-        pos, vals, integrate = domain.interior_coords, w.interior, integrate_volume
-    elif region == "boundary":
-        pos, vals, integrate = domain.boundary_pos, w.boundary, integrate_boundary
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    quad = lambda f: integrate(domain, f)
-
-    measure = quad(np.ones(pos.shape[0]))
-    mean = quad(vals) / measure
-    centroid = quad(pos) / measure
-    pos = pos - centroid
-    if domain.dim == 2:
-        inertia = quad(np.sum(pos * pos, axis=1))
-        if inertia <= 1e-300:
-            raise ValueError("degenerate region: singular moment of inertia")
-        b = quad(pos[:, 0] * vals[:, 1] - pos[:, 1] * vals[:, 0]) / inertia
-    else:
-        # |x - c|^2 I - (x - c)(x - c)^T
-        integrand = -pos[:, :, None] * pos[:, None, :]
-        integrand[:, range(3), range(3)] += np.sum(pos * pos, axis=1)[:, None]
-        try:
-            b = np.linalg.solve(quad(integrand), quad(np.cross(pos, vals)))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("degenerate region: singular moment of inertia") from exc
-    # w = mean + b x (x - c) about the centroid c, so about the origin a = mean - b x c
-    a = mean - RigidField(a=np.zeros(domain.dim), b=b).evaluate(centroid[None, :])[0]
-    return RigidField(a=a, b=b)
-
-
-def ld_norm(w: Field) -> float:
-    """||w||_1 + ||eps(w)||_1 with the all-ordered-pairs tensor convention."""
-    return (ordered_sum(integrate_volume(w.domain, np.abs(w.interior)))
-            + _l1_tensor(w.domain, _strain(w)))
 
 
 def _l1_tensor(domain: Domain, interior: np.ndarray) -> float:
@@ -298,41 +208,3 @@ def verify_ld_trace_inequality(domain: Domain, w: Field,
     at the interior nodes only."""
     return trace_slack(domain, w, report.A * _l1_tensor(domain, _strain(w)), report.B)
 
-
-def _virtual_work_integrands(domain: Domain, sigma: Field,
-                             w: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrands of the three terms: weighted sigma_ij eps_ij (one interior row
-    per (i, j), i <= j pair), boundary flux sigma_ij w_i nu_j, interior
-    (div sigma) . w."""
-    eps = _strain(w)
-    contraction = np.stack([
-        (1.0 if i == j else 2.0) * sigma.interior[:, i, j] * eps[:, i, j]
-        for i, j in zip(*np.triu_indices(domain.dim))])
-    flux = np.einsum("mij,mi,mj->m", sigma.boundary, w.boundary, domain.boundary_normal)
-    work = np.sum(laplace._divergence(sigma) * w.interior, axis=1)
-    return contraction, flux, work
-
-
-def virtual_work_terms(domain: Domain, sigma: Field,
-                       w: Field) -> tuple[float, float, float]:
-    """(int sigma:eps(w), int_bnd sigma_ij w_i nu_j, int (div sigma) . w)."""
-    contraction, flux, work = _virtual_work_integrands(domain, sigma, w)
-    return (integrate_volume(domain, contraction.sum(axis=0)),
-            integrate_boundary(domain, flux), integrate_volume(domain, work))
-
-
-def virtual_work_residual(domain: Domain, sigma: Field,
-                          w: Field) -> float:
-    """|int sigma:eps(w) - (int_bnd sigma w . nu - int (div sigma) . w)|."""
-    lhs, boundary_term, div_term = virtual_work_terms(domain, sigma, w)
-    return abs(lhs - (boundary_term - div_term))
-
-
-def virtual_work_scale(domain: Domain, sigma: Field,
-                       w: Field) -> float:
-    """Absolute-integrand mass of the three terms; the right yardstick for
-    relative residuals when the signed integrals cancel by symmetry."""
-    contraction, flux, work = _virtual_work_integrands(domain, sigma, w)
-    return float(integrate_volume(domain, np.abs(contraction).sum(axis=0))
-                 + integrate_boundary(domain, np.abs(flux))
-                 + integrate_volume(domain, np.abs(work)))

@@ -8,11 +8,12 @@ Conventions for an n x n symmetric matrix T (n in {2, 3}):
   off-diagonal entries count twice and vec2 equals the Frobenius norm;
 * dual_op2 = sum_i |lambda_i| (the dual of the spectral radius norm).
 
-Eigenvalues come from LAPACK's symmetric eigensolver (``np.linalg.eigvalsh``,
-vectorized over stacks of matrices); the test suite checks them against
-independent closed forms only: the 2x2 quadratic formula, Smith's
-trigonometric 3x3 formula, and Q diag(lambda) Q^T with Q built from explicit
-rotation angles.
+``symmetric_norms`` takes every norm of a stack of matrices at once; op2
+and dual_op2 read the eigenvalues from LAPACK's symmetric eigensolver
+(``np.linalg.eigvalsh``, vectorized over the stack). The test suite checks
+both against eigenvalues from independent closed forms only: the 2x2
+quadratic formula, Smith's trigonometric 3x3 formula, and Q diag(lambda) Q^T
+with Q built from explicit rotation angles.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from .fields import write_csv
 __all__ = [
     "NORM_KINDS",
     "NormEquivalenceError",
-    "eigenvalues",
-    "eigenvalues_stack",
-    "norm",
-    "norm_stack",
     "symmetric_norms",
     "EquivalenceRow",
     "verify_equivalence_constants",
@@ -45,23 +42,11 @@ class NormEquivalenceError(AssertionError):
 
 def _check_sym(T: np.ndarray) -> np.ndarray:
     T = np.asarray(T, dtype=float)
-    if T.ndim == 2:
-        T = T[None]
     if T.ndim != 3 or T.shape[1] != T.shape[2] or T.shape[1] not in (2, 3):
         raise ValueError("expected (m, n, n) symmetric matrices with n in {2, 3}")
     if not np.allclose(T, np.swapaxes(T, 1, 2), atol=1e-12 * max(1.0, np.abs(T).max())):
         raise ValueError("matrix is not symmetric")
     return 0.5 * (T + np.swapaxes(T, 1, 2))
-
-
-def eigenvalues_stack(T: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of symmetric matrices (LAPACK)."""
-    return np.linalg.eigvalsh(_check_sym(T))
-
-
-def eigenvalues(T: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of one symmetric matrix."""
-    return eigenvalues_stack(np.asarray(T, dtype=float)[None])[0]
 
 
 def symmetric_norms(A: np.ndarray, kinds: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -86,15 +71,6 @@ def symmetric_norms(A: np.ndarray, kinds: tuple[str, ...]) -> dict[str, np.ndarr
         else:
             raise ValueError(f"unknown norm kind {kind!r}")
     return norms
-
-
-def norm_stack(T: np.ndarray, kind: str) -> np.ndarray:
-    """One norm value per matrix in the stack (checked for symmetry once)."""
-    return symmetric_norms(_check_sym(T), (kind,))[kind]
-
-
-def norm(T: np.ndarray, kind: str) -> float:
-    return float(norm_stack(np.asarray(T, dtype=float)[None], kind)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "sobolev_B",
     "isoperimetric_lower_bound",
     "verify_trace_inequality",
-    "divergence_identity_check",
     "discretization_estimate",
     "ordered_sum",
     "trace_slack",
@@ -148,14 +147,3 @@ def verify_trace_inequality(domain: Domain, phi: Field,
     grad_term = integrate_volume(domain, np.sqrt(sum(c * c for c in grad.T)))
     return trace_slack(domain, phi, grad_term, sobolev_B(domain) if B is None else B)
 
-
-def divergence_identity_check(domain: Domain, n: Field, psi: Field) -> float:
-    """|int_bnd psi  -  int n . grad psi  -  int (div n) psi| for a normal field n."""
-    bnd_err = np.abs(n.boundary - domain.boundary_normal).max()
-    if bnd_err > 1e-6:
-        raise NormalFieldError(
-            f"field is not a normal field on the boundary (err {bnd_err:.3e})")
-    lhs = integrate_boundary(domain, psi.boundary)
-    transport = integrate_volume(domain, np.sum(n.interior * laplace._derivatives(psi), axis=1))
-    compression = integrate_volume(domain, laplace._divergence(n) * psi.interior)
-    return abs(lhs - transport - compression)

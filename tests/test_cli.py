@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from trace_bounds import cli, config as C, geometry as G
-from trace_bounds.fields import Field, field_to_csv
-from trace_bounds.ld_trace import harmonic_ek_tensor
+from trace_bounds.fields import Field
 from trace_bounds.laplace import solve_dirichlet
 
 DISK_CONFIG = """
@@ -671,24 +670,19 @@ class TestMain:
         assert captured.out == ""
         assert "norm op2 is defined in 2D, not 3D" in captured.err
 
-
-class TestExportPlotData:
-    """Plot data is the field CSV of fields.field_to_csv."""
-
-    def test_tensor_field_rows(self, tmp_path, disk_coarse):
-        sigma, _ = harmonic_ek_tensor(disk_coarse, 0)
-        path = tmp_path / "sigma.csv"
-        field_to_csv(sigma, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1 + disk_coarse.n_interior + disk_coarse.n_boundary
-        assert lines[0] == "x,y,node_type,c0,c1,c2"
-        # the (i, j), i <= j entries in row order, read back exactly
-        columns = np.array([[float(c) for c in line.split(",")[3:]] for line in lines[1:]])
-        values = np.concatenate([sigma.interior, sigma.boundary])
-        for c, (i, j) in enumerate([(0, 0), (0, 1), (1, 1)]):
-            assert np.array_equal(columns[:, c], values[:, i, j])
-
-    def test_unwritable_path(self, tmp_path, disk_coarse):
-        f = Field.constant(disk_coarse, 1.0)
-        with pytest.raises(OSError):
-            field_to_csv(f, tmp_path / "no_dir" / "x.csv")
+    @pytest.mark.parametrize("argv", [
+        ["run", "{cfg}", "--output", "{cfg}/out"],
+        ["verify-matnorm", "--dim", "2", "--samples", "10", "--output", "{tmp}/no_dir/m.csv"],
+        ["sweep-theta", "--norm", "vec2", "--steps", "5", "--output", "{tmp}/no_dir/s.csv"],
+    ], ids=["run", "verify-matnorm", "sweep-theta"])
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys, argv):
+        # an output directory under a regular file, or a CSV in a directory
+        # that does not exist: one stderr line that names the path, no traceback
+        cfg_file = tmp_path / "disk.cfg"
+        cfg_file.write_text(DISK_CONFIG)
+        argv = [arg.format(cfg=cfg_file, tmp=tmp_path) for arg in argv]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("output error: ")
+        assert captured.err.count("\n") == 1
+        assert repr(argv[-1]) in captured.err

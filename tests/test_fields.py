@@ -40,20 +40,3 @@ def test_sym_tensor_dim_must_be_the_domains(disk, ball):
                 F.Field.constant(dom, np.ones(shape))
     assert F.Field.constant(disk, [1.0, 2.0]).domain is disk
 
-
-def test_csv_export(tmp_path, disk_coarse):
-    f = F.Field.from_function(disk_coarse, lambda p: p[:, 0])
-    path = tmp_path / "field.csv"
-    F.field_to_csv(f, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,node_type,c0"
-    assert len(lines) == 1 + disk_coarse.n_interior + disk_coarse.n_boundary
-
-
-def test_vector_field_csv(tmp_path, disk_coarse):
-    f = F.Field.from_function(disk_coarse, lambda p: p)
-    path = tmp_path / "vector.csv"
-    F.field_to_csv(f, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,node_type,c0,c1"
-    assert len(lines) == 1 + disk_coarse.n_interior + disk_coarse.n_boundary

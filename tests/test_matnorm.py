@@ -43,33 +43,56 @@ def random_symmetric(rng, n, count=1):
     return 0.5 * (A + np.swapaxes(A, 1, 2))
 
 
+def norm(T, kind):
+    """One kind's norm of one symmetric matrix, taken as the pipeline takes
+    norms: one symmetry check of a stack (of one), then symmetric_norms."""
+    return float(M.symmetric_norms(M._check_sym(np.asarray(T, dtype=float)[None]),
+                                   (kind,))[kind][0])
+
+
+def spectral(A):
+    """op2 and dual_op2 of each matrix in an (m, n, n) stack."""
+    values = M.symmetric_norms(M._check_sym(A), ("op2", "dual_op2"))
+    return values["op2"], values["dual_op2"]
+
+
+def from_eigenvalues(lam):
+    """op2 = max |lambda| and dual_op2 = sum |lambda| from one matrix's
+    eigenvalues, or an (m, n) stack of them."""
+    lam = np.abs(np.atleast_2d(lam))
+    return lam.max(axis=1), lam.sum(axis=1)
+
+
 class TestEigenvalues:
+    """op2 = max |lambda| and dual_op2 = sum |lambda| against eigenvalues from
+    independent closed forms."""
+
     def test_identity(self):
-        np.testing.assert_allclose(M.eigenvalues(np.eye(3)), [1, 1, 1])
+        np.testing.assert_allclose(spectral(np.eye(3)[None]), from_eigenvalues([1, 1, 1]))
 
     def test_diagonal(self):
-        np.testing.assert_allclose(M.eigenvalues(np.diag([-2.0, 0.0, 5.0])),
-                                   [-2, 0, 5])
+        np.testing.assert_allclose(spectral(np.diag([-2.0, 0.0, 5.0])[None]),
+                                   from_eigenvalues([-2, 0, 5]))
 
     def test_quadratic_formula_oracle(self):
         th = np.pi / 3
         T = np.array([[np.cos(th), np.sin(th)], [np.sin(th), 0.0]])
-        np.testing.assert_allclose(M.eigenvalues(T),
-                                   quadratic_eigs(np.cos(th), np.sin(th), 0.0),
-                                   atol=1e-14)
+        np.testing.assert_allclose(
+            spectral(T[None]), from_eigenvalues(quadratic_eigs(np.cos(th), np.sin(th), 0.0)),
+            atol=1e-14)
 
     def test_random_2x2_against_formula(self, rng):
         for T in random_symmetric(rng, 2, 200):
-            np.testing.assert_allclose(M.eigenvalues(T),
-                                       quadratic_eigs(T[0, 0], T[0, 1], T[1, 1]),
-                                       atol=1e-13)
+            np.testing.assert_allclose(
+                spectral(T[None]), from_eigenvalues(quadratic_eigs(T[0, 0], T[0, 1], T[1, 1])),
+                atol=1e-13)
 
     def test_against_closed_form_oracle(self, rng):
         A = random_symmetric(rng, 2, 500)
         ref = quadratic_eigs(A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]).T
-        assert np.abs(M.eigenvalues_stack(A) - ref).max() < 1e-12
+        assert np.abs(np.subtract(spectral(A), from_eigenvalues(ref))).max() < 1e-12
         A = random_symmetric(rng, 3, 500)
-        assert np.abs(M.eigenvalues_stack(A) - smith_eigs(A)).max() < 1e-12
+        assert np.abs(np.subtract(spectral(A), from_eigenvalues(smith_eigs(A)))).max() < 1e-12
 
     def test_rotated_diagonal_oracle(self):
         # Q diag(lam) Q^T has eigenvalues lam exactly, repeated ones included
@@ -78,26 +101,28 @@ class TestEigenvalues:
             for alpha, beta, gamma in itertools.product(angles, repeat=3):
                 Q = rotation(alpha, beta, gamma)
                 T = Q @ np.diag(lam) @ Q.T
-                np.testing.assert_allclose(M.eigenvalues(T), np.sort(lam), atol=1e-14)
+                np.testing.assert_allclose(spectral(T[None]), from_eigenvalues(lam),
+                                           atol=1e-14)
                 # anchor the Smith oracle too; its arccos keeps only about half
                 # the digits at a double eigenvalue
                 np.testing.assert_allclose(smith_eigs(T[None])[0], np.sort(lam),
                                            atol=1e-7)
 
     def test_characteristic_polynomial_residual(self, rng):
+        # op2 or -op2 is an eigenvalue
         for T in random_symmetric(rng, 3, 100):
-            scale = max(1.0, M.norm(T, "vec2")) ** 3
-            for lam in M.eigenvalues(T):
-                assert abs(np.linalg.det(T - lam * np.eye(3))) <= 1e-10 * scale
+            scale = max(1.0, norm(T, "vec2")) ** 3
+            op2 = norm(T, "op2")
+            assert min(abs(np.linalg.det(T - sign * op2 * np.eye(3)))
+                       for sign in (1, -1)) <= 1e-10 * scale
 
     def test_offdiagonal_convergence(self, rng):
         A = random_symmetric(rng, 3, 50)
-        eigs = M.eigenvalues_stack(A)
-        assert np.isfinite(eigs).all()
+        assert np.isfinite(spectral(A)).all()
 
     def test_nonsymmetric_rejected(self):
         with pytest.raises(ValueError):
-            M.eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            M._check_sym(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
 
 
 class TestNorms:
@@ -106,62 +131,61 @@ class TestNorms:
         expected = {"op2": 1.0, "vec2": np.sqrt(3), "dual_op2": 3.0,
                     "op1": 1.0, "opInf": 1.0, "vecInf": 1.0, "vec1": 3.0}
         for kind, val in expected.items():
-            assert abs(M.norm(I, kind) - val) < 1e-12
+            assert abs(norm(I, kind) - val) < 1e-12
 
     def test_offdiagonal_matrix(self):
         # eigenvalues +-1 by hand; op1 = max row abs sum = 1 (permutation
         # matrices are 1-norm isometries)
         T = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert abs(M.norm(T, "op2") - 1.0) < 1e-12
-        assert abs(M.norm(T, "vec2") - np.sqrt(2)) < 1e-12
-        assert abs(M.norm(T, "op1") - 1.0) < 1e-12
-        assert abs(M.norm(T, "vec1") - 2.0) < 1e-12
-        assert abs(M.norm(T, "dual_op2") - 2.0) < 1e-12
+        assert abs(norm(T, "op2") - 1.0) < 1e-12
+        assert abs(norm(T, "vec2") - np.sqrt(2)) < 1e-12
+        assert abs(norm(T, "op1") - 1.0) < 1e-12
+        assert abs(norm(T, "vec1") - 2.0) < 1e-12
+        assert abs(norm(T, "dual_op2") - 2.0) < 1e-12
 
     def test_paper_vec2_value(self):
         th = np.pi / 2
         T = np.array([[np.cos(th), np.sin(th), 0.0],
                       [np.sin(th), 0.0, 0.0],
                       [0.0, 0.0, 0.0]])
-        assert abs(M.norm(T, "vec2") - np.sqrt(1 + np.sin(th) ** 2)) < 1e-12
+        assert abs(norm(T, "vec2") - np.sqrt(1 + np.sin(th) ** 2)) < 1e-12
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            M.norm(np.eye(2), "vec7")
+            norm(np.eye(2), "vec7")
 
     def test_homogeneity(self, rng):
         for T in random_symmetric(rng, 3, 20):
             for kind in M.NORM_KINDS:
                 a = -2.75
-                assert abs(M.norm(a * T, kind) - abs(a) * M.norm(T, kind)) \
-                    <= 1e-12 * max(1.0, M.norm(T, kind))
+                assert abs(norm(a * T, kind) - abs(a) * norm(T, kind)) \
+                    <= 1e-12 * max(1.0, norm(T, kind))
 
     def test_triangle_inequality(self, rng):
         A = random_symmetric(rng, 3, 40)
         for i in range(0, 40, 2):
             for kind in M.NORM_KINDS:
-                assert M.norm(A[i] + A[i + 1], kind) <= \
-                    M.norm(A[i], kind) + M.norm(A[i + 1], kind) + 1e-12
+                assert norm(A[i] + A[i + 1], kind) <= \
+                    norm(A[i], kind) + norm(A[i + 1], kind) + 1e-12
 
-    def test_one_symmetry_check_per_stack(self, rng, monkeypatch):
+    def test_one_symmetry_check_per_stack(self, rng):
+        # a stack is checked once, so the one check rejects an asymmetric
+        # matrix anywhere in it
         A = random_symmetric(rng, 3, 100)
-        calls = []
-        check = M._check_sym
-        monkeypatch.setattr(M, "_check_sym", lambda T: calls.append(1) or check(T))
-        for kind in M.NORM_KINDS:
-            calls.clear()
-            M.norm_stack(A, kind)
-            assert len(calls) == 1, kind
+        M._check_sym(A)
+        A[57, 0, 2] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            M._check_sym(A)
 
     def test_op1_equals_opinf_bitwise(self, rng):
-        A = random_symmetric(rng, 3, 100)
-        np.testing.assert_array_equal(M.norm_stack(A, "op1"),
-                                      M.norm_stack(A, "opInf"))
+        values = M.symmetric_norms(M._check_sym(random_symmetric(rng, 3, 100)),
+                                   ("op1", "opInf"))
+        np.testing.assert_array_equal(values["op1"], values["opInf"])
 
     def test_vec2_squared_is_eigenvalue_sum(self, rng):
         for T in random_symmetric(rng, 3, 50):
-            lam = M.eigenvalues(T)
-            assert abs(M.norm(T, "vec2") ** 2 - np.sum(lam ** 2)) < 1e-10
+            lam = smith_eigs(T[None])[0]
+            assert abs(norm(T, "vec2") ** 2 - np.sum(lam ** 2)) < 1e-10
 
     def test_rotation_invariance(self, rng):
         for T in random_symmetric(rng, 3, 25):
@@ -169,7 +193,7 @@ class TestNorms:
             R = Q @ T @ Q.T
             R = 0.5 * (R + R.T)
             for kind in ("op2", "vec2", "dual_op2"):
-                assert abs(M.norm(R, kind) - M.norm(T, kind)) < 1e-10
+                assert abs(norm(R, kind) - norm(T, kind)) < 1e-10
 
     def test_op2_brute_force_direction_sampling(self, rng):
         # one-sided oracle: max |T v| over random unit vectors approaches op2
@@ -177,7 +201,7 @@ class TestNorms:
             v = rng.normal(size=(10000, 3))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             sampled = np.linalg.norm(v @ T, axis=1).max()
-            computed = M.norm(T, "op2")
+            computed = norm(T, "op2")
             assert sampled <= computed + 1e-12
             assert computed - sampled <= 1e-3 * max(1.0, computed)
 
@@ -193,24 +217,24 @@ class TestEquivalenceConstants:
 
     def test_identity_witness_exact(self):
         I = np.eye(3)
-        assert abs(M.norm(I, "vec2") / M.norm(I, "op2") - np.sqrt(3)) < 1e-12
-        assert abs(M.norm(I, "dual_op2") / M.norm(I, "op2") - 3.0) < 1e-12
-        assert abs(M.norm(I, "dual_op2") / M.norm(I, "vec2") - np.sqrt(3)) < 1e-12
+        assert abs(norm(I, "vec2") / norm(I, "op2") - np.sqrt(3)) < 1e-12
+        assert abs(norm(I, "dual_op2") / norm(I, "op2") - 3.0) < 1e-12
+        assert abs(norm(I, "dual_op2") / norm(I, "vec2") - np.sqrt(3)) < 1e-12
 
     def test_rank_one_witness(self, rng):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
         P = np.outer(v, v)
         for kind in ("op2", "vec2", "dual_op2"):
-            assert abs(M.norm(P, kind) - 1.0) < 1e-12
+            assert abs(norm(P, kind) - 1.0) < 1e-12
         # ones matrix = n * rank-one projector attains op2/vecInf upper bound n
         ones = np.ones((3, 3))
-        assert abs(M.norm(ones, "op2") / M.norm(ones, "vecInf") - 3.0) < 1e-12
+        assert abs(norm(ones, "op2") / norm(ones, "vecInf") - 3.0) < 1e-12
 
     def test_single_entry_witness(self):
         T = np.zeros((2, 2))
         T[0, 0] = 1.0
-        assert abs(M.norm(T, "op2") / M.norm(T, "vecInf") - 1.0) < 1e-12
+        assert abs(norm(T, "op2") / norm(T, "vecInf") - 1.0) < 1e-12
 
     def test_observed_extremes_attained(self):
         rows = {r.ratio: r for r in M.verify_equivalence_constants(3, 10000)}
@@ -223,7 +247,7 @@ class TestEquivalenceConstants:
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_pass_per_stack(self, n, monkeypatch):
         # one symmetry check and one eigenvalue pass give all five norms, each
-        # bit-identical to norm_stack of that kind alone
+        # bit-identical to that kind alone
         checked, shared, eig_passes = [], [], []
         check, norms, eigvalsh = M._check_sym, M.symmetric_norms, np.linalg.eigvalsh
         monkeypatch.setattr(M, "_check_sym", lambda T: checked.append(T) or check(T))
@@ -236,7 +260,7 @@ class TestEquivalenceConstants:
         assert len(checked) == len(shared) == len(eig_passes) == 1
         assert set(shared[0]) == {"op1", "op2", "vec2", "vecInf", "dual_op2"}
         for kind, values in shared[0].items():
-            np.testing.assert_array_equal(values, M.norm_stack(checked[0], kind))
+            np.testing.assert_array_equal(values, norms(check(checked[0]), (kind,))[kind])
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):

@@ -157,7 +157,8 @@ class TestBruteForce:
         fsig = frame.T @ sig @ frame
         assert abs(fsig[1, 1] + math.cos(th)) < 1e-3
         from trace_bounds import matnorm
-        assert abs(matnorm.norm(sig, "op2") - 1.0) < 1e-3
+        op2 = matnorm.symmetric_norms(matnorm._check_sym(sig[None]), ("op2",))["op2"][0]
+        assert abs(op2 - 1.0) < 1e-3
 
     def test_two_sided_optimality_vec2(self, rng):
         for _ in range(10):
