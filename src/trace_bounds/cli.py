@@ -294,14 +294,8 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
         try:
             if "ld" in levels or battery:
                 # the whole basis before any task: its completion drops the
-                # backend, so no check or difference operator runs beside it.
-                # Asked for in the order the tasks ask for it (the normal
-                # field's H[nu_a] first, unless ld reads first), so the same
-                # members are solved and derived as when the tasks ask
-                order = ld.monomial_order(domain.dim)
-                if "sobolev" in levels or "ld" not in levels:
-                    order = [(a,) for a in range(domain.dim)] + order
-                for axes in order:
+                # backend, so no check or difference operator runs beside it
+                for axes in laplace._basis(domain.dim):
                     laplace._normal_monomial(domain, axes)
             results = {}
             for task, blocks in levels.items():

@@ -15,10 +15,10 @@ Keys: ``kind`` (disk|ball|ellipse|ellipsoid|annulus|levelset) with its shape
 parameters (radius | a,b[,c] | r_in,r_out | expression,dim,bbox), ``h``
 (descending list), ``norm`` (vec2|vecInf, the norms with a worst case D),
 ``tasks`` (comma list of sobolev, ld, battery, matnorm-verify,
-optimal-bc-sweep; they run in that order, ``TASKS``), ``output`` (directory),
-``seed`` (int >= 0), ``samples`` (matnorm sample count), ``steps`` (theta
-sweep). Only ``kind`` and ``h`` are required; the defaults are ``RunConfig``'s,
-and a level set's ``DomainSpec.levelset``'s.
+optimal-bc-sweep, each at most once; they run in that order, ``TASKS``),
+``output`` (directory), ``seed`` (int >= 0), ``samples`` (matnorm sample
+count), ``steps`` (theta sweep). Only ``kind`` and ``h`` are required; the
+defaults are ``RunConfig``'s, and a level set's ``DomainSpec.levelset``'s.
 """
 
 from __future__ import annotations
@@ -58,9 +58,11 @@ class RunConfig:
     def __post_init__(self):
         if not self.tasks:
             raise ConfigError("at least one task is required")
-        for t in self.tasks:
+        for i, t in enumerate(self.tasks):
             if t not in TASKS:
                 raise ConfigError(f"unknown task {t!r} (choose from {TASKS})")
+            if t in self.tasks[:i]:
+                raise ConfigError(f"duplicate task {t!r}")
         if not self.h_levels:
             raise ConfigError("at least one grid level h is required")
         if any(b >= a for a, b in zip(self.h_levels, self.h_levels[1:])):

@@ -59,9 +59,9 @@ harmonic extensions of monomials in the outward normal: H[nu_a] (the normal
 field) and H[nu_a nu_b nu_c] (the optimal e_k stresses). Each such extension
 is solved at most once per domain and memoized on the operator, as are the
 per-axis sparse difference stencils. Since |nu|^2 = 1, H[nu_a] =
-sum_b H[nu_a nu_b nu_b], so one member of each such identity is the signed
-sum of the others: 10 solves give all 13 extensions in 3D, 4 give all 6 in
-2D.
+sum_b H[nu_a nu_b nu_b], so H[nu_a nu_L^2], L = dim - 1, is always the
+signed sum of the others: 10 solves give all 13 extensions in 3D, 4 give
+all 6 in 2D.
 
 Every difference operator starts from one primitive, ``_derivative``: a
 field's interior-then-boundary values, stacked as (N + M, k) columns (one
@@ -601,10 +601,6 @@ def solve_dirichlet(domain: Domain, boundary_values) -> Field:
     return _operator(domain).solve(boundary_values)
 
 
-def _cubic(a: int, b: int) -> tuple[int, ...]:
-    return tuple(sorted((a, b, b)))
-
-
 def _basis(dim: int) -> set[tuple[int, ...]]:
     """The normal monomials the trace bounds extend: every nu_a and every
     nu_a nu_b nu_c, 6 in 2D and 13 in 3D, as sorted axis tuples."""
@@ -612,28 +608,17 @@ def _basis(dim: int) -> set[tuple[int, ...]]:
         itertools.combinations_with_replacement(range(dim), 3))
 
 
-def _identity_terms(key: tuple[int, ...], dim: int) -> list[tuple[float, tuple]] | None:
-    """H[key] as a signed sum of the other members of its |nu|^2 = 1 identity
-    H[nu_a] = sum_b H[nu_a nu_b nu_b], as (sign, monomial) pairs; None if the
-    monomial is in no such identity (nu_0 nu_1 nu_2)."""
-    if len(key) == 1:
-        return [(1.0, _cubic(key[0], b)) for b in range(dim)]
-    x, b, z = key
-    if x != b and b != z:
-        return None
-    a = z if x == b else x
-    return [(1.0, (a,))] + [(-1.0, _cubic(a, c)) for c in range(dim) if c != b]
-
-
 def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> Field:
     """Harmonic extension H[nu_a nu_b ...] of a product of normal components,
     memoized per domain under the sorted axis tuple.
 
-    Since |nu|^2 = 1, H[nu_a] = sum_b H[nu_a nu_b nu_b]: once the other members
-    of such an identity are memoized, the last one is their signed sum, with
-    the exact monomial as boundary values, checked and recorded like a solve
-    but not counted as one. So a domain needs 10 solves in 3D and 4 in 2D
-    for all 13 (6) extensions, in whatever order they are asked for.
+    Since |nu|^2 = 1, H[nu_a] = sum_b H[nu_a nu_b nu_b]. With L = dim - 1,
+    H[nu_a nu_L^2] = H[nu_a] - sum_{c<L} H[nu_a nu_c^2] is always derived:
+    its partners are fetched through this function, so any that is missing
+    is solved, and the sum is checked and recorded like a solve, with the
+    exact monomial as boundary values, but not counted as one. Every other
+    monomial is solved, so a domain needs 10 solves in 3D and 4 in 2D for all
+    13 (6) extensions.
 
     The insert that completes these 13 (6), solved or derived, drops the
     operator's backend, which a later ``solve_dirichlet`` builds again
@@ -644,9 +629,11 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> Field:
     if key in memo:
         return Field(domain, *memo[key])
     values = np.prod(domain.boundary_normal[:, list(key)], axis=1)
-    terms = _identity_terms(key, domain.dim)
-    if terms and all(k in memo for _, k in terms):
-        u = sum(sign * memo[k].interior for sign, k in terms)
+    last = domain.dim - 1
+    if key[1:] == (last, last):
+        a = key[0]
+        terms = [(1.0, (a,))] + [(-1.0, (a, c, c)) for c in range(last)]
+        u = sum(sign * _normal_monomial(domain, k).interior for sign, k in terms)
         field = op.verified(u, values, solved=False)
     else:
         field = solve_dirichlet(domain, values)

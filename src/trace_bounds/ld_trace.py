@@ -93,13 +93,6 @@ def _ek_entries(dim: int, k: int):
         yield i, j, [(i, j, k)] + [(i,)] * (j == k) + [(j,)] * (i == k)
 
 
-def monomial_order(dim: int) -> list[tuple[int, ...]]:
-    """The normal monomials ``ld_bounds`` reads, in the order it reads them:
-    every one of the ``dim``-dimensional basis."""
-    return [axes for k in range(dim) for *_, monomials in _ek_entries(dim, k)
-            for axes in monomials]
-
-
 def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[Field, EkTensorDiagnostics]:
     """Harmonic extension of the optimal e_k boundary tensor, assembled from the
     memoized normal-monomial extensions with the exact tensor as boundary values.

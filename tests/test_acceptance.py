@@ -254,11 +254,15 @@ def test_criterion_8_structural_properties(disk, ball, ellipse, annulus, ball_fi
     check(lines, "projection_idempotent", drift <= 0.01,
           f"double projection drift {100 * drift:.3f}% <= 1%")
 
-    # the fixture domains this module solves on; a solve on any other domain
+    # the fixture domains this module solves on, each solved on here first
+    # (memoized: free after the other criteria); a solve on any other domain
     # raises SolverError itself above the same 1e-8
-    stats = L.solver_stats(disk, ball, ellipse, annulus, ball_fine, neck)
+    domains = (disk, ball, ellipse, annulus, ball_fine, neck)
+    for domain in domains:
+        S.harmonic_normal_field(domain)
+    stats = L.solver_stats(*domains)
     check(lines, "max_principle_every_solve",
-          stats["max_principle_violation"] <= 1e-8,
+          stats["solves"] > 0 and stats["max_principle_violation"] <= 1e-8,
           f"max violation {stats['max_principle_violation']:.2e} <= 1e-8 "
           f"over {stats['solves']} Dirichlet solves on the fixture domains")
 

@@ -34,6 +34,7 @@ MESSAGE = {
     "kind = disk\nradius =\nh = 0.1": "missing required key 'radius'",
     "kind = annulus\nr_in = 0.5\nh = 0.1": "missing required key 'r_out'",
     "kind = disk\nradius = 1.0\nh = 0.1\nseed = -1": "seed must be non-negative",
+    "kind = disk\nradius = 1.0\nh = 0.1\ntasks = sobolev, ld, sobolev": "duplicate task 'sobolev'",
 }
 
 
@@ -81,6 +82,7 @@ h = 0.1
         "kind = disk\nradius = 1.0\nh = 0.1\nh = 0.2",   # duplicate
         "kind = disk\nradius = 1.0\nh = 0.1, 0.2",   # ascending levels
         "kind = disk\nradius = 1.0\nh = 0.1\ntasks = fly",  # unknown task
+        "kind = disk\nradius = 1.0\nh = 0.1\ntasks = sobolev, ld, sobolev",
         "kind = disk\nradius = 1.0\nh = 0.1\nwhat = 1",     # unknown key
         "kind = disk\nradius = 1.0\nh = 0.1\nnorm = op9",   # bad norm
         "kind = disk\nradius = -1\nh = 0.1",         # invalid shape
@@ -304,7 +306,7 @@ tasks = ld
             solve_dirichlet(other, other.boundary_normal[:, j])
         second = cli.run_config(cfg, outdir=str(tmp_path / "b"))[1]["solver_stats"]
         assert first == second
-        # per level: H[nu_0], H[nu_1] and three of the four cubic monomials
+        # per level: H[nu_0], H[nu_1] and two of the four cubic monomials
         assert first["solves"] == 8
         assert len(built) == 4
         assert all(list(dom._cache) == ["laplace_operator"] for dom in built)

@@ -359,8 +359,9 @@ class TestRedBlack:
 
 
 class TestNormalMonomialIdentities:
-    """Since |nu|^2 = 1, H[nu_a] = sum_b H[nu_a nu_b nu_b]; the last member of
-    each identity to be asked for is derived from the others, not solved."""
+    """Since |nu|^2 = 1, H[nu_a] = sum_b H[nu_a nu_b nu_b]; H[nu_a nu_L^2],
+    L = dim - 1, is derived from the others, not solved, whatever order the
+    extensions are asked for in."""
 
     @pytest.mark.parametrize("ld_first", [False, True], ids=["sobolev_ld", "ld_sobolev"])
     @pytest.mark.parametrize("spec, solves", [
@@ -393,16 +394,56 @@ class TestNormalMonomialIdentities:
                                       G.DomainSpec.ball(1.0, 0.15)],
                              ids=["disk", "ball"])
     def test_non_unit_normals_raise(self, spec):
-        # |nu|^2 = 1 + 2e-6: the derived H[nu_0^3] misses its data by 2e-6
+        # |nu|^2 = 1 + 2e-6: the derived H[nu_0 nu_L^2] misses its data by 2e-6
         built = G.build_domain(spec)
         dom = dataclasses.replace(built, boundary_normal=built.boundary_normal * (1 + 1e-6))
-        for axes in [(0,)] + [(0, b, b) for b in range(1, dom.dim)]:
+        last = dom.dim - 1
+        for axes in [(0,)] + [(0, c, c) for c in range(last)]:
             L._normal_monomial(dom, axes)
         solves = L.solver_stats(dom)["solves"]
         with pytest.raises(L.SolverError, match="residual"):
-            L._normal_monomial(dom, (0, 0, 0))
-        assert (0, 0, 0) not in L._operator(dom).monomials
+            L._normal_monomial(dom, (0, last, last))
+        assert (0, last, last) not in L._operator(dom).monomials
         assert L.solver_stats(dom)["solves"] == solves
+
+    @pytest.mark.parametrize("spec", [G.DomainSpec.disk(1.0, 0.04),
+                                      G.DomainSpec.ball(1.0, 0.15)],
+                             ids=["disk", "ball"])
+    def test_request_order_does_not_matter(self, spec):
+        dim = spec.dim
+        last = dim - 1
+        ld_order = [axes for k in range(dim) for *_, monomials in LD._ek_entries(dim, k)
+                    for axes in monomials]
+        # the order the pipeline asks in when sobolev runs before ld
+        sobolev_ld = [(a,) for a in range(dim)] + ld_order
+        basis = sorted(L._basis(dim))
+        shuffled = list(basis)
+        np.random.default_rng(7).shuffle(shuffled)
+        cubed_last = [key for key in basis if key != (0, 0, 0)] + [(0, 0, 0)]
+        memos = []
+        for order in [sobolev_ld, sobolev_ld[::-1], basis, ld_order, shuffled, cubed_last]:
+            dom = G.build_domain(spec)
+            op = L._operator(dom)
+            derived = []
+
+            class Watched(dict):
+                # an insert that adds no solve is a derived extension
+                def __setitem__(self, key, value):
+                    if op.record["solves"] == len(self) - len(derived):
+                        derived.append(key)
+                    super().__setitem__(key, value)
+
+            op.monomials = Watched()
+            for axes in order:
+                L._normal_monomial(dom, axes)
+            assert op.monomials.keys() == L._basis(dim)
+            assert sorted(derived) == [tuple(sorted((a, last, last))) for a in range(dim)]
+            assert op.record["solves"] == (4 if dim == 2 else 10)
+            memos.append(op.monomials)
+        for memo in memos[1:]:
+            for key, field in memos[0].items():
+                assert np.array_equal(memo[key].interior, field.interior)
+                assert np.array_equal(memo[key].boundary, field.boundary)
 
 
 class TestReplacedDomain:
@@ -480,7 +521,7 @@ class TestBackendRelease:
         S.harmonic_normal_field(dom)
         LD.ld_bounds(dom)
         op = L._operator(dom)
-        # solved, not derived, since the normal field came first
+        # solved, not derived: only the H[nu_a nu_L^2] are derived
         memo = op.monomials[(0,)]
         for rebuilt in range(2):
             solves = op.record["solves"]
