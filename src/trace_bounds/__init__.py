@@ -7,12 +7,12 @@ from .geometry import (
     CheckError,
     Domain,
     DomainSpec,
+    Field,
     GeometryError,
     build_domain,
     integrate_boundary,
     integrate_volume,
 )
-from .fields import Field
 from .laplace import (
     SolverError,
     divergence,

@@ -1,4 +1,4 @@
-"""Level-set domains on uniform Cartesian grids.
+"""Level-set domains on uniform Cartesian grids, and the fields sampled on them.
 
 A domain is described implicitly by a level-set function (negative inside),
 sampled on a uniform grid. Every kind is one expression in the language of
@@ -27,6 +27,12 @@ segment (2D), one triangle (3D, k = 1 or 3), or the quad of pairs AC, AD,
 BC, BD split into the pair triangles [0, 1, 3] and [0, 3, 2] (3D, k = 2).
 Surface measure is the total facet measure, with per-vertex quadrature
 weights of segment half-lengths (2D) or triangle-area thirds (3D).
+
+A ``Field`` stores one value per interior node and one per boundary node of
+its domain, as two arrays shaped (N, *s) and (M, *s): s is () for a scalar,
+(dim,) for a vector and (dim, dim) for a symmetric tensor, which is stored as
+its full symmetric matrix. Fields are immutable value containers; all
+differential operators live in the laplace module.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import numpy as np
 __all__ = [
     "DomainSpec",
     "Domain",
+    "Field",
     "GeometryError",
     "CheckError",
     "build_domain",
@@ -75,7 +82,7 @@ class GeometryError(ValueError):
 
 
 class CheckError(RuntimeError):
-    """A computed field fails a verification check of the pipeline."""
+    """A computed value fails a verification check of the pipeline."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +228,8 @@ class DomainSpec:
                 raise GeometryError("levelset kind requires an expression")
             if len(numbers) != 2 or not numbers[0] < numbers[1]:
                 raise GeometryError("bbox must be (lo, hi) with lo < hi")
+            # a malformed expression or an unknown symbol fails here, not in a run
+            _compile_expression(sizes["expression"], self.dim)
         elif not all(v > 0 for v in numbers):
             raise GeometryError(f"{self.kind} needs positive {', '.join(keys)}")
         if self.kind == "annulus" and not sizes["r_in"] < sizes["r_out"]:
@@ -591,6 +600,61 @@ def build_domain(spec: DomainSpec) -> Domain:
         volume=float(total_volume),
         area=float(total_area),
     )
+
+
+# ---------------------------------------------------------------------------
+# fields
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Field:
+    """Scalar, vector or symmetric tensor values on the interior and boundary
+    nodes of one domain; checked once, when made, for shape, finiteness and
+    (tensors) exact symmetry."""
+
+    domain: Domain
+    interior: np.ndarray
+    boundary: np.ndarray
+
+    def __post_init__(self):
+        domain, dim = self.domain, self.domain.dim
+        interior = np.ascontiguousarray(self.interior, dtype=float)
+        boundary = np.ascontiguousarray(self.boundary, dtype=float)
+        shape = interior.shape[1:]
+        if shape not in ((), (dim,), (dim, dim)):
+            raise GeometryError(f"value shape {shape} does not fit dimension {dim}: "
+                                f"expected (), ({dim},) or ({dim}, {dim})")
+        if interior.shape[:1] != (domain.n_interior,):
+            raise GeometryError(
+                f"interior values shape {interior.shape} != {(domain.n_interior, *shape)}")
+        if boundary.shape != (domain.n_boundary, *shape):
+            raise GeometryError(
+                f"boundary values shape {boundary.shape} != {(domain.n_boundary, *shape)}")
+        if not (np.isfinite(interior).all() and np.isfinite(boundary).all()):
+            raise GeometryError("field contains non-finite values")
+        if len(shape) == 2 and not all(np.array_equal(v[:, i, j], v[:, j, i])
+                                       for v in (interior, boundary)
+                                       for i, j in zip(*np.triu_indices(dim, 1))):
+            raise GeometryError("tensor field values are not symmetric")
+        object.__setattr__(self, "interior", interior)
+        object.__setattr__(self, "boundary", boundary)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape s of one value: (), (dim,) or (dim, dim)."""
+        return self.interior.shape[1:]
+
+    @staticmethod
+    def from_function(domain: Domain, fn: Callable[[np.ndarray], np.ndarray]) -> "Field":
+        """Sample fn(points) -> (m, *s) with points shaped (m, dim)."""
+        return Field(domain, fn(domain.interior_coords), fn(domain.boundary_pos))
+
+    @staticmethod
+    def constant(domain: Domain, value) -> "Field":
+        """The same scalar, vector or matrix value at every node."""
+        value = np.asarray(value, dtype=float)
+        return Field(domain, np.broadcast_to(value, (domain.n_interior, *value.shape)),
+                     np.broadcast_to(value, (domain.n_boundary, *value.shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import Field
-from .geometry import CheckError, Domain, GeometryError
+from .geometry import CheckError, Domain, Field, GeometryError
 
 __all__ = [
     "SolverError",

@@ -15,7 +15,7 @@ e_k (x) nu, so each component combines the normal-monomial extensions that
 the laplace module memoizes once per domain:
 H[sigma^k_ij] = -H[nu_i nu_j nu_k] + delta_jk H[nu_i] + delta_ik H[nu_j].
 
-Vectors and tensors are fields.Field values shaped (dim,) and (dim, dim); a
+Vectors and tensors are Field values shaped (dim,) and (dim, dim); a
 symmetric tensor (sigma^k, eps(w)) is stored as its full matrix. eps(w)
 (``_strain``) is the laplace module's stencil derivatives of all components
 at once, symmetrized at the interior nodes; the trace inequality
@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import laplace, optimal_bc
-from .fields import Field
-from .geometry import CheckError, Domain, integrate_volume
+from .geometry import CheckError, Domain, Field, integrate_volume
 from .sobolev_trace import TraceReport, ordered_sum, trace_slack
 
 __all__ = [
@@ -164,21 +163,6 @@ class LDBoundReport:
     @property
     def trace_norm_bound(self) -> float:
         return max(self.A, self.B)
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "trace_norm_bound": self.trace_norm_bound}
-
-
-LD_CSV_HEADER = ("kind", "dim", "h", "norm", "A", "B", "trace_norm_bound",
-                 "div_sup_k0", "div_sup_k1", "div_sup_k2")
-
-
-def ld_report_csv_row(level: dict, kind: str) -> list:
-    """Flat write_csv row of a report's ``as_dict()``, for batch sweeps over
-    domains."""
-    sups = [d["div_sup_boundary"] for d in level["per_k"]]
-    return ([kind, str(level["dim"])] + [level[key] for key in LD_CSV_HEADER[2:7]]
-            + sups + [""] * (3 - len(sups)))
 
 
 def ld_bounds(domain: Domain, norm: str = "vec2") -> LDBoundReport:

@@ -18,11 +18,11 @@ with Q built from explicit rotation angles.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import write_csv
+from .geometry import CheckError
 
 __all__ = [
     "NORM_KINDS",
@@ -30,13 +30,12 @@ __all__ = [
     "symmetric_norms",
     "EquivalenceRow",
     "verify_equivalence_constants",
-    "equivalence_table_csv",
 ]
 
 NORM_KINDS = ("op1", "op2", "opInf", "vec1", "vec2", "vecInf", "dual_op2")
 
 
-class NormEquivalenceError(AssertionError):
+class NormEquivalenceError(CheckError):
     pass
 
 
@@ -153,8 +152,3 @@ def verify_equivalence_constants(n: int, sample_count: int,
             observed_max=float(ratio.max()),
         ))
     return rows
-
-
-def equivalence_table_csv(rows: list[EquivalenceRow], path) -> None:
-    write_csv(path, ["ratio", "exact_lower", "exact_upper", "observed_min",
-                     "observed_max"], map(astuple, rows))

@@ -103,20 +103,18 @@ class OptimalBC:
     frame: np.ndarray      # columns f1 = nu, f2, (f3)
 
 
-def _build_frame(nu: np.ndarray, t: np.ndarray | None) -> np.ndarray:
+def _build_frame(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Orthonormal frame with f1 = nu and f2 along the tangential traction.
 
-    When t is parallel to nu (or absent) f2 is the normalized projection of
-    the standard basis vector least aligned with nu, for reproducibility.
+    When t is parallel to nu f2 is the normalized projection of the standard
+    basis vector least aligned with nu, for reproducibility.
     """
     n = nu.shape[0]
-    f2 = None
-    if t is not None:
-        tang = t - (t @ nu) * nu
-        norm_tang = np.linalg.norm(tang)
-        if norm_tang > 1e-9:
-            f2 = tang / norm_tang
-    if f2 is None:
+    tang = t - (t @ nu) * nu
+    norm_tang = np.linalg.norm(tang)
+    if norm_tang > 1e-9:
+        f2 = tang / norm_tang
+    else:
         k = int(np.argmin(np.abs(nu)))
         e = np.zeros(n)
         e[k] = 1.0

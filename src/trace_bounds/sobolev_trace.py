@@ -22,13 +22,12 @@ given a derivative term that each integrates from interior derivatives only.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import laplace
-from .fields import Field
-from .geometry import CheckError, Domain, integrate_boundary, integrate_volume
+from .geometry import CheckError, Domain, Field, integrate_boundary, integrate_volume
 
 __all__ = [
     "NormalField",
@@ -113,9 +112,6 @@ class TraceReport:
     slack: float
     eps_disc: float
     h: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def discretization_estimate(h: float, *magnitudes: float) -> float:

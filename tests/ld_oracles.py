@@ -5,8 +5,7 @@ quadratures, and the strain and divergence at the interior nodes."""
 import numpy as np
 
 from trace_bounds import laplace as L, ld_trace as LD
-from trace_bounds.fields import Field
-from trace_bounds.geometry import integrate_boundary, integrate_volume
+from trace_bounds.geometry import Field, integrate_boundary, integrate_volume
 
 
 def rigid_field(domain, a, b):

@@ -24,7 +24,7 @@ from trace_bounds import (
     sobolev_trace as S,
 )
 from trace_bounds.cli import ld_battery_fields, w11_battery_fields
-from trace_bounds.fields import Field
+from trace_bounds.geometry import Field
 
 from ld_oracles import rigid_field, rigid_projection_2d, virtual_work, virtual_work_residual
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from trace_bounds import cli, config as C, geometry as G
-from trace_bounds.fields import Field
+from trace_bounds.geometry import Field
 from trace_bounds.laplace import solve_dirichlet
 
 DISK_CONFIG = """
@@ -26,7 +26,8 @@ seed = 1234
 
 
 # malformed configs and the message that must name the offending key: one
-# left out or left empty, or a negative seed
+# left out or left empty, or a negative seed; or the level-set expression's
+# unknown symbol or syntax error
 MESSAGE = {
     "radius = 1.0\nh = 0.1": "missing required key 'kind'",
     "kind = disk\nradius = 1.0": "missing required key 'h'",
@@ -35,6 +36,9 @@ MESSAGE = {
     "kind = annulus\nr_in = 0.5\nh = 0.1": "missing required key 'r_out'",
     "kind = disk\nradius = 1.0\nh = 0.1\nseed = -1": "seed must be non-negative",
     "kind = disk\nradius = 1.0\nh = 0.1\ntasks = sobolev, ld, sobolev": "duplicate task 'sobolev'",
+    "kind = levelset\nexpression = x^2 + w^2 - 1\nh = 0.1": "unknown symbol 'w'",
+    "kind = levelset\nexpression = x^2 + z^2 - 1\ndim = 2\nh = 0.1": "unknown symbol 'z'",
+    "kind = levelset\nexpression = x^2 +\nh = 0.1": "invalid level-set expression",
 }
 
 
@@ -99,6 +103,9 @@ h = 0.1
         "kind = disk\nh = 0.1",                      # missing shape size
         "kind = disk\nradius =\nh = 0.1",            # empty shape size
         "kind = annulus\nr_in = 0.5\nh = 0.1",       # one of two sizes missing
+        "kind = levelset\nexpression = x^2 + w^2 - 1\nh = 0.1",   # unknown symbol
+        "kind = levelset\nexpression = x^2 + z^2 - 1\ndim = 2\nh = 0.1",  # z in 2D
+        "kind = levelset\nexpression = x^2 +\nh = 0.1",   # syntax error
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(C.ConfigError, match=MESSAGE.get(text)):
@@ -418,6 +425,20 @@ tasks = ld
             sobolev_trace.harmonic_normal_field(
                 G.build_domain(G.DomainSpec.disk(1.0, 0.04)))
 
+    def test_norm_equivalence_violation_is_a_failed_check(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # an interval no ratio meets: a run reports a failed check, and the
+        # subcommand names the violation; both exit 4
+        monkeypatch.setattr(cli.matnorm, "_bounds", lambda n: [("op2", "op1", 10.0, 11.0)])
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.1\nsamples = 10\n"
+                             "tasks = matnorm-verify")
+        code, report = cli.run_config(cfg, outdir=str(tmp_path))
+        assert code == cli.EXIT_CHECK_FAILED
+        assert report["error"]["type"] == "check"
+        assert report["error"]["message"].startswith("op2/op1 = ")
+        assert cli.main(["verify-matnorm", "--dim", "2", "--samples", "10"]) == cli.EXIT_CHECK_FAILED
+        assert capsys.readouterr().err.startswith("violation: op2/op1 = ")
+
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def slip(*args, **kwargs):
             raise AssertionError("a slip, not a failed check")
@@ -628,7 +649,9 @@ class TestMain:
         code = cli.main(["verify-matnorm", "--dim", "2", "--samples", "200",
                          "--seed", "9", "--output", str(out)])
         assert code == cli.EXIT_OK
-        assert out.exists()
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("ratio,exact_lower")
+        assert len(lines) == 6
         assert "op2/op1" in capsys.readouterr().out
 
     def test_sweep_theta_subcommand(self, tmp_path, capsys):

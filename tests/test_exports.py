@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import sys
 
@@ -22,6 +24,20 @@ def test_all_names_resolve(name):
     assert module.__all__
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def test_only_cli_and_load_config_open_files():
+    # cli alone writes a run's outputs, and config.load_config reads the
+    # config: every other module returns values and opens no file
+    openers = set()
+    for path in pathlib.Path(trace_bounds.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            where = getattr(top, "name", "<module>")
+            openers.update((path.stem, where) for node in ast.walk(top)
+                           if isinstance(node, ast.Call)
+                           and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open")
+    assert {opener for opener in openers if opener[0] != "cli"} == {("config", "load_config")}
+    assert ("cli", "_write_csv") in openers
 
 
 def test_every_public_function_runs_in_the_pipeline(tmp_path):

@@ -10,8 +10,7 @@ import scipy.sparse.linalg as spla
 
 from trace_bounds import geometry as G, laplace as L, ld_trace as LD
 from trace_bounds import sobolev_trace as S
-from trace_bounds.fields import Field
-from trace_bounds.geometry import GeometryError
+from trace_bounds.geometry import Field, GeometryError
 
 
 def laplacian(field):

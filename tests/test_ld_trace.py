@@ -6,7 +6,7 @@ import pytest
 from trace_bounds import (geometry as G, laplace as L, ld_trace as LD,
                           optimal_bc as O, sobolev_trace as S)
 from trace_bounds.cli import ld_battery_fields
-from trace_bounds.fields import Field
+from trace_bounds.geometry import Field
 
 from ld_oracles import rigid_field, rigid_projection_2d, virtual_work, virtual_work_residual
 

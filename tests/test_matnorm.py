@@ -265,11 +265,3 @@ class TestEquivalenceConstants:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             M.verify_equivalence_constants(3, 0)
-
-    def test_csv_export(self, tmp_path):
-        rows = M.verify_equivalence_constants(2, 100)
-        path = tmp_path / "table.csv"
-        M.equivalence_table_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("ratio,exact_lower")
-        assert len(lines) == 6

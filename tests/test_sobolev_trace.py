@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trace_bounds import geometry as G, laplace as L, ld_trace as LD, sobolev_trace as S
-from trace_bounds.fields import Field
+from trace_bounds.geometry import Field
 
 NECK_EXPR = ("min(min((x-1.1)^2+y^2-1,(x+1.1)^2+y^2-1),"
              "max(x^2-1.21,y^2-0.015625))")
