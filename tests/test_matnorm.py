@@ -265,3 +265,18 @@ class TestEquivalenceConstants:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             M.verify_equivalence_constants(3, 0)
+
+    def test_csv_export(self, tmp_path):
+        # The table is written by the cli output layer; each row round-trips.
+        from trace_bounds import cli
+        rows = M.verify_equivalence_constants(2, 100)
+        path = tmp_path / "table.csv"
+        cli._write_equivalence_table(path, rows)
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("ratio,exact_lower")
+        assert len(lines) == 6
+        for line, row in zip(lines[1:], rows):
+            ratio, *values = line.split(",")
+            assert ratio == row.ratio
+            assert [float(v) for v in values] == [row.lower, row.upper,
+                                                  row.observed_min, row.observed_max]
