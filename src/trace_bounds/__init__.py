@@ -25,10 +25,7 @@ from .matnorm import (
     verify_equivalence_constants,
 )
 from .optimal_bc import (
-    OptimalBC,
-    TractionProblem,
     brute_force_optimal,
-    ek_boundary_tensor,
     optimal_stress,
     worst_case_D,
 )
@@ -65,12 +62,9 @@ __all__ = [
     "NORM_KINDS",
     "NormEquivalenceError",
     "verify_equivalence_constants",
-    "TractionProblem",
-    "OptimalBC",
     "optimal_stress",
     "brute_force_optimal",
     "worst_case_D",
-    "ek_boundary_tensor",
     "NormalField",
     "TraceReport",
     "harmonic_normal_field",

@@ -480,7 +480,8 @@ def build_domain(spec: DomainSpec) -> Domain:
 
     grids = np.meshgrid(*([axis_idx * h] * dim), indexing="ij")
     points = np.stack(grids, axis=-1)
-    phi = phi_fn(points, False)[0]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # caught below
+        phi = phi_fn(points, False)[0]
     if not np.isfinite(phi).all():
         raise GeometryError("level-set function produced non-finite values")
 

@@ -7,12 +7,15 @@ gradient; rigid fields a + b x x span its kernel. The boundary trace obeys
 
 with A = dim * D_par (the worst-case optimal boundary stress value) and
 B = sum_k sup_bnd |div sigma^k|, where sigma^k is the harmonic extension of
-the optimal e_k boundary tensor. Vector sup-norms of divergences are taken
+the optimal e_k boundary stress. Vector sup-norms of divergences are taken
 componentwise (max_i sup |(div sigma)_i|), matching the estimate they enter.
 
-Harmonic extension H is linear and sigma^k = -nu_k nu (x) nu + nu (x) e_k +
-e_k (x) nu, so each component combines the normal-monomial extensions that
-the laplace module memoizes once per domain:
+On the boundary sigma^k is optimal_bc.optimal_stress(nu, e_k), the closed
+form -(t . nu) nu (x) nu + nu (x) t + t (x) nu at t = e_k:
+sigma^k = -nu_k nu (x) nu + nu (x) e_k + e_k (x) nu. Harmonic extension H is
+linear, so ``_ek_entries`` writes H of that same formula entry by entry,
+combining the normal-monomial extensions that the laplace module memoizes
+once per domain:
 H[sigma^k_ij] = -H[nu_i nu_j nu_k] + delta_jk H[nu_i] + delta_ik H[nu_j].
 
 Vectors and tensors are Field values shaped (dim,) and (dim, dim); a
@@ -93,8 +96,9 @@ def _ek_entries(dim: int, k: int):
 
 
 def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[Field, EkTensorDiagnostics]:
-    """Harmonic extension of the optimal e_k boundary tensor, assembled from the
-    memoized normal-monomial extensions with the exact tensor as boundary values.
+    """Harmonic extension of the optimal e_k boundary stress, assembled from the
+    memoized normal-monomial extensions with the exact stress
+    (optimal_bc.optimal_stress at t = e_k) as boundary values.
 
     Checks the attainment structure, raising CheckError (SolverError for the
     maximum principle): boundary compatibility, the componentwise maximum
@@ -105,10 +109,12 @@ def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[Field, EkTensorDiagnosti
     D_inf; the std-basis entrywise sup is larger in general (up to ~1.0887
     on a sphere) and is reported as a diagnostic.
     """
-    tensors = optimal_bc.ek_boundary_tensor(domain, k)
+    if not 0 <= k < domain.dim:
+        raise ValueError(f"axis index k={k} out of range for dimension {domain.dim}")
+    nu = domain.boundary_normal
     e = np.eye(domain.dim)[k]
-    compat = np.abs(np.einsum("mij,mj->mi", tensors, domain.boundary_normal)
-                    - e[None, :]).max()
+    tensors, frame_inf = optimal_bc.optimal_stress(nu, np.broadcast_to(e, nu.shape), "vecInf")
+    compat = np.abs(np.einsum("mij,mj->mi", tensors, nu) - e[None, :]).max()
     if compat > 1e-12:
         raise CheckError(f"boundary tensor compatibility violated: {compat:.3e}")
 
@@ -126,7 +132,6 @@ def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[Field, EkTensorDiagnosti
 
     sup_entry_b = float(np.abs(tensors).max())
     sup_entry_c = max(sup_entry_b, float(np.abs(interior).max()))
-    frame_inf_b = float(optimal_bc.ek_frame_inf_values(domain, k).max())
 
     # max over the entries of each node, taken across the columns: NumPy's max
     # along a short last axis runs ~10x slower
@@ -142,7 +147,7 @@ def harmonic_ek_tensor(domain: Domain, k: int) -> tuple[Field, EkTensorDiagnosti
         k=k, compat_error=float(compat),
         sup_entry_boundary=sup_entry_b, sup_entry_closure=sup_entry_c,
         sup_vec2_boundary=vec2_b, sup_vec2_closure=vec2_c,
-        sup_frame_inf_boundary=frame_inf_b,
+        sup_frame_inf_boundary=float(frame_inf.max()),
         div_sup_boundary=float(div_b), div_sup_closure=float(div_c),
         max_principle_gap=float(gap),
     )

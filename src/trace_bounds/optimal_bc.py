@@ -2,11 +2,16 @@
 
 Given a unit outward normal nu and a unit traction t, the compatible
 symmetric matrices sigma(nu) = t form an affine family; the optimal one
-minimizes a chosen matrix norm. In the orthonormal frame {f1 = nu, f2 along
-the tangential part of t, f3 = f1 x f2} the closed-form matrix has
-sigma_11 = cos(theta), sigma_12 = sin(theta) and all free components zero.
-It is optimal for the entrywise-max norm (measured in that frame) and the
-Frobenius norm:
+minimizes a chosen matrix norm. It is
+
+    sigma = -(t . nu) nu (x) nu + nu (x) t + t (x) nu,   cos theta = t . nu,
+
+computed by ``optimal_stress`` for (m, n) stacks of normals and tractions
+at once, with no frame. Why it is optimal shows in the orthonormal frame
+{f1 = nu, f2 along the tangential part of t, f3 = f1 x f2}: there
+sigma_11 = cos(theta), sigma_12 = sin(theta) and all free components
+(sigma_22, sigma_23, sigma_33) are zero. It is optimal for the entrywise-max
+norm (measured in that frame) and the Frobenius norm:
 
     vecInf : max(|cos theta|, |sin theta|)     (frame-relative)
     vec2   : sqrt(1 + sin^2 theta)
@@ -31,24 +36,18 @@ D_inf = 1 (t parallel or perpendicular to nu).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import matnorm
-from .geometry import CheckError, Domain
+from .geometry import CheckError
 
 __all__ = [
     "NORMS",
-    "TractionProblem",
-    "OptimalBC",
     "optimal_stress",
     "brute_force_optimal",
     "worst_case_D",
     "sweep_theta",
-    "ek_boundary_tensor",
-    "ek_frame_inf_values",
 ]
 
 _UNIT_TOL = 1e-12
@@ -64,43 +63,27 @@ _BRUTE_FORCE_POINTS = 17
 _BRUTE_FORCE_BATCH = 4096
 
 
-def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
-        raise ValueError(f"{name} must be a unit vector (|{name}| = {np.linalg.norm(v)!r})")
-    return v
+def _check_stacks(nu: np.ndarray, t: np.ndarray, norm: str) -> tuple[np.ndarray, np.ndarray]:
+    """nu and t as float (m, n) stacks of unit rows, m >= 1 and n in {2, 3},
+    for a norm whose optimal stress is defined in n dimensions (NORMS)."""
+    nu = np.asarray(nu, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if nu.ndim != 2 or nu.shape != t.shape or not len(nu) or nu.shape[1] not in (2, 3):
+        raise ValueError("nu and t must be (m, n) stacks of one shape, m >= 1 and n = 2 or 3")
+    if nu.shape[1] not in NORMS.get(norm, ((),))[0]:
+        raise ValueError(f"norm {norm!r} has no optimal stress in {nu.shape[1]}D")
+    for name, v in (("nu", nu), ("t", t)):
+        lengths = np.linalg.norm(v, axis=1)
+        i = int(np.abs(lengths - 1.0).argmax())
+        if not abs(lengths[i] - 1.0) <= _UNIT_TOL:
+            raise ValueError(f"{name} must be unit vectors (|{name}[{i}]| = {float(lengths[i])!r})")
+    return nu, t
 
 
-@dataclass(frozen=True)
-class TractionProblem:
-    """Unit normal, unit traction and the matrix norm to minimize."""
-
-    nu: np.ndarray
-    t: np.ndarray
-    norm: str = "vec2"
-
-    def __post_init__(self):
-        nu = _check_unit(self.nu, "nu")
-        t = _check_unit(self.t, "t")
-        if nu.shape != t.shape or nu.shape[0] not in (2, 3):
-            raise ValueError("nu and t must both be 2- or 3-vectors")
-        if nu.shape[0] not in NORMS.get(self.norm, ((),))[0]:
-            raise ValueError(f"norm {self.norm!r} has no optimal stress in {nu.shape[0]}D")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "t", t)
-
-    @property
-    def dim(self) -> int:
-        return self.nu.shape[0]
-
-
-@dataclass(frozen=True)
-class OptimalBC:
-    """Optimal matrix in the standard basis plus the frame it was built in."""
-
-    sigma: np.ndarray      # (n, n) symmetric, standard basis
-    value: float           # optimal norm value (vecInf: relative to the frame)
-    frame: np.ndarray      # columns f1 = nu, f2, (f3)
+def _cos_sin(nu: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, cos theta = t . nu (clipped to [-1, 1]) and sin theta = |t - cos theta nu|."""
+    cos_t = np.clip(np.einsum("mi,mi->m", t, nu), -1.0, 1.0)
+    return cos_t, np.linalg.norm(t - cos_t[:, None] * nu, axis=1)
 
 
 def _build_frame(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -126,32 +109,31 @@ def _build_frame(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.stack([nu, f2, f3], axis=1)
 
 
-def _closed_form_value(cos_t: float, sin_t: float, norm: str) -> float:
+def _closed_form_value(cos_t: np.ndarray, sin_t: np.ndarray, norm: str) -> np.ndarray:
     if norm == "vec2":
-        return math.sqrt(1.0 + sin_t ** 2)
+        return np.sqrt(1.0 + sin_t ** 2)
     if norm == "vecInf":
-        return max(abs(cos_t), abs(sin_t))
+        return np.maximum(np.abs(cos_t), np.abs(sin_t))
     if norm == "op2":
-        return 0.5 * (abs(cos_t) + math.sqrt(cos_t ** 2 + 4.0 * sin_t ** 2))
+        return 0.5 * (np.abs(cos_t) + np.sqrt(cos_t ** 2 + 4.0 * sin_t ** 2))
     raise ValueError(f"unsupported norm {norm!r}")
 
 
-def optimal_stress(problem: TractionProblem) -> OptimalBC:
-    """Closed-form minimal-norm stress with sigma(nu) = t."""
-    nu, t = problem.nu, problem.t
-    cos_t = float(np.clip(t @ nu, -1.0, 1.0))
-    sin_t = float(np.linalg.norm(t - cos_t * nu))
-    frame = _build_frame(nu, t)
-    f2 = frame[:, 1]
-    sigma = cos_t * np.outer(nu, nu) + sin_t * (np.outer(nu, f2) + np.outer(f2, nu))
-    value = _closed_form_value(cos_t, sin_t, problem.norm)
-    bc = OptimalBC(sigma=sigma, value=value, frame=frame)
-    if np.abs(sigma @ nu - t).max() > 1e-10:
+def optimal_stress(nu: np.ndarray, t: np.ndarray,
+                   norm: str = "vec2") -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form minimal-norm stresses with sigma(nu) = t, one per row of the
+    (m, n) stacks nu and t: the (m, n, n) matrices
+    sigma = -(t . nu) nu (x) nu + nu (x) t + t (x) nu and their (m,) values."""
+    nu, t = _check_stacks(nu, t, norm)
+    cos_t, sin_t = _cos_sin(nu, t)
+    nt = nu[:, :, None] * t[:, None, :]
+    sigma = -cos_t[:, None, None] * (nu[:, :, None] * nu[:, None, :]) + nt + nt.swapaxes(1, 2)
+    if np.abs(np.einsum("mij,mj->mi", sigma, nu) - t).max() > 1e-10:
         raise CheckError("compatibility sigma(nu) = t violated")
-    return bc
+    return sigma, _closed_form_value(cos_t, sin_t, norm)
 
 
-def brute_force_optimal(problems: TractionProblem | Sequence[TractionProblem]) -> np.ndarray:
+def brute_force_optimal(nu: np.ndarray, t: np.ndarray, norm: str = "vec2") -> np.ndarray:
     """Independent minimizer: nested grid search over the free components.
 
     Parameterizes all symmetric matrices with sigma(nu) = t by their free
@@ -161,29 +143,21 @@ def brute_force_optimal(problems: TractionProblem | Sequence[TractionProblem]) -
     components below its value); ties are broken by Frobenius norm, which
     canonicalizes without changing the optimal value.
 
-    Evaluates a stack of problems of one dimension and norm at once, each
-    searched on its own: a sequence of P problems gives the (P, n, n)
-    minimizers in the standard basis, and a single problem is a stack of one
-    that gives its (n, n) minimizer.
+    Each row of the (m, n) stacks nu and t is searched on its own, all at
+    once; the (m, n, n) minimizers are returned in the standard basis.
     """
-    single = isinstance(problems, TractionProblem)
-    stack = [problems] if single else list(problems)
-    if not stack:
-        raise ValueError("brute_force_optimal needs at least one problem")
-    dim, norm = stack[0].dim, stack[0].norm
-    if any(p.dim != dim or p.norm != norm for p in stack):
-        raise ValueError("the problems of one brute-force stack share dimension and norm")
-    cos_t = np.array([float(np.clip(p.t @ p.nu, -1.0, 1.0)) for p in stack])
-    sin_t = np.array([float(np.linalg.norm(p.t - c * p.nu)) for p, c in zip(stack, cos_t)])
-    frames = np.array([_build_frame(p.nu, p.t) for p in stack])
+    nu, t = _check_stacks(nu, t, norm)
+    dim = nu.shape[1]
+    cos_t, sin_t = _cos_sin(nu, t)
+    frames = np.array([_build_frame(n_, t_) for n_, t_ in zip(nu, t)])
 
     n_free = dim * (dim - 1) // 2
     # grid point i of a stage is axis point idx[:, i] of each free component,
     # in the order of np.meshgrid(..., indexing="ij")
     idx = np.array(np.unravel_index(np.arange(_BRUTE_FORCE_POINTS ** n_free),
                                     (_BRUTE_FORCE_POINTS,) * n_free))
-    rows = np.arange(len(stack))
-    centers = np.zeros((len(stack), n_free))
+    rows = np.arange(len(nu))
+    centers = np.zeros((len(nu), n_free))
     width = 4.0
     for _stage in range(4):
         axes = np.linspace(centers - width, centers + width, _BRUTE_FORCE_POINTS, axis=-1)
@@ -204,45 +178,41 @@ def brute_force_optimal(problems: TractionProblem | Sequence[TractionProblem]) -
         centers = z[rows, i]
         best = cand[rows, i]
         width /= 10.0
-    sigma = frames @ best @ frames.transpose(0, 2, 1)
-    return sigma[0] if single else sigma
+    return frames @ best @ frames.transpose(0, 2, 1)
 
 
 def sweep_theta(norm: str, steps: int = 91, dim: int | None = None,
                 brute_force: bool = False) -> dict:
     """Closed-form optimal values over theta in [0, pi/2] (optionally brute force,
     with up to ``_BRUTE_FORCE_BATCH`` candidate matrices per stack), in ``dim``
-    dimensions: by default the largest the norm is defined in (NORMS)."""
+    dimensions: by default the largest the norm is defined in (NORMS).
+
+    nu = e_1 and t = cos theta e_1 + sin theta e_2, so every frame is the
+    identity and the brute-force values are read in the standard basis."""
     if dim is None:
         if norm not in NORMS:
             raise ValueError(f"unsupported norm {norm!r}")
         dim = max(NORMS[norm][0])
     thetas = np.linspace(0.0, math.pi / 2.0, steps)
-    nu = np.zeros(dim)
-    nu[0] = 1.0
-    problems, optima = [], []
-    for th in thetas:
-        t = math.cos(th) * nu
-        t[1] += math.sin(th)
-        t /= np.linalg.norm(t)
-        problems.append(TractionProblem(nu=nu, t=t, norm=norm))
-        optima.append(optimal_stress(problems[-1]))
-    closed = [bc.value for bc in optima]
+    nu = np.zeros((steps, dim))
+    nu[:, 0] = 1.0
+    t = np.zeros((steps, dim))
+    for row, th in zip(t, thetas):
+        row[:2] = math.cos(th), math.sin(th)
+        row /= np.linalg.norm(row)
+    sigma, closed = optimal_stress(nu, t, norm)
     out = {
         "norm": norm,
         "theta": thetas,
-        "closed_form": np.array(closed),
-        "max_closed_form": float(np.max(closed)),
+        "closed_form": closed,
+        "max_closed_form": float(closed.max()),
     }
     if brute_force:
         chunk = max(1, _BRUTE_FORCE_BATCH // _BRUTE_FORCE_POINTS ** (dim * (dim - 1) // 2))
-        sigmas = np.concatenate([brute_force_optimal(problems[i:i + chunk])
-                                 for i in range(0, len(problems), chunk)])
-        out["brute_force"] = np.array([
-            float(matnorm.symmetric_norms((bc.frame.T @ sig @ bc.frame)[None], (norm,))[norm][0])
-            for sig, bc in zip(sigmas, optima)])
-        out["max_entry_gap"] = max(float(np.abs(sig - bc.sigma).max())
-                                   for sig, bc in zip(sigmas, optima))
+        brute = np.concatenate([brute_force_optimal(nu[i:i + chunk], t[i:i + chunk], norm)
+                                for i in range(0, steps, chunk)])
+        out["brute_force"] = matnorm.symmetric_norms(brute, (norm,))[norm]
+        out["max_entry_gap"] = float(np.abs(brute - sigma).max())
     return out
 
 
@@ -254,31 +224,3 @@ def worst_case_D(norm: str) -> float:
     if D is None:
         raise ValueError(f"no closed-form worst case D for norm {norm!r}")
     return D
-
-
-# ---------------------------------------------------------------------------
-# boundary tensor fields
-# ---------------------------------------------------------------------------
-
-def ek_boundary_tensor(domain: Domain, k: int) -> np.ndarray:
-    """Optimal e_k stress at every boundary node, (M, n, n) in the standard basis.
-
-    The matrix is the optimum for the vec2 and frame-vecInf norms alike (all
-    free components vanish); only the reported optimal values differ.
-    """
-    n = domain.dim
-    if not 0 <= k < n:
-        raise ValueError(f"axis index k={k} out of range for dimension {n}")
-    nu = domain.boundary_normal
-    e = np.zeros(n)
-    e[k] = 1.0
-    outer_nn = nu[:, :, None] * nu[:, None, :]
-    outer_ne = nu[:, :, None] * e[None, None, :]
-    sig = -nu[:, k, None, None] * outer_nn + outer_ne + np.swapaxes(outer_ne, 1, 2)
-    return sig
-
-
-def ek_frame_inf_values(domain: Domain, k: int) -> np.ndarray:
-    """Pointwise frame-relative entrywise-max values max(|nu_k|, sqrt(1-nu_k^2))."""
-    nuk = domain.boundary_normal[:, k]
-    return np.maximum(np.abs(nuk), np.sqrt(np.clip(1.0 - nuk ** 2, 0.0, None)))

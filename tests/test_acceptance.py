@@ -83,6 +83,11 @@ def test_criterion_2_iso_bound_consistency(disk, ball, ellipse, annulus, neck):
         iso_bound = S.isoperimetric_lower_bound(dom)
         check(lines, f"{name}_B_above_isoperimetric", B >= iso_bound * 0.98,
               f"B = {B:.4f} >= |bnd|/|Omega| = {iso_bound:.4f} (2% equality slack)")
+    # the neck has four re-entrant corners, so its continuum B is infinite:
+    # this B is the corner-driven grid value, 10.5104 at h 0.05 and 12.3971
+    # at h 0.025 (the fixture's), and at h 0.0125 harmonic_normal_field
+    # raises NormalFieldError ("divergence sup 21.96 not attained on the
+    # boundary"). The clause holds for the grid value, not a continuum one.
     B = S.sobolev_B(neck)
     iso_bound = S.isoperimetric_lower_bound(neck)
     check(lines, "neck_strict_gap", B >= 1.25 * iso_bound,

@@ -610,6 +610,16 @@ class TestMain:
         assert "sparse factorization failed" in report["error"]["message"]
         assert report["error"]["residual"] is None
 
+    def test_non_finite_levelset_exits_4(self, tmp_path, capsys):
+        cfg_file = tmp_path / "sqrt.cfg"
+        cfg_file.write_text("kind = levelset\ndim = 2\nh = 0.1\ntasks = sobolev\n"
+                            f"expression = sqrt(x) + y^2 - 1\noutput = {tmp_path}/out\n")
+        assert cli.main(["run", str(cfg_file)]) == cli.EXIT_CHECK_FAILED
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["error"]["type"] == "check"
+        assert "produced non-finite values" in report["error"]["message"]
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("kind = nosuchshape\nh = 0.1\n")
@@ -668,7 +678,7 @@ class TestMain:
         assert cli.main(argv) == cli.EXIT_OK
         exact = cli.optimal_bc.brute_force_optimal
         monkeypatch.setattr(cli.optimal_bc, "brute_force_optimal",
-                            lambda problems: exact(problems) + 0.5)
+                            lambda nu, t, norm: exact(nu, t, norm) + 0.5)
         assert cli.main(argv + ["--output", str(tmp_path / "s.csv")]) == cli.EXIT_CHECK_FAILED
         captured = capsys.readouterr()
         assert "gap vs brute force: 0.5" in captured.out

@@ -323,6 +323,12 @@ class TestBuildDomain:
         with pytest.raises(G.GeometryError, match="not bounded"):
             G.build_domain(G.DomainSpec.levelset("x", 0.1, 2, (-1.0, 1.0)))
 
+    def test_non_finite_levelset_raises(self):
+        # sqrt(x) is NaN on the left half of the bbox: a named error, and no
+        # RuntimeWarning first (pytest turns warnings into errors)
+        with pytest.raises(G.GeometryError, match="produced non-finite values"):
+            G.build_domain(G.DomainSpec.levelset("sqrt(x) + y^2 - 1", 0.1, 2))
+
     def test_node_cap(self, monkeypatch):
         # default cap is ~128^3 nodes; a 0.01-spaced ball grid exceeds it
         with pytest.raises(G.GeometryError, match="cap"):

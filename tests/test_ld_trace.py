@@ -149,7 +149,8 @@ class TestHarmonicEkTensor:
         dom = request.getfixturevalue(fixture)
         for k in range(dom.dim):
             sigma, _ = LD.harmonic_ek_tensor(dom, k)
-            tensors = O.ek_boundary_tensor(dom, k)
+            nu = dom.boundary_normal
+            tensors, _ = O.optimal_stress(nu, np.broadcast_to(np.eye(dom.dim)[k], nu.shape))
             np.testing.assert_array_equal(sigma.boundary, tensors)
             for i, j in zip(*np.triu_indices(dom.dim)):
                 direct = L.solve_dirichlet(dom, tensors[:, i, j])
@@ -163,9 +164,13 @@ class TestHarmonicEkTensor:
         assert abs(diag.div_sup_boundary - 4.4) <= 0.02 * 4.4
 
     def test_compatibility_failure_is_named(self, disk_coarse, monkeypatch):
-        exact = O.ek_boundary_tensor
-        monkeypatch.setattr(O, "ek_boundary_tensor",
-                            lambda domain, k: 2.0 * exact(domain, k))
+        exact = O.optimal_stress
+
+        def doubled(nu, t, norm):
+            sigma, values = exact(nu, t, norm)
+            return 2.0 * sigma, values
+
+        monkeypatch.setattr(O, "optimal_stress", doubled)
         with pytest.raises(G.CheckError, match="boundary tensor compatibility"):
             LD.harmonic_ek_tensor(disk_coarse, 0)
 

@@ -21,74 +21,94 @@ def pair_with_angle(rng, n, theta):
     return nu, math.cos(theta) * nu + math.sin(theta) * perp
 
 
+def optimum(nu, t, norm="vec2"):
+    """The closed form for one problem, as a stack of one: (sigma, value)."""
+    sigma, value = O.optimal_stress(nu[None], t[None], norm)
+    return sigma[0], value[0]
+
+
+def brute(nu, t, norm="vec2"):
+    """The brute-force minimizer for one problem, as a stack of one."""
+    return O.brute_force_optimal(nu[None], t[None], norm)[0]
+
+
+def ek_stress(domain, k):
+    """The optimal e_k stress at every boundary node of domain, (M, n, n)."""
+    nu = domain.boundary_normal
+    return O.optimal_stress(nu, np.broadcast_to(np.eye(domain.dim)[k], nu.shape), "vecInf")[0]
+
+
 class TestClosedForm:
     def test_traction_along_normal(self, rng):
         nu = random_unit(rng, 3)
-        bc = O.optimal_stress(O.TractionProblem(nu=nu, t=nu.copy(), norm="vec2"))
-        np.testing.assert_allclose(bc.sigma, np.outer(nu, nu), atol=1e-12)
-        assert abs(bc.value - 1.0) < 1e-12
+        sigma, value = optimum(nu, nu.copy(), "vec2")
+        np.testing.assert_allclose(sigma, np.outer(nu, nu), atol=1e-12)
+        assert abs(value - 1.0) < 1e-12
 
     def test_perpendicular_traction_vec2(self, rng):
         nu, t = pair_with_angle(rng, 3, math.pi / 2)
-        bc = O.optimal_stress(O.TractionProblem(nu=nu, t=t, norm="vec2"))
-        assert abs(bc.value - math.sqrt(2)) < 1e-12
+        _, value = optimum(nu, t, "vec2")
+        assert abs(value - math.sqrt(2)) < 1e-12
 
     def test_quarter_angle_vecinf(self, rng):
         nu, t = pair_with_angle(rng, 3, math.pi / 4)
-        bc = O.optimal_stress(O.TractionProblem(nu=nu, t=t, norm="vecInf"))
-        assert abs(bc.value - 1 / math.sqrt(2)) < 1e-12
+        _, value = optimum(nu, t, "vecInf")
+        assert abs(value - 1 / math.sqrt(2)) < 1e-12
 
     def test_compatibility_random(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 4))
             theta = rng.uniform(0, math.pi)
             nu, t = pair_with_angle(rng, n, theta)
-            bc = O.optimal_stress(O.TractionProblem(nu=nu, t=t, norm="vec2"))
-            assert np.abs(bc.sigma @ nu - t).max() < 1e-12
+            sigma, _ = optimum(nu, t, "vec2")
+            assert np.abs(sigma @ nu - t).max() < 1e-12
 
     def test_value_depends_only_on_angle(self, rng):
         theta = 0.9371
         values = set()
         for _ in range(20):
             nu, t = pair_with_angle(rng, 3, theta)
-            bc = O.optimal_stress(O.TractionProblem(nu=nu, t=t, norm="vec2"))
-            values.add(round(bc.value, 12))
+            _, value = optimum(nu, t, "vec2")
+            values.add(round(value, 12))
         assert len(values) == 1
 
     def test_frame_third_vector_irrelevant(self, rng):
-        # sigma is built from nu and f2 only; flipping f3 changes nothing
+        # the frame-built sigma uses nu and f2 only (flipping f3 changes
+        # nothing), and it is the frame-free closed form
         nu, t = pair_with_angle(rng, 3, 0.7)
-        bc = O.optimal_stress(O.TractionProblem(nu=nu, t=t, norm="vec2"))
-        f1, f2 = bc.frame[:, 0], bc.frame[:, 1]
+        sigma, _ = optimum(nu, t, "vec2")
+        frame = O._build_frame(nu, t)
+        f1, f2 = frame[:, 0], frame[:, 1]
         cos_t, sin_t = t @ nu, np.linalg.norm(t - (t @ nu) * nu)
         rebuilt = cos_t * np.outer(f1, f1) + sin_t * (np.outer(f1, f2)
                                                       + np.outer(f2, f1))
-        np.testing.assert_allclose(rebuilt, bc.sigma, atol=1e-14)
+        np.testing.assert_allclose(rebuilt, sigma, atol=1e-14)
 
     def test_degenerate_frame_deterministic(self):
         nu = np.array([0.0, 0.0, 1.0])
-        a = O.optimal_stress(O.TractionProblem(nu=nu, t=nu.copy(), norm="vec2"))
-        b = O.optimal_stress(O.TractionProblem(nu=nu, t=nu.copy(), norm="vec2"))
-        np.testing.assert_array_equal(a.frame, b.frame)
+        a = O._build_frame(nu, nu.copy())
+        b = O._build_frame(nu, nu.copy())
+        np.testing.assert_array_equal(a, b)
 
     def test_compatibility_failure_is_named(self, monkeypatch):
-        # a frame whose second vector is nu itself breaks sigma(nu) = t
-        monkeypatch.setattr(O, "_build_frame",
-                            lambda nu, t: np.stack([nu, nu], axis=1))
-        problem = O.TractionProblem(nu=np.array([1.0, 0.0]), t=np.array([0.0, 1.0]))
+        # a loose unit tolerance admits nu = (1.2, 0), for which
+        # sigma(nu) - t = 0.44 t breaks sigma(nu) = t
+        monkeypatch.setattr(O, "_UNIT_TOL", 0.5)
         with pytest.raises(CheckError, match="compatibility"):
-            O.optimal_stress(problem)
+            O.optimal_stress(np.array([[1.2, 0.0]]), np.array([[0.0, 1.0]]))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            O.TractionProblem(nu=np.array([1.0, 1.0]), t=np.array([1.0, 0.0]))
+            O.optimal_stress(np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]))
+        # a NaN row is not a unit vector either
+        with pytest.raises(ValueError, match="unit vectors"):
+            O.optimal_stress(np.array([[1.0, 0.0], [np.nan, 0.0]]), np.ones((2, 2)) / 2 ** 0.5)
         with pytest.raises(ValueError):
-            O.TractionProblem(nu=np.array([1.0, 0.0]),
-                              t=np.array([0.0, 1.0]), norm="op1")
+            O.optimal_stress(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), "op1")
         with pytest.raises(ValueError):
-            O.TractionProblem(nu=np.array([1.0, 0.0, 0.0]),
-                              t=np.array([0.0, 0.0, 1.0]), norm="op2")
-        # NORMS defines op2 in 2D only: a 3D op2 sweep fails in TractionProblem
+            O.optimal_stress(np.array([[1.0, 0.0, 0.0]]),
+                             np.array([[0.0, 0.0, 1.0]]), "op2")
+        # NORMS defines op2 in 2D only: a 3D op2 sweep fails in optimal_stress
         with pytest.raises(ValueError, match="'op2' has no optimal stress in 3D"):
             O.sweep_theta("op2", dim=3)
         with pytest.raises(ValueError, match="unsupported norm 'op1'"):
@@ -102,9 +122,11 @@ class TestClosedForm:
             assert np.array_equal(default[key], explicit[key])
         dims = []
         exact = O.optimal_stress
-        monkeypatch.setattr(O, "optimal_stress", lambda p: dims.append(p.dim) or exact(p))
+        monkeypatch.setattr(O, "optimal_stress",
+                            lambda nu, t, norm: dims.append(nu.shape) or exact(nu, t, norm))
         O.sweep_theta("vec2", steps=5)
-        assert dims == [3] * 5
+        # one stack covers every theta
+        assert dims == [(5, 3)]
 
 
 class TestEkConstruction:
@@ -112,37 +134,37 @@ class TestEkConstruction:
 
     def test_axis_normal(self):
         e1 = np.array([1.0, 0.0, 0.0])
-        bc = O.optimal_stress(O.TractionProblem(nu=e1, t=e1))
-        np.testing.assert_allclose(bc.sigma, np.outer(e1, e1), atol=1e-14)
-        assert abs(bc.value - 1.0) < 1e-12
+        sigma, value = optimum(e1, e1)
+        np.testing.assert_allclose(sigma, np.outer(e1, e1), atol=1e-14)
+        assert abs(value - 1.0) < 1e-12
 
     def test_perpendicular_normal(self):
         nu = np.array([0.0, 1.0, 0.0])
-        bc = O.optimal_stress(O.TractionProblem(nu=nu, t=np.eye(3)[0]))
-        assert abs(bc.value - math.sqrt(2)) < 1e-12
+        _, value = optimum(nu, np.eye(3)[0])
+        assert abs(value - math.sqrt(2)) < 1e-12
 
     def test_diagonal_normal(self):
         nu = np.ones(3) / math.sqrt(3)
-        bc = O.optimal_stress(O.TractionProblem(nu=nu, t=np.eye(3)[0]))
-        assert np.abs(bc.sigma @ nu - np.eye(3)[0]).max() < 1e-12
-        assert abs(bc.value - math.sqrt(2 - 1 / 3)) < 1e-12
+        sigma, value = optimum(nu, np.eye(3)[0])
+        assert np.abs(sigma @ nu - np.eye(3)[0]).max() < 1e-12
+        assert abs(value - math.sqrt(2 - 1 / 3)) < 1e-12
 
     def test_bad_axis(self, disk):
-        with pytest.raises(ValueError):
-            O.ek_boundary_tensor(disk, 2)
+        # -1 too: np.eye(dim)[k] would wrap it to the last axis
+        for k in (2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                harmonic_ek_tensor(disk, k)
 
 
 class TestBruteForce:
     def test_matches_closed_form_vec2(self, rng):
         nu, t = pair_with_angle(rng, 3, math.pi / 2)
-        p = O.TractionProblem(nu=nu, t=t, norm="vec2")
-        sig = O.brute_force_optimal(p)
-        assert np.abs(sig - O.optimal_stress(p).sigma).max() < 1e-3
+        sig = brute(nu, t, "vec2")
+        assert np.abs(sig - optimum(nu, t, "vec2")[0]).max() < 1e-3
 
     def test_traction_along_normal_gives_projector(self, rng):
         nu = random_unit(rng, 3)
-        p = O.TractionProblem(nu=nu, t=nu.copy(), norm="vec2")
-        sig = O.brute_force_optimal(p)
+        sig = brute(nu, nu.copy(), "vec2")
         assert np.abs(sig - np.outer(nu, nu)).max() < 1e-3
 
     def test_2d_op2_true_optimum_balances_trace(self):
@@ -151,9 +173,8 @@ class TestBruteForce:
         th = math.pi / 3
         nu = np.array([1.0, 0.0])
         t = np.array([math.cos(th), math.sin(th)])
-        p = O.TractionProblem(nu=nu, t=t, norm="op2")
-        sig = O.brute_force_optimal(p)
-        frame = O.optimal_stress(p).frame
+        sig = brute(nu, t, "op2")
+        frame = O._build_frame(nu, t)
         fsig = frame.T @ sig @ frame
         assert abs(fsig[1, 1] + math.cos(th)) < 1e-3
         from trace_bounds import matnorm
@@ -164,11 +185,10 @@ class TestBruteForce:
         for _ in range(10):
             theta = rng.uniform(0, math.pi / 2)
             nu, t = pair_with_angle(rng, 3, theta)
-            p = O.TractionProblem(nu=nu, t=t, norm="vec2")
-            closed = O.optimal_stress(p).value
-            brute = float(np.sqrt((O.brute_force_optimal(p) ** 2).sum()))
-            assert closed <= brute + 1e-3
-            assert closed >= brute - 1e-3
+            closed = optimum(nu, t, "vec2")[1]
+            found = float(np.sqrt((brute(nu, t, "vec2") ** 2).sum()))
+            assert closed <= found + 1e-3
+            assert closed >= found - 1e-3
 
 
 class TestBruteForceStack:
@@ -180,19 +200,19 @@ class TestBruteForceStack:
     def test_stack_matches_loop(self, norm, dim, rng):
         # theta = 0 and pi/2 included: there the vecInf minimizers tie
         thetas = [0.0, math.pi / 2, *rng.uniform(0, math.pi / 2, 3 if dim == 3 else 9)]
-        problems = [O.TractionProblem(*pair_with_angle(rng, dim, th), norm=norm)
-                    for th in thetas]
-        stacked = O.brute_force_optimal(problems)
-        assert stacked.shape == (len(problems), dim, dim)
-        assert np.array_equal(stacked, np.array([O.brute_force_optimal(p) for p in problems]))
+        nu, t = map(np.array, zip(*(pair_with_angle(rng, dim, th) for th in thetas)))
+        stacked = O.brute_force_optimal(nu, t, norm)
+        assert stacked.shape == (len(thetas), dim, dim)
+        assert np.array_equal(stacked, np.array([brute(n, v, norm) for n, v in zip(nu, t)]))
 
     def test_stack_shares_dimension_and_norm(self, rng):
-        nu, t = pair_with_angle(rng, 2, 0.3)
-        problems = [O.TractionProblem(nu=nu, t=t, norm=n) for n in ("vec2", "op2")]
-        with pytest.raises(ValueError, match="share dimension and norm"):
-            O.brute_force_optimal(problems)
-        with pytest.raises(ValueError, match="at least one problem"):
-            O.brute_force_optimal([])
+        # one call takes one norm, and nu and t of different shapes raise
+        nu, t = pair_with_angle(rng, 3, 0.3)
+        for call in (O.brute_force_optimal, O.optimal_stress):
+            with pytest.raises(ValueError, match="stacks of one shape"):
+                call(nu[None, :2], t[None], "vec2")
+            with pytest.raises(ValueError, match="stacks of one shape"):
+                call(np.array([nu, nu]), t[None], "vec2")
 
 
 class TestWorstCase:
@@ -229,14 +249,14 @@ class TestBoundaryTensors:
     def test_axis_node_projector(self, disk):
         # at a node whose normal is nearly e_x the tensor is nearly e_x ox e_x
         i = int(np.argmax(disk.boundary_normal[:, 0]))
-        sig = O.ek_boundary_tensor(disk, 0)[i]
+        sig = ek_stress(disk, 0)[i]
         nu = disk.boundary_normal[i]
         expected = (-nu[0] * np.outer(nu, nu)
                     + np.outer(nu, np.eye(2)[0]) + np.outer(np.eye(2)[0], nu))
         np.testing.assert_allclose(sig, expected, atol=1e-12)
 
     def test_circle_compatibility_every_node(self, disk):
-        sig = O.ek_boundary_tensor(disk, 1)
+        sig = ek_stress(disk, 1)
         resid = np.einsum("mij,mj->mi", sig, disk.boundary_normal) - np.eye(2)[1]
         assert np.abs(resid).max() < 1e-12
 
@@ -247,8 +267,8 @@ class TestBoundaryTensors:
         nu_i = disk.boundary_normal[i]
         nu_j = ellipse.boundary_normal[j]
         assert np.abs(nu_i - nu_j).max() < 1e-6
-        a = O.ek_boundary_tensor(disk, 0)[i]
-        b = O.ek_boundary_tensor(ellipse, 0)[j]
+        a = ek_stress(disk, 0)[i]
+        b = ek_stress(ellipse, 0)[j]
         assert np.abs(a - b).max() < 1e-5
 
     def test_continuity_along_boundary(self, disk_coarse, disk):
@@ -256,7 +276,7 @@ class TestBoundaryTensors:
         def max_adjacent_jump(dom):
             angles = np.arctan2(dom.boundary_pos[:, 1], dom.boundary_pos[:, 0])
             order = np.argsort(angles)
-            sig = O.ek_boundary_tensor(dom, 0)[order]
+            sig = ek_stress(dom, 0)[order]
             jumps = np.abs(np.diff(sig, axis=0)).max(axis=(1, 2))
             wrap = np.abs(sig[0] - sig[-1]).max()
             return max(jumps.max(), wrap)
