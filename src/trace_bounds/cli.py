@@ -5,14 +5,10 @@ return dataclasses and arrays, and the report blocks, ``report.json`` and
 every CSV (``ld_bounds.csv``, the matnorm equivalence tables and the theta
 sweeps, all through ``_write_csv``) are made here.
 
-Subcommands::
+One command::
 
-    trace-bounds run <config>                  # tasks from a config file
-    trace-bounds verify-matnorm --dim {2,3} --samples N --seed S
-    trace-bounds sweep-theta --norm {vec2,vecInf,op2} --steps N [--dim {2,3}]
+    trace-bounds run <config> [--output DIR]   # or: python -m trace_bounds run ...
 
-sweep-theta's ``--dim`` defaults to the largest dimension the norm is defined
-in; a dimension the norm lacks is a configuration error.
 Tasks run in ``config.TASKS`` order. One level loop takes the h levels one
 at a time, coarsest first. It builds a level only if a task reads it (the
 per-level tasks sobolev and ld read every level, the battery the finest
@@ -48,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from . import laplace, matnorm, optimal_bc, sobolev_trace as st, ld_trace as ld
-from .config import MIN_STEPS, STEPS_RULE, TASKS, ConfigError, RunConfig, load_config
+from .config import TASKS, ConfigError, RunConfig, load_config
 from .geometry import CheckError, Domain, Field, GeometryError, build_domain
 from .laplace import SolverError
 
@@ -73,13 +69,6 @@ def _write_csv(path, header, rows) -> None:
         for row in rows:
             fh.write(",".join(c if isinstance(c, str) else repr(float(c))
                               for c in row) + "\n")
-
-
-def _write_equivalence_table(path, rows: list[matnorm.EquivalenceRow]) -> None:
-    """One line per matnorm.EquivalenceRow: the ratio, its exact bounds and the
-    observed extremes."""
-    _write_csv(path, ("ratio", "exact_lower", "exact_upper", "observed_min",
-                      "observed_max"), map(astuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -239,42 +228,39 @@ def _task_matnorm(config: RunConfig, checks: _Checks, outdir: str) -> dict:
         rows = matnorm.verify_equivalence_constants(dim, config.samples,
                                                     seed=config.seed)
         out[f"dim{dim}"] = [asdict(row) for row in rows]
-        _write_equivalence_table(
-            os.path.join(outdir, f"matnorm_equivalence_dim{dim}.csv"), rows)
+        # one line per row: the ratio, its exact bounds and the observed extremes
+        _write_csv(os.path.join(outdir, f"matnorm_equivalence_dim{dim}.csv"),
+                   ("ratio", "exact_lower", "exact_upper", "observed_min",
+                    "observed_max"), map(astuple, rows))
         checks.add(f"matnorm.no_violations.dim{dim}", True, value=0.0,
                    tolerance=0.0, h=None,
                    detail=f"{config.samples} samples, seed {config.seed}")
     return out
 
 
-def _checked_sweep(checks: _Checks, norm: str, steps: int, dim: int | None,
-                   brute_force: bool, path: str | None) -> dict:
-    """optimal_bc.sweep_theta, written to ``path`` as CSV if given; for a norm with
-    a worst case D, checks the brute force (if run) and that the maximum is D."""
-    sweep = optimal_bc.sweep_theta(norm, steps=steps, dim=dim, brute_force=brute_force)
-    if path:
-        cols = ["theta", "closed_form"] + (["brute_force"] if brute_force else [])
-        _write_csv(path, cols, zip(*(sweep[c] for c in cols)))
-    if optimal_bc.NORMS[norm][1] is not None:
-        if brute_force:
+def _task_sweep(config: RunConfig, checks: _Checks, outdir: str) -> dict:
+    """optimal_bc.sweep_theta, with its brute force, for each norm defined in
+    the domain's dimension, written to theta_sweep_<norm>.csv; for a norm with
+    a worst case D, checks the brute force and that the maximum is D."""
+    out = {}
+    dim = config.domain.dim
+    for norm, (dims, D) in optimal_bc.NORMS.items():
+        if dim not in dims:
+            continue
+        sweep = optimal_bc.sweep_theta(norm, config.steps, dim)
+        cols = ("theta", "closed_form", "brute_force")
+        _write_csv(os.path.join(outdir, f"theta_sweep_{norm}.csv"), cols,
+                   zip(*(sweep[c] for c in cols)))
+        if D is not None:
             checks.add(f"sweep.oracle_gap.{norm}",
                        sweep["max_entry_gap"] <= 1e-3,
                        value=sweep["max_entry_gap"], tolerance=1e-3, h=None,
                        detail="closed form matches brute force entrywise")
-        expect = optimal_bc.worst_case_D(norm)
-        checks.add(f"sweep.worst_case.{norm}",
-                   abs(sweep["max_closed_form"] - expect) < 1e-12,
-                   value=sweep["max_closed_form"], tolerance=1e-12, h=None,
-                   detail="sweep maximum reproduces D exactly")
-    return sweep
-
-
-def _task_sweep(config: RunConfig, checks: _Checks, outdir: str) -> dict:
-    out = {}
-    dim = config.domain.dim
-    for norm in (norm for norm, (dims, _) in optimal_bc.NORMS.items() if dim in dims):
-        sweep = _checked_sweep(checks, norm, config.steps, dim, True,
-                               os.path.join(outdir, f"theta_sweep_{norm}.csv"))
+            expect = optimal_bc.worst_case_D(norm)
+            checks.add(f"sweep.worst_case.{norm}",
+                       abs(sweep["max_closed_form"] - expect) < 1e-12,
+                       value=sweep["max_closed_form"], tolerance=1e-12, h=None,
+                       detail="sweep maximum reproduces D exactly")
         out[norm] = {key: sweep[key] for key in ("max_closed_form", "max_entry_gap")}
     return out
 
@@ -395,126 +381,37 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
 # entry point
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, not {value}")
-    return value
-
-
-def _sweep_steps(text: str) -> int:
-    value = _positive_int(text)
-    if value < MIN_STEPS:
-        raise argparse.ArgumentTypeError(f"{STEPS_RULE}, not {value}")
-    return value
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="trace-bounds",
         description="Trace-inequality constants via harmonic extensions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_run = sub.add_parser("run", help="run tasks from a config file")
     p_run.add_argument("config", help="path to a key = value config file")
     p_run.add_argument("--output", help="override the output directory")
-
-    p_mat = sub.add_parser("verify-matnorm",
-                           help="verify the matrix-norm equivalence constants")
-    p_mat.add_argument("--dim", type=int, choices=(2, 3), required=True)
-    p_mat.add_argument("--samples", type=_positive_int, default=RunConfig.samples)
-    p_mat.add_argument("--seed", type=_seed, default=RunConfig.seed)
-    p_mat.add_argument("--output", help="CSV output path")
-
-    p_sweep = sub.add_parser("sweep-theta",
-                             help="sweep the optimal-stress angle")
-    p_sweep.add_argument("--norm", choices=tuple(optimal_bc.NORMS), required=True)
-    p_sweep.add_argument("--steps", type=_sweep_steps, default=RunConfig.steps)
-    p_sweep.add_argument("--dim", type=int, choices=(2, 3),
-                         help="default: the norm's largest (optimal_bc.sweep_theta)")
-    p_sweep.add_argument("--output", help="CSV output path")
-    p_sweep.add_argument("--brute-force", action="store_true",
-                         help="also run the grid-search oracle")
-    return parser
-
-
-def _output_error(exc: OSError) -> int:
-    """An output directory or file that cannot be created or written is a
-    configuration error; the OSError names the path."""
-    print(f"output error: {exc}", file=sys.stderr)
-    return EXIT_CONFIG
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
 
-    if args.command == "run":
-        try:
-            config = load_config(args.config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            print("usage: trace-bounds run <config-file>", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            code, report = run_config(config, outdir=args.output)
-        except OSError as exc:
-            return _output_error(exc)
-        print(json.dumps({"all_passed": report.get("all_passed"),
-                          "output": args.output or config.output},
-                         sort_keys=True))
-        return code
-
-    if args.command == "verify-matnorm":
-        try:
-            rows = matnorm.verify_equivalence_constants(
-                args.dim, args.samples, seed=args.seed)
-        except matnorm.NormEquivalenceError as exc:
-            print(f"violation: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        if args.output:
-            try:
-                _write_equivalence_table(args.output, rows)
-            except OSError as exc:
-                return _output_error(exc)
-        for r in rows:
-            print(f"{r.ratio}: bounds [{r.lower:.6f}, {r.upper:.6f}] "
-                  f"observed [{r.observed_min:.6f}, {r.observed_max:.6f}]")
-        return EXIT_OK
-
-    if args.command == "sweep-theta":
-        dims = optimal_bc.NORMS[args.norm][0]
-        if args.dim is not None and args.dim not in dims:
-            print(f"config error: norm {args.norm} is defined in "
-                  f"{', '.join(f'{d}D' for d in dims)}, not {args.dim}D", file=sys.stderr)
-            return EXIT_CONFIG
-        checks = _Checks()
-        try:
-            sweep = _checked_sweep(checks, args.norm, args.steps, args.dim,
-                                   args.brute_force, args.output)
-        except OSError as exc:
-            return _output_error(exc)
-        print(f"max closed-form value: {sweep['max_closed_form']!r}")
-        if args.brute_force:
-            print(f"max entrywise gap vs brute force: {sweep['max_entry_gap']!r}")
-        failure = checks.first_failure()
-        if failure is not None:
-            print(f"FAILED check: {failure}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        return EXIT_OK
-
-    return EXIT_CONFIG
+    try:
+        config = load_config(args.config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        print("usage: trace-bounds run <config-file>", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        code, report = run_config(config, outdir=args.output)
+    except OSError as exc:
+        # an output directory or file that cannot be created or written is a
+        # configuration error; the OSError names the path
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(json.dumps({"all_passed": report.get("all_passed"),
+                      "output": args.output or config.output},
+                     sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

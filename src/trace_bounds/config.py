@@ -19,6 +19,9 @@ optimal-bc-sweep, each at most once; they run in that order, ``TASKS``),
 ``output`` (directory), ``seed`` (int >= 0), ``samples`` (matnorm sample
 count), ``steps`` (theta sweep). Only ``kind`` and ``h`` are required; the
 defaults are ``RunConfig``'s, and a level set's ``DomainSpec.levelset``'s.
+They are required whatever the tasks: a config that lists only the
+domain-free tasks builds no level, optimal-bc-sweep reads only the domain's
+dimension, and matnorm-verify reads nothing of the domain.
 """
 
 from __future__ import annotations
@@ -30,11 +33,6 @@ from .geometry import SHAPES, DomainSpec
 from .optimal_bc import NORMS
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
-
-# the theta sweep samples [0, pi/2] at this many points or more: one point
-# samples only theta = 0, and the vec2 worst case is attained at theta = pi/2
-MIN_STEPS = 2
-STEPS_RULE = f"must be at least {MIN_STEPS}, so that the sweep samples theta = pi/2"
 
 # the order the tasks run in, whatever order a config lists them in
 TASKS = ("sobolev", "ld", "battery", "matnorm-verify", "optimal-bc-sweep")
@@ -76,8 +74,11 @@ class RunConfig:
             raise ConfigError("samples must be at least 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, not {self.seed}")
-        if self.steps < MIN_STEPS:
-            raise ConfigError(f"steps {STEPS_RULE}, not {self.steps}")
+        # one point samples only theta = 0, and the vec2 worst case is
+        # attained at theta = pi/2
+        if self.steps < 2:
+            raise ConfigError("steps must be at least 2, so that the sweep "
+                              f"samples theta = pi/2, not {self.steps}")
 
     def domain_at(self, h: float) -> DomainSpec:
         return replace(self.domain, h=h)

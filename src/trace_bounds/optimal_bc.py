@@ -181,18 +181,13 @@ def brute_force_optimal(nu: np.ndarray, t: np.ndarray, norm: str = "vec2") -> np
     return frames @ best @ frames.transpose(0, 2, 1)
 
 
-def sweep_theta(norm: str, steps: int = 91, dim: int | None = None,
-                brute_force: bool = False) -> dict:
-    """Closed-form optimal values over theta in [0, pi/2] (optionally brute force,
-    with up to ``_BRUTE_FORCE_BATCH`` candidate matrices per stack), in ``dim``
-    dimensions: by default the largest the norm is defined in (NORMS).
+def sweep_theta(norm: str, steps: int, dim: int) -> dict:
+    """Closed-form and brute-force optimal values over ``steps`` angles theta
+    in [0, pi/2], in ``dim`` dimensions, with up to ``_BRUTE_FORCE_BATCH``
+    candidate matrices per brute-force stack.
 
     nu = e_1 and t = cos theta e_1 + sin theta e_2, so every frame is the
     identity and the brute-force values are read in the standard basis."""
-    if dim is None:
-        if norm not in NORMS:
-            raise ValueError(f"unsupported norm {norm!r}")
-        dim = max(NORMS[norm][0])
     thetas = np.linspace(0.0, math.pi / 2.0, steps)
     nu = np.zeros((steps, dim))
     nu[:, 0] = 1.0
@@ -201,25 +196,23 @@ def sweep_theta(norm: str, steps: int = 91, dim: int | None = None,
         row[:2] = math.cos(th), math.sin(th)
         row /= np.linalg.norm(row)
     sigma, closed = optimal_stress(nu, t, norm)
-    out = {
+    chunk = max(1, _BRUTE_FORCE_BATCH // _BRUTE_FORCE_POINTS ** (dim * (dim - 1) // 2))
+    brute = np.concatenate([brute_force_optimal(nu[i:i + chunk], t[i:i + chunk], norm)
+                            for i in range(0, steps, chunk)])
+    return {
         "norm": norm,
         "theta": thetas,
         "closed_form": closed,
         "max_closed_form": float(closed.max()),
+        "brute_force": matnorm.symmetric_norms(brute, (norm,))[norm],
+        "max_entry_gap": float(np.abs(brute - sigma).max()),
     }
-    if brute_force:
-        chunk = max(1, _BRUTE_FORCE_BATCH // _BRUTE_FORCE_POINTS ** (dim * (dim - 1) // 2))
-        brute = np.concatenate([brute_force_optimal(nu[i:i + chunk], t[i:i + chunk], norm)
-                                for i in range(0, steps, chunk)])
-        out["brute_force"] = matnorm.symmetric_norms(brute, (norm,))[norm]
-        out["max_entry_gap"] = float(np.abs(brute - sigma).max())
-    return out
 
 
 def worst_case_D(norm: str) -> float:
     """sup over unit tractions of the optimal stress norm: the closed form in
-    NORMS (D_2 = sqrt 2, D_inf = 1). The sweep-theta command and the run
-    task's sweep check it against the sweep_theta maximum (cli._checked_sweep)."""
+    NORMS (D_2 = sqrt 2, D_inf = 1). The optimal-bc-sweep task checks it
+    against the sweep_theta maximum (cli._task_sweep)."""
     D = NORMS.get(norm, ((), None))[1]
     if D is None:
         raise ValueError(f"no closed-form worst case D for norm {norm!r}")

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 
@@ -35,6 +36,22 @@ def ellipse():
 @pytest.fixture(scope="session")
 def annulus():
     return G.build_domain(G.DomainSpec.annulus(0.5, 1.0, 0.02))
+
+
+@pytest.fixture(scope="session")
+def theta_stack():
+    """The (nu, t) stacks optimal_bc.sweep_theta builds for ``steps`` angles
+    theta in [0, pi/2] in ``dim`` dimensions: nu = e_1 and
+    t = cos theta e_1 + sin theta e_2, each row normalised on its own."""
+    def stack(steps, dim):
+        nu = np.zeros((steps, dim))
+        nu[:, 0] = 1.0
+        t = np.zeros((steps, dim))
+        for row, th in zip(t, np.linspace(0.0, math.pi / 2.0, steps)):
+            row[:2] = math.cos(th), math.sin(th)
+            row /= np.linalg.norm(row)
+        return nu, t
+    return stack
 
 
 @pytest.fixture(scope="session")

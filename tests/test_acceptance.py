@@ -151,21 +151,20 @@ def test_criterion_4_matrix_norm_relations():
     finish(4, lines)
 
 
-def test_criterion_5_optimal_bc_oracle():
+def test_criterion_5_optimal_bc_oracle(theta_stack):
     lines = []
-    for norm in ("vec2", "vecInf"):
-        sweep = O.sweep_theta(norm, steps=91, dim=3, brute_force=True)
+    sweeps = {norm: O.sweep_theta(norm, 91, 3) for norm in ("vec2", "vecInf")}
+    for norm, sweep in sweeps.items():
         check(lines, f"gap_{norm}_3d", sweep["max_entry_gap"] <= 1e-3,
               f"closed form vs brute force entrywise gap "
               f"{sweep['max_entry_gap']:.2e} <= 1e-3 over 91 angles")
-    d2 = O.sweep_theta("vec2", steps=361, dim=3)["max_closed_form"]
-    dinf = O.sweep_theta("vecInf", steps=361, dim=3)["max_closed_form"]
+    d2, dinf = (O.optimal_stress(*theta_stack(361, 3), norm)[1].max()
+                for norm in ("vec2", "vecInf"))
     check(lines, "D2_exact", abs(d2 - math.sqrt(2)) <= 1e-15,
-          f"D_2 = {d2!r} = sqrt(2) from the sweep maximum")
+          f"D_2 = {d2!r} = sqrt(2) from the 361-angle maximum")
     check(lines, "Dinf_exact", abs(dinf - 1.0) <= 1e-15,
-          f"D_inf = {dinf!r} = 1 from the sweep maximum")
-    sweep = O.sweep_theta("vec2", steps=91, dim=3, brute_force=True)
-    best = sweep["brute_force"].max()
+          f"D_inf = {dinf!r} = 1 from the 361-angle maximum")
+    best = sweeps["vec2"]["brute_force"].max()
     check(lines, "brute_sweep_bracket",
           math.sqrt(2) - 1e-3 <= best <= math.sqrt(2) + 1e-9,
           f"max brute-force value {best:.6f} in [sqrt(2)-1e-3, sqrt(2)]")
@@ -179,7 +178,7 @@ def test_criterion_5_optimal_bc_oracle():
     "true minimizer, so the z=0 closed form cannot match it within 1e-3. "
     "See README notes and test_optimal_bc.py (true-optimum test)."))
 def test_criterion_5_op2_sigma_yy_zero_clause():
-    sweep = O.sweep_theta("op2", steps=91, dim=2, brute_force=True)
+    sweep = O.sweep_theta("op2", 91, 2)
     print(f"\nACCEPTANCE 5 (op2 clause): entry gap {sweep['max_entry_gap']:.3f}")
     assert sweep["max_entry_gap"] <= 1e-3
 

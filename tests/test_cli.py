@@ -26,15 +26,19 @@ seed = 1234
 
 
 # malformed configs and the message that must name the offending key: one
-# left out or left empty, or a negative seed; or the level-set expression's
-# unknown symbol or syntax error
+# left out or left empty, a count below its least value, a negative seed or
+# a norm without a worst case D; or the level-set expression's unknown
+# symbol or syntax error
 MESSAGE = {
     "radius = 1.0\nh = 0.1": "missing required key 'kind'",
     "kind = disk\nradius = 1.0": "missing required key 'h'",
     "kind = disk\nh = 0.1": "missing required key 'radius'",
     "kind = disk\nradius =\nh = 0.1": "missing required key 'radius'",
     "kind = annulus\nr_in = 0.5\nh = 0.1": "missing required key 'r_out'",
+    "kind = disk\nradius = 1.0\nh = 0.1\nsamples = 0": "samples must be at least 1",
+    "kind = disk\nradius = 1.0\nh = 0.1\nsteps = 0": "steps must be at least 2",
     "kind = disk\nradius = 1.0\nh = 0.1\nseed = -1": "seed must be non-negative",
+    "kind = disk\nradius = 1.0\nh = 0.1\nnorm = op2": "norm must be one of",
     "kind = disk\nradius = 1.0\nh = 0.1\ntasks = sobolev, ld, sobolev": "duplicate task 'sobolev'",
     "kind = levelset\nexpression = x^2 + w^2 - 1\nh = 0.1": "unknown symbol 'w'",
     "kind = levelset\nexpression = x^2 + z^2 - 1\ndim = 2\nh = 0.1": "unknown symbol 'z'",
@@ -89,6 +93,7 @@ h = 0.1
         "kind = disk\nradius = 1.0\nh = 0.1\ntasks = sobolev, ld, sobolev",
         "kind = disk\nradius = 1.0\nh = 0.1\nwhat = 1",     # unknown key
         "kind = disk\nradius = 1.0\nh = 0.1\nnorm = op9",   # bad norm
+        "kind = disk\nradius = 1.0\nh = 0.1\nnorm = op2",   # a norm without D
         "kind = disk\nradius = -1\nh = 0.1",         # invalid shape
         "just some words",                            # not key = value
         "kind = disk\nradius = abc\nh = 0.1",        # non-numeric shape number
@@ -425,10 +430,8 @@ tasks = ld
             sobolev_trace.harmonic_normal_field(
                 G.build_domain(G.DomainSpec.disk(1.0, 0.04)))
 
-    def test_norm_equivalence_violation_is_a_failed_check(self, tmp_path, capsys,
-                                                          monkeypatch):
-        # an interval no ratio meets: a run reports a failed check, and the
-        # subcommand names the violation; both exit 4
+    def test_norm_equivalence_violation_is_a_failed_check(self, tmp_path, monkeypatch):
+        # an interval no ratio meets: a run reports a failed check, exit 4
         monkeypatch.setattr(cli.matnorm, "_bounds", lambda n: [("op2", "op1", 10.0, 11.0)])
         cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.1\nsamples = 10\n"
                              "tasks = matnorm-verify")
@@ -436,8 +439,10 @@ tasks = ld
         assert code == cli.EXIT_CHECK_FAILED
         assert report["error"]["type"] == "check"
         assert report["error"]["message"].startswith("op2/op1 = ")
-        assert cli.main(["verify-matnorm", "--dim", "2", "--samples", "10"]) == cli.EXIT_CHECK_FAILED
-        assert capsys.readouterr().err.startswith("violation: op2/op1 = ")
+        cfg_file = tmp_path / "matnorm.cfg"
+        cfg_file.write_text("kind = disk\nradius = 1.0\nh = 0.1\nsamples = 10\n"
+                            f"tasks = matnorm-verify\noutput = {tmp_path}/out\n")
+        assert cli.main(["run", str(cfg_file)]) == cli.EXIT_CHECK_FAILED
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def slip(*args, **kwargs):
@@ -620,6 +625,24 @@ class TestMain:
         assert "produced non-finite values" in report["error"]["message"]
         assert "RuntimeWarning" not in capsys.readouterr().err
 
+    def test_run_is_the_one_command(self, capsys):
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert "{run}" in capsys.readouterr().out
+        assert cli.main(["sweep-theta", "--norm", "vec2"]) == cli.EXIT_CONFIG
+
+    def test_python_m_trace_bounds_runs_without_a_warning(self, tmp_path):
+        # the package's __main__, so runpy does not find trace_bounds.cli
+        # already imported by the package and warn
+        cfg_file = tmp_path / "disk.cfg"
+        cfg_file.write_text(f"kind = disk\nradius = 1.0\nh = 0.1\noutput = {tmp_path}/out\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-m", "trace_bounds", "run", str(cfg_file)],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert json.loads(proc.stdout)["all_passed"] is True
+
     def test_malformed_config_exits_2(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("kind = nosuchshape\nh = 0.1\n")
@@ -628,94 +651,86 @@ class TestMain:
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.cfg")]) == cli.EXIT_CONFIG
 
-    def test_count_flags_must_be_positive(self, capsys):
-        assert cli.main(["verify-matnorm", "--dim", "2", "--samples", "0"]) == cli.EXIT_CONFIG
-        assert cli.main(["sweep-theta", "--norm", "vec2", "--steps", "0"]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.count("must be a positive integer") == 2
+    def test_count_flags_must_be_positive(self, tmp_path, capsys):
+        for key, message in (("samples", "samples must be at least 1"),
+                             ("steps", "steps must be at least 2")):
+            cfg_file = tmp_path / f"{key}.cfg"
+            cfg_file.write_text(f"kind = disk\nradius = 1.0\nh = 0.1\n{key} = 0\n"
+                                "tasks = matnorm-verify, optimal-bc-sweep\n")
+            assert cli.main(["run", str(cfg_file)]) == cli.EXIT_CONFIG
+            assert message in capsys.readouterr().err
 
-    def test_negative_seed_is_a_config_error(self, capsys):
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         # unchecked, np.random.default_rng(-1) raises ValueError: a traceback, exit 1
-        assert cli.main(["verify-matnorm", "--dim", "2", "--seed", "-1"]) == cli.EXIT_CONFIG
+        cfg_file = tmp_path / "seed.cfg"
+        text = ("kind = disk\nradius = 1.0\nh = 0.1\nseed = -1\nsamples = 10\n"
+                f"tasks = matnorm-verify\noutput = {tmp_path}/out\n")
+        cfg_file.write_text(text)
+        assert cli.main(["run", str(cfg_file)]) == cli.EXIT_CONFIG
         assert "seed must be non-negative" in capsys.readouterr().err
-        assert cli.main(["verify-matnorm", "--dim", "2", "--seed", "0",
-                         "--samples", "10"]) == cli.EXIT_OK
+        cfg_file.write_text(text.replace("seed = -1", "seed = 0"))
+        assert cli.main(["run", str(cfg_file)]) == cli.EXIT_OK
 
     def test_one_sweep_step_is_a_config_error(self, tmp_path, capsys):
         # one step samples only theta = 0, and the vec2 worst case sqrt(2) is
         # attained only at theta = pi/2: a correct run would fail its check
-        text = "kind = disk\nradius = 1.0\nh = 0.1\ntasks = optimal-bc-sweep\nsteps = 1\n"
+        text = ("kind = disk\nradius = 1.0\nh = 0.1\ntasks = optimal-bc-sweep\n"
+                f"output = {tmp_path}/out\nsteps = 1\n")
         with pytest.raises(C.ConfigError, match="samples theta = pi/2, not 1"):
             C.parse_config(text)
         cfg_file = tmp_path / "one_step.cfg"
         cfg_file.write_text(text)
         assert cli.main(["run", str(cfg_file)]) == cli.EXIT_CONFIG
-        assert cli.main(["sweep-theta", "--norm", "vec2", "--steps", "1"]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.count("samples theta = pi/2, not 1") == 2
-        assert cli.main(["sweep-theta", "--norm", "vec2", "--steps", "2"]) == cli.EXIT_OK
-        assert C.parse_config(text.replace("steps = 1", "steps = 2")).steps == 2
+        assert "samples theta = pi/2, not 1" in capsys.readouterr().err
+        cfg_file.write_text(text.replace("steps = 1", "steps = 2"))
+        assert cli.main(["run", str(cfg_file)]) == cli.EXIT_OK
 
-    def test_verify_matnorm_subcommand(self, tmp_path, capsys):
-        out = tmp_path / "table.csv"
-        code = cli.main(["verify-matnorm", "--dim", "2", "--samples", "200",
-                         "--seed", "9", "--output", str(out)])
-        assert code == cli.EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("ratio,exact_lower")
-        assert len(lines) == 6
-        assert "op2/op1" in capsys.readouterr().out
-
-    def test_sweep_theta_subcommand(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        code = cli.main(["sweep-theta", "--norm", "vec2", "--steps", "11",
-                         "--output", str(out)])
-        assert code == cli.EXIT_OK
-        assert len(out.read_text().splitlines()) == 12
-        assert "1.414" in capsys.readouterr().out
+    def _sweep_run(self, tmp_path, capsys) -> tuple[int, dict, str]:
+        """A 2D optimal-bc-sweep run at 5 steps through main: its exit code,
+        report and stderr."""
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text("kind = disk\nradius = 1.0\nh = 0.1\nsteps = 5\n"
+                            f"tasks = optimal-bc-sweep\noutput = {tmp_path}/out\n")
+        code = cli.main(["run", str(cfg_file)])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        return code, report, capsys.readouterr().err
 
     @pytest.mark.parametrize("norm", ["vec2", "vecInf"])
     def test_sweep_theta_checks_its_oracle(self, tmp_path, capsys, monkeypatch, norm):
-        argv = ["sweep-theta", "--norm", norm, "--steps", "5", "--dim", "2", "--brute-force"]
-        assert cli.main(argv) == cli.EXIT_OK
+        assert self._sweep_run(tmp_path, capsys)[0] == cli.EXIT_OK
         exact = cli.optimal_bc.brute_force_optimal
         monkeypatch.setattr(cli.optimal_bc, "brute_force_optimal",
                             lambda nu, t, norm: exact(nu, t, norm) + 0.5)
-        assert cli.main(argv + ["--output", str(tmp_path / "s.csv")]) == cli.EXIT_CHECK_FAILED
-        captured = capsys.readouterr()
-        assert "gap vs brute force: 0.5" in captured.out
-        assert f"FAILED check: sweep.oracle_gap.{norm}" in captured.err
+        code, report, err = self._sweep_run(tmp_path, capsys)
+        assert code == cli.EXIT_CHECK_FAILED
+        assert abs(report["tasks"]["optimal_bc_sweep"][norm]["max_entry_gap"] - 0.5) <= 1e-3
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert failed == {"sweep.oracle_gap.vec2", "sweep.oracle_gap.vecInf"}
+        assert "FAILED check: sweep.oracle_gap.vec2" in err
         # the CSV is still written, as a failed run still writes its report
-        assert len((tmp_path / "s.csv").read_text().splitlines()) == 6
+        lines = (tmp_path / "out" / f"theta_sweep_{norm}.csv").read_text().splitlines()
+        assert len(lines) == 6
 
-    def test_sweep_theta_checks_the_worst_case(self, capsys, monkeypatch):
+    def test_sweep_theta_checks_the_worst_case(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.optimal_bc, "worst_case_D", lambda norm: 1.5)
-        assert cli.main(["sweep-theta", "--norm", "vec2", "--steps", "5"]) == cli.EXIT_CHECK_FAILED
-        assert "FAILED check: sweep.worst_case.vec2" in capsys.readouterr().err
-        # op2 has no closed-form worst case and no check
-        assert cli.main(["sweep-theta", "--norm", "op2", "--steps", "5", "--brute-force"]) == cli.EXIT_OK
-
-    def test_sweep_theta_dimension_follows_the_norm(self, capsys):
-        # op2 is defined in 2D only: no --dim sweeps in 2D, and --dim 3 is an error
-        argv = ["sweep-theta", "--norm", "op2", "--steps", "5"]
-        assert cli.main(argv) == cli.EXIT_OK
-        default = capsys.readouterr().out
-        assert cli.main(argv + ["--dim", "2"]) == cli.EXIT_OK
-        assert capsys.readouterr().out == default
-        assert cli.main(argv + ["--dim", "3"]) == cli.EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "norm op2 is defined in 2D, not 3D" in captured.err
+        code, report, err = self._sweep_run(tmp_path, capsys)
+        assert code == cli.EXIT_CHECK_FAILED
+        assert "FAILED check: sweep.worst_case.vec2" in err
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert failed == {"sweep.worst_case.vec2", "sweep.worst_case.vecInf"}
+        # op2 has no worst case D, so its sweep is swept and written unchecked
+        assert "op2" in report["tasks"]["optimal_bc_sweep"]
+        assert not any(c["name"].endswith(".op2") for c in report["checks"])
 
     @pytest.mark.parametrize("argv", [
         ["run", "{cfg}", "--output", "{cfg}/out"],
-        ["verify-matnorm", "--dim", "2", "--samples", "10", "--output", "{tmp}/no_dir/m.csv"],
-        ["sweep-theta", "--norm", "vec2", "--steps", "5", "--output", "{tmp}/no_dir/s.csv"],
-    ], ids=["run", "verify-matnorm", "sweep-theta"])
+    ], ids=["run"])
     def test_unwritable_output_is_a_config_error(self, tmp_path, capsys, argv):
-        # an output directory under a regular file, or a CSV in a directory
-        # that does not exist: one stderr line that names the path, no traceback
+        # an output directory under a regular file: one stderr line that
+        # names the path, no traceback
         cfg_file = tmp_path / "disk.cfg"
         cfg_file.write_text(DISK_CONFIG)
-        argv = [arg.format(cfg=cfg_file, tmp=tmp_path) for arg in argv]
+        argv = [arg.format(cfg=cfg_file) for arg in argv]
         assert cli.main(argv) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err.startswith("output error: ")

@@ -10,8 +10,11 @@ import pytest
 import trace_bounds
 from trace_bounds import cli, laplace
 
+# the library modules: __main__ is the command-line entry script, with no
+# public names
 MODULES = ["trace_bounds"] + [f"trace_bounds.{m.name}"
-                              for m in pkgutil.iter_modules(trace_bounds.__path__)]
+                              for m in pkgutil.iter_modules(trace_bounds.__path__)
+                              if m.name != "__main__"]
 
 # functions no run calls that stay public: perfbench's tracer looks gradient up
 # by name and wraps it (perfbench/child.py, Tracer.install)
@@ -41,8 +44,8 @@ def test_only_cli_and_load_config_open_files():
 
 
 def test_every_public_function_runs_in_the_pipeline(tmp_path):
-    # every task in 2D and 3D, and both subcommands; a public function that
-    # none of them calls is library surface that only tests run
+    # every task in 2D and 3D; a public function that neither run calls is
+    # library surface that only tests run
     disk = tmp_path / "disk.cfg"
     disk.write_text("kind = disk\nradius = 1.0\nh = 0.1\nsamples = 100\nsteps = 5\n"
                     "tasks = sobolev, ld, battery, matnorm-verify, optimal-bc-sweep\n")
@@ -50,10 +53,7 @@ def test_every_public_function_runs_in_the_pipeline(tmp_path):
     ball.write_text("kind = ball\nradius = 1.0\nh = 0.1\nsteps = 5\n"
                     "tasks = sobolev, ld, battery, optimal-bc-sweep\n")
     runs = [["run", str(disk), "--output", str(tmp_path / "disk")],
-            ["run", str(ball), "--output", str(tmp_path / "ball")],
-            ["verify-matnorm", "--dim", "2", "--samples", "100",
-             "--output", str(tmp_path / "m.csv")],
-            ["sweep-theta", "--norm", "op2", "--steps", "5", "--brute-force"]]
+            ["run", str(ball), "--output", str(tmp_path / "ball")]]
     called = set()
     sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
     try:

@@ -267,12 +267,14 @@ class TestEquivalenceConstants:
             M.verify_equivalence_constants(3, 0)
 
     def test_csv_export(self, tmp_path):
-        # The table is written by the cli output layer; each row round-trips.
-        from trace_bounds import cli
-        rows = M.verify_equivalence_constants(2, 100)
-        path = tmp_path / "table.csv"
-        cli._write_equivalence_table(path, rows)
-        lines = path.read_text().splitlines()
+        # The table is written by the cli output layer of a matnorm-verify
+        # run; each row round-trips.
+        from trace_bounds import cli, config
+        cfg = config.parse_config("kind = disk\nradius = 1.0\nh = 0.1\n"
+                                  "tasks = matnorm-verify\nsamples = 100\nseed = 7\n")
+        assert cli.run_config(cfg, outdir=str(tmp_path))[0] == cli.EXIT_OK
+        rows = M.verify_equivalence_constants(2, 100, seed=7)
+        lines = (tmp_path / "matnorm_equivalence_dim2.csv").read_text().splitlines()
         assert lines[0].startswith("ratio,exact_lower")
         assert len(lines) == 6
         for line, row in zip(lines[1:], rows):

@@ -108,25 +108,23 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             O.optimal_stress(np.array([[1.0, 0.0, 0.0]]),
                              np.array([[0.0, 0.0, 1.0]]), "op2")
-        # NORMS defines op2 in 2D only: a 3D op2 sweep fails in optimal_stress
+        # NORMS defines op2 in 2D only: a 3D op2 sweep fails in optimal_stress,
+        # and so does a sweep of a norm NORMS lacks
         with pytest.raises(ValueError, match="'op2' has no optimal stress in 3D"):
-            O.sweep_theta("op2", dim=3)
-        with pytest.raises(ValueError, match="unsupported norm 'op1'"):
-            O.sweep_theta("op1")
+            O.sweep_theta("op2", 5, 3)
+        with pytest.raises(ValueError, match="'op1' has no optimal stress in 2D"):
+            O.sweep_theta("op1", 5, 2)
 
-    def test_sweep_dimension_defaults_to_the_norms_largest(self, monkeypatch):
-        default = O.sweep_theta("op2", steps=5, brute_force=True)
-        explicit = O.sweep_theta("op2", steps=5, dim=2, brute_force=True)
-        assert default.keys() == explicit.keys()
-        for key in default:
-            assert np.array_equal(default[key], explicit[key])
-        dims = []
+    def test_one_stack_covers_every_theta(self, monkeypatch, theta_stack):
+        stacks = []
         exact = O.optimal_stress
         monkeypatch.setattr(O, "optimal_stress",
-                            lambda nu, t, norm: dims.append(nu.shape) or exact(nu, t, norm))
-        O.sweep_theta("vec2", steps=5)
-        # one stack covers every theta
-        assert dims == [(5, 3)]
+                            lambda nu, t, norm: stacks.append((nu, t)) or exact(nu, t, norm))
+        O.sweep_theta("vec2", 5, 3)
+        [(nu, t)] = stacks
+        # theta_stack builds the same stacks for the closed-form tests
+        for got, want in zip((nu, t), theta_stack(5, 3)):
+            assert np.array_equal(got, want)
 
 
 class TestEkConstruction:
@@ -216,27 +214,27 @@ class TestBruteForceStack:
 
 
 class TestWorstCase:
-    def test_exact_values(self):
+    def test_exact_values(self, theta_stack):
         assert O.worst_case_D("vec2") == math.sqrt(2)
         assert O.worst_case_D("vecInf") == 1.0
-        # the closed forms are exactly the sweep maximum
+        # the closed forms are exactly the maximum over a 361-angle sweep
         for norm in ("vec2", "vecInf"):
             for d in (2, 3):
-                sweep = O.sweep_theta(norm, steps=361, dim=d)
-                assert sweep["max_closed_form"] == O.worst_case_D(norm)
+                _, values = O.optimal_stress(*theta_stack(361, d), norm)
+                assert values.max() == O.worst_case_D(norm)
 
     def test_unsupported_norm(self):
         with pytest.raises(ValueError):
             O.worst_case_D("op1")
 
     def test_brute_force_sweep_bracket(self):
-        sweep = O.sweep_theta("vec2", steps=91, dim=3, brute_force=True)
+        sweep = O.sweep_theta("vec2", 91, 3)
         best = sweep["brute_force"].max()
         assert math.sqrt(2) - 1e-3 <= best <= math.sqrt(2) + 1e-9
         assert sweep["max_entry_gap"] <= 1e-3
 
     def test_vecinf_sweep(self):
-        sweep = O.sweep_theta("vecInf", steps=91, dim=3, brute_force=True)
+        sweep = O.sweep_theta("vecInf", 91, 3)
         assert abs(sweep["max_closed_form"] - 1.0) < 1e-15
         assert sweep["max_entry_gap"] <= 1e-3
 
