@@ -20,7 +20,6 @@ from .laplace import (
     solve_dirichlet,
 )
 from .matnorm import (
-    NORM_KINDS,
     NormEquivalenceError,
     verify_equivalence_constants,
 )
@@ -33,8 +32,6 @@ from .sobolev_trace import (
     NormalField,
     TraceReport,
     harmonic_normal_field,
-    isoperimetric_lower_bound,
-    sobolev_B,
     verify_trace_inequality,
 )
 from .ld_trace import (
@@ -59,7 +56,6 @@ __all__ = [
     "solve_dirichlet",
     "gradient",
     "divergence",
-    "NORM_KINDS",
     "NormEquivalenceError",
     "verify_equivalence_constants",
     "optimal_stress",
@@ -68,8 +64,6 @@ __all__ = [
     "NormalField",
     "TraceReport",
     "harmonic_normal_field",
-    "sobolev_B",
-    "isoperimetric_lower_bound",
     "verify_trace_inequality",
     "LDBoundReport",
     "harmonic_ek_tensor",

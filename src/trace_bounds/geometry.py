@@ -303,7 +303,6 @@ class Domain:
     dim: int
     h: float
     phi: np.ndarray                    # level-set values on the grid (snapped)
-    interior_flat: np.ndarray          # (N,) flat grid indices of interior nodes
     interior_coords: np.ndarray        # (N, dim)
     volume_weights: np.ndarray         # (N,) nodal volume quadrature weights
     boundary_pos: np.ndarray           # (M, dim)
@@ -587,7 +586,6 @@ def build_domain(spec: DomainSpec) -> Domain:
         dim=dim,
         h=h,
         phi=phi,
-        interior_flat=interior_flat,
         interior_coords=interior_coords,
         volume_weights=volume_weights,
         boundary_pos=boundary_pos,
@@ -677,13 +675,13 @@ def _quadrature(values, weights: np.ndarray, nodes: str) -> float | np.ndarray:
     return float(integrals[0]) if values.ndim == 1 else integrals.reshape(values.shape[1:])
 
 
-def integrate_volume(domain: Domain, data) -> float | np.ndarray:
+def integrate_volume(domain: Domain, values) -> float | np.ndarray:
     """Nodal quadrature with partial-cell boundary weights, exact for constants, of
-    (N,) or (N, *s) interior values or a Field's: a float, or s-shaped integrals."""
-    return _quadrature(getattr(data, "interior", data), domain.volume_weights, "interior")
+    (N,) or (N, *s) interior values: a float, or s-shaped integrals."""
+    return _quadrature(values, domain.volume_weights, "interior")
 
 
-def integrate_boundary(domain: Domain, data) -> float | np.ndarray:
-    """Facet-weighted sum of (M,) or (M, *s) boundary values or a Field's: a
-    float, or s-shaped integrals."""
-    return _quadrature(getattr(data, "boundary", data), domain.boundary_weight, "boundary")
+def integrate_boundary(domain: Domain, values) -> float | np.ndarray:
+    """Facet-weighted sum of (M,) or (M, *s) boundary values: a float, or
+    s-shaped integrals."""
+    return _quadrature(values, domain.boundary_weight, "boundary")

@@ -170,7 +170,7 @@ class LDBoundReport:
         return max(self.A, self.B)
 
 
-def ld_bounds(domain: Domain, norm: str = "vec2") -> LDBoundReport:
+def ld_bounds(domain: Domain, norm: str) -> LDBoundReport:
     """A = dim * D_par and B = sum_k sup_bnd |div sigma^k| on this domain.
 
     The optimal boundary tensors coincide for the norms with a worst case D

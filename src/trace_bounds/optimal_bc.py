@@ -119,8 +119,7 @@ def _closed_form_value(cos_t: np.ndarray, sin_t: np.ndarray, norm: str) -> np.nd
     raise ValueError(f"unsupported norm {norm!r}")
 
 
-def optimal_stress(nu: np.ndarray, t: np.ndarray,
-                   norm: str = "vec2") -> tuple[np.ndarray, np.ndarray]:
+def optimal_stress(nu: np.ndarray, t: np.ndarray, norm: str) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form minimal-norm stresses with sigma(nu) = t, one per row of the
     (m, n) stacks nu and t: the (m, n, n) matrices
     sigma = -(t . nu) nu (x) nu + nu (x) t + t (x) nu and their (m,) values."""
@@ -133,7 +132,7 @@ def optimal_stress(nu: np.ndarray, t: np.ndarray,
     return sigma, _closed_form_value(cos_t, sin_t, norm)
 
 
-def brute_force_optimal(nu: np.ndarray, t: np.ndarray, norm: str = "vec2") -> np.ndarray:
+def brute_force_optimal(nu: np.ndarray, t: np.ndarray, norm: str) -> np.ndarray:
     """Independent minimizer: nested grid search over the free components.
 
     Parameterizes all symmetric matrices with sigma(nu) = t by their free

@@ -34,17 +34,10 @@ __all__ = [
     "NormalFieldError",
     "TraceReport",
     "harmonic_normal_field",
-    "sobolev_B",
-    "isoperimetric_lower_bound",
     "verify_trace_inequality",
-    "discretization_estimate",
     "ordered_sum",
     "trace_slack",
 ]
-
-# first-order quadrature error model eps = C * h * (sum of integral magnitudes);
-# C calibrated once on the unit-disk oracle battery and frozen
-EPS_DISC_COEFF = 1.0
 
 
 class NormalFieldError(CheckError):
@@ -89,18 +82,6 @@ def harmonic_normal_field(domain: Domain) -> NormalField:
                        sup_div_boundary=sup_bnd, sup_div_closure=sup_cl)
 
 
-def sobolev_B(domain: Domain, normal_field: NormalField | None = None) -> float:
-    """Trace constant B = sup over the boundary of |div n0|."""
-    nf = normal_field if normal_field is not None else harmonic_normal_field(domain)
-    return nf.sup_div_boundary
-
-
-def isoperimetric_lower_bound(domain: Domain) -> float:
-    """Discrete |boundary| / |volume|. The continuum quotient bounds B from
-    below; this one exceeds the discrete B by about 0.7 (h/r)^2 on spheres."""
-    return domain.area / domain.volume
-
-
 @dataclass(frozen=True)
 class TraceReport:
     """One trace-inequality evaluation: lhs, the two rhs terms, and slack."""
@@ -114,11 +95,6 @@ class TraceReport:
     h: float
 
 
-def discretization_estimate(h: float, *magnitudes: float) -> float:
-    """First-order error budget for boundary quadrature, C*h*(sum of magnitudes)."""
-    return EPS_DISC_COEFF * h * sum(abs(m) for m in magnitudes)
-
-
 def ordered_sum(values) -> float:
     """The values added one by one in order (sum() of floats compensates from 3.12)."""
     return float(np.cumsum(values)[-1])
@@ -129,17 +105,18 @@ def trace_slack(domain: Domain, f: Field, derivative_term: float, B: float) -> T
     entries f_i of a scalar or vector field."""
     lhs = ordered_sum(integrate_boundary(domain, np.abs(f.boundary)))
     mass_term = B * ordered_sum(integrate_volume(domain, np.abs(f.interior)))
-    eps = discretization_estimate(domain.h, lhs, derivative_term, mass_term)
+    # first-order quadrature error model h * (sum of the term magnitudes), its
+    # coefficient 1 calibrated once on the unit-disk oracle battery and frozen
+    eps = domain.h * (abs(lhs) + abs(derivative_term) + abs(mass_term))
     return TraceReport(lhs=lhs, grad_term=derivative_term, mass_term=mass_term,
                        B_used=B, slack=derivative_term + mass_term - lhs,
                        eps_disc=eps, h=domain.h)
 
 
-def verify_trace_inequality(domain: Domain, phi: Field,
-                            B: float | None = None) -> TraceReport:
+def verify_trace_inequality(domain: Domain, phi: Field, B: float) -> TraceReport:
     """Slack of int_bnd |phi| <= int |grad phi| + B int |phi| for one scalar field,
     with the gradient at the interior nodes only."""
     grad = laplace._derivatives(phi)
     grad_term = integrate_volume(domain, np.sqrt(sum(c * c for c in grad.T)))
-    return trace_slack(domain, phi, grad_term, sobolev_B(domain) if B is None else B)
+    return trace_slack(domain, phi, grad_term, B)
 

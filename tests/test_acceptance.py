@@ -59,7 +59,7 @@ def test_criterion_1_sobolev_constants():
     lines = []
     t0 = time.monotonic()
     disk = G.build_domain(G.DomainSpec.disk(1.0, 0.02))
-    B_disk = S.sobolev_B(disk)
+    B_disk = S.harmonic_normal_field(disk).sup_div_boundary
     dt_disk = time.monotonic() - t0
     check(lines, "disk_B", abs(B_disk - 2.0) <= 0.02 * 2.0,
           f"B = {B_disk:.6f}, target 2 within 2% at h=0.02")
@@ -67,7 +67,7 @@ def test_criterion_1_sobolev_constants():
 
     t0 = time.monotonic()
     ball = G.build_domain(G.DomainSpec.ball(1.0, 0.1))
-    B_ball = S.sobolev_B(ball)
+    B_ball = S.harmonic_normal_field(ball).sup_div_boundary
     dt_ball = time.monotonic() - t0
     check(lines, "ball_B", abs(B_ball - 3.0) <= 0.05 * 3.0,
           f"B = {B_ball:.6f}, target 3 within 5% at h=0.1")
@@ -79,8 +79,8 @@ def test_criterion_2_iso_bound_consistency(disk, ball, ellipse, annulus, neck):
     lines = []
     for name, dom in (("disk", disk), ("ball", ball),
                       ("ellipse", ellipse), ("annulus", annulus)):
-        B = S.sobolev_B(dom)
-        iso_bound = S.isoperimetric_lower_bound(dom)
+        B = S.harmonic_normal_field(dom).sup_div_boundary
+        iso_bound = dom.area / dom.volume
         check(lines, f"{name}_B_above_isoperimetric", B >= iso_bound * 0.98,
               f"B = {B:.4f} >= |bnd|/|Omega| = {iso_bound:.4f} (2% equality slack)")
     # the neck has four re-entrant corners, so its continuum B is infinite:
@@ -88,8 +88,8 @@ def test_criterion_2_iso_bound_consistency(disk, ball, ellipse, annulus, neck):
     # at h 0.025 (the fixture's), and at h 0.0125 harmonic_normal_field
     # raises NormalFieldError ("divergence sup 21.96 not attained on the
     # boundary"). The clause holds for the grid value, not a continuum one.
-    B = S.sobolev_B(neck)
-    iso_bound = S.isoperimetric_lower_bound(neck)
+    B = S.harmonic_normal_field(neck).sup_div_boundary
+    iso_bound = neck.area / neck.volume
     check(lines, "neck_strict_gap", B >= 1.25 * iso_bound,
           f"B = {B:.4f} >= 1.25 * {iso_bound:.4f} on the two-disk neck domain")
     finish(2, lines)
@@ -97,7 +97,7 @@ def test_criterion_2_iso_bound_consistency(disk, ball, ellipse, annulus, neck):
 
 def test_criterion_3_w11_trace_battery(disk, ellipse):
     lines = []
-    B_disk = S.sobolev_B(disk)
+    B_disk = S.harmonic_normal_field(disk).sup_div_boundary
     disk_fields = dict(w11_battery_fields(disk))
     five = ["constant", "linear_x", "cubic_x3", "radial_bump", "boundary_layer"]
     for name in five:
@@ -108,7 +108,7 @@ def test_criterion_3_w11_trace_battery(disk, ellipse):
     check(lines, "disk_constant_equality", abs(rep.slack) <= 0.02 * rep.lhs,
           f"|slack| = {abs(rep.slack):.4f} <= 2% of lhs = {0.02 * rep.lhs:.4f}")
 
-    B_ell = S.sobolev_B(ellipse)
+    B_ell = S.harmonic_normal_field(ellipse).sup_div_boundary
     for name, fn in (("constant", lambda p: np.ones(p.shape[0])),
                      ("linear_x", lambda p: p[:, 0]),
                      ("sign_changing", lambda p: p[:, 0]**2 - p[:, 1]**2)):

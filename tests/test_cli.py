@@ -430,19 +430,24 @@ tasks = ld
             sobolev_trace.harmonic_normal_field(
                 G.build_domain(G.DomainSpec.disk(1.0, 0.04)))
 
-    def test_norm_equivalence_violation_is_a_failed_check(self, tmp_path, monkeypatch):
-        # an interval no ratio meets: a run reports a failed check, exit 4
+    def test_norm_equivalence_violation_is_a_failed_check(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # an interval no ratio meets: a run reports a failed check, exit 4,
+        # and names the NormEquivalenceError on stderr
         monkeypatch.setattr(cli.matnorm, "_bounds", lambda n: [("op2", "op1", 10.0, 11.0)])
-        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.1\nsamples = 10\n"
+        cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.1\nsamples = 100\n"
                              "tasks = matnorm-verify")
         code, report = cli.run_config(cfg, outdir=str(tmp_path))
         assert code == cli.EXIT_CHECK_FAILED
         assert report["error"]["type"] == "check"
         assert report["error"]["message"].startswith("op2/op1 = ")
+        named = f"check error: {report['error']['message']}\n"
+        assert capsys.readouterr().err == named
         cfg_file = tmp_path / "matnorm.cfg"
-        cfg_file.write_text("kind = disk\nradius = 1.0\nh = 0.1\nsamples = 10\n"
+        cfg_file.write_text("kind = disk\nradius = 1.0\nh = 0.1\nsamples = 100\n"
                             f"tasks = matnorm-verify\noutput = {tmp_path}/out\n")
         assert cli.main(["run", str(cfg_file)]) == cli.EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == named
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def slip(*args, **kwargs):
@@ -581,7 +586,7 @@ class TestMain:
         cfg_file.write_text(DISK_CONFIG + f"output = {tmp_path}/out\n")
         assert cli.main(["run", str(cfg_file)]) == cli.EXIT_OK
 
-    def test_krylov_failure_exits_3(self, tmp_path, monkeypatch):
+    def test_krylov_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         from trace_bounds import laplace
         monkeypatch.setattr(laplace.spla, "bicgstab",
                             lambda A, b, **kwargs: (np.zeros_like(b), 417))
@@ -592,8 +597,9 @@ class TestMain:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["error"]["type"] == "solver"
         assert "417 iterations" in report["error"]["message"]
+        assert capsys.readouterr().err == f"solver error: {report['error']['message']}\n"
 
-    def test_factorization_failure_exits_3(self, tmp_path, monkeypatch):
+    def test_factorization_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         from trace_bounds import laplace
 
         def singular(*args, **kwargs):
@@ -614,6 +620,7 @@ class TestMain:
         assert report["error"]["type"] == "solver"
         assert "sparse factorization failed" in report["error"]["message"]
         assert report["error"]["residual"] is None
+        assert capsys.readouterr().err == f"solver error: {report['error']['message']}\n"
 
     def test_non_finite_levelset_exits_4(self, tmp_path, capsys):
         cfg_file = tmp_path / "sqrt.cfg"

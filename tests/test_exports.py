@@ -29,6 +29,22 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+def test_run_settings_have_no_library_default():
+    # RunConfig owns every run setting: a library default would be a second
+    # value that a call leaving the argument out silently reads
+    owned = {"norm", "seed", "samples", "steps"}
+    defaulted = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            fn = getattr(module, attr)
+            if inspect.isfunction(fn):
+                defaulted += [f"{fn.__module__}.{fn.__qualname__}({p.name})"
+                              for p in inspect.signature(fn).parameters.values()
+                              if p.name in owned and p.default is not p.empty]
+    assert sorted(defaulted) == []
+
+
 def test_only_cli_and_load_config_open_files():
     # cli alone writes a run's outputs, and config.load_config reads the
     # config: every other module returns values and opens no file

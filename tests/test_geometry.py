@@ -266,7 +266,7 @@ class TestBuildDomain:
         copy = dataclasses.replace(disk, boundary_normal=-disk.boundary_normal)
         for dom in (disk, copy):
             arrays = [value for value in vars(dom).values() if isinstance(value, np.ndarray)]
-            assert len(arrays) == 12
+            assert len(arrays) == 11
             for array in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     array.flat[0] = array.flat[0]
@@ -286,7 +286,12 @@ class TestBuildDomain:
             assert np.abs(squared - 1.0).max() <= 1e-14
 
     def test_interior_levelset_negative(self, disk):
-        assert (disk.phi.ravel()[disk.interior_flat] < 0).all()
+        # the interior nodes are the grid nodes where the level set is
+        # negative, in flat grid order, on the grid through the origin
+        inside = np.flatnonzero(disk.phi.ravel() < 0)
+        n_half = (disk.phi.shape[0] - 1) // 2
+        pos = disk.h * (np.array(np.unravel_index(inside, disk.phi.shape)).T - n_half)
+        np.testing.assert_allclose(disk.interior_coords, pos, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("spec,n", [
         (G.DomainSpec.disk(1.0, 0.02), 2),
@@ -394,7 +399,8 @@ class TestArmTables:
         linked, cut = dom.arm_interior >= 0, dom.arm_boundary >= 0
         assert np.array_equal(linked, ~cut)
         assert (dom.arm_interior[cut] == -1).all() and (dom.arm_boundary[linked] == -1).all()
-        multi = np.array(np.unravel_index(dom.interior_flat, dom.phi.shape)).T
+        multi = np.array(np.unravel_index(np.flatnonzero(dom.phi.ravel() < 0),
+                                          dom.phi.shape)).T
         for d in range(2 * dom.dim):
             ax, sign = d // 2, 1 - 2 * (d % 2)
             rows = np.flatnonzero(linked[d])

@@ -506,7 +506,7 @@ class TestBackendRelease:
         op.monomials = Watched()
         S.harmonic_normal_field(dom)
         assert "backend" in vars(op)
-        LD.ld_bounds(dom)
+        LD.ld_bounds(dom, "vec2")
         assert op.monomials.keys() == L._basis(dom.dim)
         assert held == [True] * len(op.monomials)
         assert len(built) == 1
@@ -518,7 +518,7 @@ class TestBackendRelease:
         dom = G.build_domain(spec)
         built = _count_backend_builds(monkeypatch)
         S.harmonic_normal_field(dom)
-        LD.ld_bounds(dom)
+        LD.ld_bounds(dom, "vec2")
         op = L._operator(dom)
         # solved, not derived: only the H[nu_a nu_L^2] are derived
         memo = op.monomials[(0,)]

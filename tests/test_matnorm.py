@@ -38,6 +38,10 @@ def rotation(alpha, beta, gamma):
     return about(2, alpha) @ about(1, beta) @ about(2, gamma)
 
 
+# the kinds a run reads: the equivalence table's five, NORMS' three among them
+KINDS = ("op1", "op2", "vec2", "vecInf", "dual_op2")
+
+
 def random_symmetric(rng, n, count=1):
     A = rng.uniform(-1, 1, size=(count, n, n))
     return 0.5 * (A + np.swapaxes(A, 1, 2))
@@ -129,7 +133,7 @@ class TestNorms:
     def test_identity_all_kinds(self):
         I = np.eye(3)
         expected = {"op2": 1.0, "vec2": np.sqrt(3), "dual_op2": 3.0,
-                    "op1": 1.0, "opInf": 1.0, "vecInf": 1.0, "vec1": 3.0}
+                    "op1": 1.0, "vecInf": 1.0}
         for kind, val in expected.items():
             assert abs(norm(I, kind) - val) < 1e-12
 
@@ -140,7 +144,7 @@ class TestNorms:
         assert abs(norm(T, "op2") - 1.0) < 1e-12
         assert abs(norm(T, "vec2") - np.sqrt(2)) < 1e-12
         assert abs(norm(T, "op1") - 1.0) < 1e-12
-        assert abs(norm(T, "vec1") - 2.0) < 1e-12
+        assert abs(norm(T, "vecInf") - 1.0) < 1e-12
         assert abs(norm(T, "dual_op2") - 2.0) < 1e-12
 
     def test_paper_vec2_value(self):
@@ -151,12 +155,14 @@ class TestNorms:
         assert abs(norm(T, "vec2") - np.sqrt(1 + np.sin(th) ** 2)) < 1e-12
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            norm(np.eye(2), "vec7")
+        # vec1 and opInf are no kinds either: no run reads them
+        for kind in ("vec7", "vec1", "opInf"):
+            with pytest.raises(ValueError, match="unknown norm kind"):
+                norm(np.eye(2), kind)
 
     def test_homogeneity(self, rng):
         for T in random_symmetric(rng, 3, 20):
-            for kind in M.NORM_KINDS:
+            for kind in KINDS:
                 a = -2.75
                 assert abs(norm(a * T, kind) - abs(a) * norm(T, kind)) \
                     <= 1e-12 * max(1.0, norm(T, kind))
@@ -164,7 +170,7 @@ class TestNorms:
     def test_triangle_inequality(self, rng):
         A = random_symmetric(rng, 3, 40)
         for i in range(0, 40, 2):
-            for kind in M.NORM_KINDS:
+            for kind in KINDS:
                 assert norm(A[i] + A[i + 1], kind) <= \
                     norm(A[i], kind) + norm(A[i + 1], kind) + 1e-12
 
@@ -178,9 +184,11 @@ class TestNorms:
             M._check_sym(A)
 
     def test_op1_equals_opinf_bitwise(self, rng):
-        values = M.symmetric_norms(M._check_sym(random_symmetric(rng, 3, 100)),
-                                   ("op1", "opInf"))
-        np.testing.assert_array_equal(values["op1"], values["opInf"])
+        # op1, the max column sum, is taken as the max row sum (opInf): of a
+        # checked, exactly symmetric matrix the two are the same bits
+        A = M._check_sym(random_symmetric(rng, 3, 100))
+        np.testing.assert_array_equal(M.symmetric_norms(A, ("op1",))["op1"],
+                                      np.abs(A).sum(axis=1).max(axis=1))
 
     def test_vec2_squared_is_eigenvalue_sum(self, rng):
         for T in random_symmetric(rng, 3, 50):
@@ -237,7 +245,7 @@ class TestEquivalenceConstants:
         assert abs(norm(T, "op2") / norm(T, "vecInf") - 1.0) < 1e-12
 
     def test_observed_extremes_attained(self):
-        rows = {r.ratio: r for r in M.verify_equivalence_constants(3, 10000)}
+        rows = {r.ratio: r for r in M.verify_equivalence_constants(3, 10000, seed=20240401)}
         # structured seeds guarantee these are reached exactly
         assert abs(rows["vec2/op2"].observed_max - np.sqrt(3)) < 1e-12
         assert abs(rows["dual_op2/op2"].observed_max - 3.0) < 1e-12
@@ -264,7 +272,7 @@ class TestEquivalenceConstants:
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
-            M.verify_equivalence_constants(3, 0)
+            M.verify_equivalence_constants(3, 0, seed=20240401)
 
     def test_csv_export(self, tmp_path):
         # The table is written by the cli output layer of a matnorm-verify

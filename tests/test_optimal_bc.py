@@ -95,14 +95,15 @@ class TestClosedForm:
         # sigma(nu) - t = 0.44 t breaks sigma(nu) = t
         monkeypatch.setattr(O, "_UNIT_TOL", 0.5)
         with pytest.raises(CheckError, match="compatibility"):
-            O.optimal_stress(np.array([[1.2, 0.0]]), np.array([[0.0, 1.0]]))
+            O.optimal_stress(np.array([[1.2, 0.0]]), np.array([[0.0, 1.0]]), "vec2")
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            O.optimal_stress(np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]))
+            O.optimal_stress(np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]), "vec2")
         # a NaN row is not a unit vector either
         with pytest.raises(ValueError, match="unit vectors"):
-            O.optimal_stress(np.array([[1.0, 0.0], [np.nan, 0.0]]), np.ones((2, 2)) / 2 ** 0.5)
+            O.optimal_stress(np.array([[1.0, 0.0], [np.nan, 0.0]]), np.ones((2, 2)) / 2 ** 0.5,
+                             "vec2")
         with pytest.raises(ValueError):
             O.optimal_stress(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), "op1")
         with pytest.raises(ValueError):
