@@ -316,8 +316,7 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
             if "ld" in levels or battery:
                 # the whole basis before any task: its completion drops the
                 # backend, so no check or difference operator runs beside it
-                for axes in laplace._basis(domain.dim):
-                    laplace._normal_monomial(domain, axes)
+                laplace.solve_basis(domain)
             results = {}
             for task, blocks in levels.items():
                 block, results[task] = level_tasks[task](domain, checks[task])

@@ -50,8 +50,11 @@ S and the lattice indices of the black nodes, whose coarsest level is
 factored under minimum degree. LU fill grows much faster in 3D, and measured
 over the resolutions the tool runs, the Krylov solve wins at every 3D size
 and the factorization at every 2D size. At ball h 0.05 a solve takes 12
-iterations on S, against 19 on the full matrix. Residuals of the full system
-are verified against the 1e-10 relative tolerance after every solve,
+iterations on S, against 19 on the full matrix. The BiCGSTAB loop is this
+module's own, ``_bicgstab``: SciPy 1.17's recurrences and tests, with every
+inner product and norm a NumPy pairwise sum rather than a BLAS call, so its
+results do not depend on the BLAS or its thread count. Residuals of the full
+system are verified against the 1e-10 relative tolerance after every solve,
 whichever backend produced it.
 
 Every harmonic object the trace bounds need is a linear combination of
@@ -61,7 +64,10 @@ is solved at most once per domain and memoized on the operator, as are the
 per-axis sparse difference stencils. Since |nu|^2 = 1, H[nu_a] =
 sum_b H[nu_a nu_b nu_b], so H[nu_a nu_L^2], L = dim - 1, is always the
 signed sum of the others: 10 solves give all 13 extensions in 3D, 4 give
-all 6 in 2D.
+all 6 in 2D. ``solve_basis`` memoizes them all; in 3D it runs the Krylov
+solves after the first ahead on worker threads, and still takes, verifies
+and records each on the calling thread, so nothing differs from solving them
+one after another.
 
 Every difference operator starts from one primitive, ``_derivative``: a
 field's interior-then-boundary values, stacked as (N + M, k) columns (one
@@ -103,9 +109,10 @@ extensions (the sobolev task alone) keeps its backend.
 What keeps all of this alive is the domain alone. The operator's state,
 the one entry of ``Domain._cache``, is the operator's attribute dict, and
 ``_operator(domain)`` binds it to the domain in a new view each call. The
-state holds arrays, sparse matrices, the backend, the record and the
-memoized extensions as bare (interior, boundary) arrays: nothing in it
-refers back to the domain, so the two form no reference cycle. A domain
+state holds arrays, sparse matrices, the backend, the record, the
+memoized extensions as bare (interior, boundary) arrays and, while
+``solve_basis`` runs, the futures of the solves it hands ahead: nothing in
+it refers back to the domain, so the two form no reference cycle. A domain
 that nothing else refers to (no caller, and no ``Field`` or result made on
 it) is freed at once with its state, without waiting for Python's cyclic
 garbage collector. So a refinement ladder evaluated level by level holds
@@ -115,6 +122,8 @@ one level's domain and solver state at a time.
 from __future__ import annotations
 
 import itertools
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from functools import cached_property
 from typing import NamedTuple
 
@@ -127,6 +136,7 @@ from .geometry import CheckError, Domain, Field, GeometryError
 __all__ = [
     "SolverError",
     "solve_dirichlet",
+    "solve_basis",
     "gradient",
     "divergence",
     "tensor_divergence",
@@ -330,24 +340,12 @@ class _Multigrid:
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         """BiCGSTAB on the finest level's matrix, preconditioned with the
         cycle: the solution and the iterations it took."""
-        # SciPy's breakdown tests are absolute (eps^2), so solve for data
-        # scaled to unit norm; a power of two keeps the rescaling exact
-        exponent = np.frexp(np.linalg.norm(rhs))[1]
-        applications = 0
-
-        def precondition(r):
-            nonlocal applications
-            applications += 1
-            return self.cycle(r)
-
-        # a dtype, or LinearOperator applies the cycle once to find one
-        M = spla.LinearOperator(self.matrix.shape, precondition, dtype=float)
-        u, info = spla.bicgstab(self.matrix, np.ldexp(rhs, -exponent),
-                                rtol=KRYLOV_RTOL, atol=0.0, M=M)
+        # the breakdown tests are absolute (eps^2), so solve for data scaled
+        # to unit norm; a power of two keeps the rescaling exact
+        exponent = np.frexp(np.sqrt(_dot(rhs, rhs)))[1]
+        u, info, iterations = _bicgstab(self.matrix, self.cycle,
+                                        np.ldexp(rhs, -exponent))
         u = np.ldexp(u, exponent)
-        # two preconditioner applications per iteration; SciPy returns from
-        # the half step, after the first, when that already converges
-        iterations = (applications + 1) // 2
         if info != 0:
             residual = _relative_residual(self.matrix @ u - rhs, u, rhs)
             reason = (f"did not converge in {info} iterations" if info > 0 else
@@ -355,6 +353,65 @@ class _Multigrid:
             raise SolverError(f"BiCGSTAB {reason}, residual {residual:.3e}",
                               residual=residual)
         return u, iterations
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product as NumPy's pairwise sum, which adds the same terms
+    in the same order whatever the BLAS and its thread count."""
+    return np.add.reduce(a * b)
+
+
+def _bicgstab(matrix: sp.csr_matrix, precondition, b: np.ndarray
+              ) -> tuple[np.ndarray, int, int]:
+    """Preconditioned BiCGSTAB (van der Vorst 1992) for matrix x = b from a
+    zero guess, stopping at a residual norm below ``KRYLOV_RTOL`` |b|: the
+    recurrences, breakdown tests and stopping test of SciPy 1.17's
+    ``bicgstab``, with every inner product and norm taken by ``_dot``.
+
+    Returns x, SciPy's info (0 converged, the iteration limit 10n if not,
+    -10 or -11 if rho or omega broke down) and the iterations made, a final
+    half step counting as one: two applications of ``precondition`` per
+    iteration, rounded up."""
+    atol = KRYLOV_RTOL * np.sqrt(_dot(b, b))
+    x = np.zeros_like(b)
+    if atol == 0:
+        return x, 0, 0
+    tiny = np.finfo(float).eps ** 2
+    r, rtilde = b.copy(), b.copy()
+    maxiter = 10 * b.size
+    for iteration in range(maxiter):
+        if np.sqrt(_dot(r, r)) < atol:
+            return x, 0, iteration
+        rho = _dot(rtilde, r)
+        if abs(rho) < tiny:
+            return x, -10, iteration
+        if iteration:
+            if abs(omega) < tiny:
+                return x, -11, iteration
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        phat = precondition(p)
+        v = matrix @ phat
+        rv = _dot(rtilde, v)
+        if rv == 0:
+            return x, -11, iteration + 1
+        alpha = rho / rv
+        r -= alpha * v
+        if np.sqrt(_dot(r, r)) < atol:   # the half step
+            x += alpha * phat
+            return x, 0, iteration + 1
+        shat = precondition(r)
+        t = matrix @ shat
+        omega = _dot(t, r) / _dot(t, t)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+    return x, maxiter, maxiter
 
 
 def _arm_ends(domain: Domain) -> np.ndarray:
@@ -434,6 +491,8 @@ class _Operator:
         self.boundary_coupling = sp.csc_matrix(
             (coeff[~inner], (rows[~inner], ends[~inner] - n)), shape=(n, domain.n_boundary))
         self.monomials: dict[tuple[int, ...], _Extension] = {}
+        # data bytes -> future of its ``solve_black``, while ``solve_basis`` runs
+        self.ahead: dict[bytes, Future] = {}
         self.record = {"solves": 0, "iterations": 0, "max_residual": 0.0,
                        "max_principle_violation": 0.0}
 
@@ -506,15 +565,26 @@ class _Operator:
                 f"expected {domain.n_boundary} boundary values, got {g.shape}")
         if not np.isfinite(g).all():
             raise GeometryError("boundary data contains non-finite values")
+        # the result solved ahead for these data (``solve_basis``), or a solve now
+        ahead = self.ahead.pop(g.tobytes(), None)
+        red_rhs, black, iterations = (ahead.result() if ahead is not None
+                                      else self.solve_black(g))
+        u = np.empty(domain.n_interior)
+        u[self.black] = black
+        self.record["iterations"] += iterations
+        u[self.red] = (red_rhs - self.red_black @ black) / self.red_diag
+        return self.verified(u, g, solved=True)
+
+    def solve_black(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """The red part of the right-hand side for Dirichlet data g, and the
+        backend's values at the black nodes and its iterations once the red
+        nodes are eliminated. It reads only the colour blocks and the
+        backend, and writes nothing, so it may run on a worker thread once
+        the backend is built."""
         rhs = self.boundary_coupling @ g
-        # eliminate the red nodes, solve for the black ones, back-substitute
         red_rhs = rhs[self.red]
         reduced = rhs[self.black] - self.black_red @ (red_rhs / self.red_diag)
-        u = np.empty(domain.n_interior)
-        u[self.black], iterations = self.backend.solve(reduced)
-        self.record["iterations"] += iterations
-        u[self.red] = (red_rhs - self.red_black @ u[self.black]) / self.red_diag
-        return self.verified(u, g, solved=True)
+        return (red_rhs, *self.backend.solve(reduced))
 
     def verified(self, u: np.ndarray, g: np.ndarray, solved: bool) -> Field:
         """The field with interior values u and boundary values g, once u passes
@@ -607,6 +677,17 @@ def _basis(dim: int) -> set[tuple[int, ...]]:
         itertools.combinations_with_replacement(range(dim), 3))
 
 
+def _derived(key: tuple[int, ...], dim: int) -> bool:
+    """Whether the sorted axis tuple is nu_a nu_L^2, L = dim - 1: the one
+    extension of each |nu|^2 = 1 identity that is derived, not solved."""
+    return key[1:] == (dim - 1, dim - 1)
+
+
+def _monomial_values(domain: Domain, key: tuple[int, ...]) -> np.ndarray:
+    """The boundary values of the normal monomial nu_a nu_b ... of ``key``."""
+    return np.prod(domain.boundary_normal[:, list(key)], axis=1)
+
+
 def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> Field:
     """Harmonic extension H[nu_a nu_b ...] of a product of normal components,
     memoized per domain under the sorted axis tuple.
@@ -627,10 +708,9 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> Field:
     memo = op.monomials
     if key in memo:
         return Field(domain, *memo[key])
-    values = np.prod(domain.boundary_normal[:, list(key)], axis=1)
-    last = domain.dim - 1
-    if key[1:] == (last, last):
-        a = key[0]
+    values = _monomial_values(domain, key)
+    if _derived(key, domain.dim):
+        a, last = key[0], domain.dim - 1
         terms = [(1.0, (a,))] + [(-1.0, (a, c, c)) for c in range(last)]
         u = sum(sign * _normal_monomial(domain, k).interior for sign, k in terms)
         field = op.verified(u, values, solved=False)
@@ -643,6 +723,41 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> Field:
         # nothing the trace bounds need solves on this domain again
         vars(op).pop("backend", None)
     return field
+
+
+def solve_basis(domain: Domain) -> None:
+    """Memoize every normal-monomial extension of the basis (``_basis``), in
+    sorted key order, which puts each derived extension after its partners.
+
+    In 3D the first missing solve builds the backend on this thread. The
+    backend solves of the others are then handed to a pool of one worker per
+    CPU this process may run on: each worker reduces its data and runs the
+    backend (``solve_black``), nothing else. Each extension is still one
+    ``solve_dirichlet`` call on this thread, in the same order, which takes
+    the result solved ahead, back-substitutes, verifies and records it. So
+    the fields, the solve record and the first error are those of solving
+    one after another. In 2D the solves run one after another: an LU solve
+    is cheap next to the factorization the first one makes."""
+    op = _operator(domain)
+    keys = sorted(_basis(domain.dim))
+    missing = [key for key in keys
+               if key not in op.monomials and not _derived(key, domain.dim)]
+    # sched_getaffinity is Linux only
+    workers = ThreadPoolExecutor(len(os.sched_getaffinity(0))
+                                 if hasattr(os, "sched_getaffinity") else os.cpu_count())
+    try:
+        if domain.dim == 3 and len(missing) > 1:
+            _normal_monomial(domain, missing[0])
+            for key in missing[1:]:
+                g = _monomial_values(domain, key)
+                op.ahead[g.tobytes()] = workers.submit(op.solve_black, g)
+        for key in keys:
+            _normal_monomial(domain, key)
+    finally:
+        # after a failed solve: drop the results not taken, cancel the solves
+        # not started and wait for the running ones
+        op.ahead.clear()
+        workers.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

@@ -217,24 +217,42 @@ tasks = sobolev
                                  (p / "report.json").read_text(), flags=re.M)
         assert strip(out1) == strip(out2)
 
+    @staticmethod
+    def report_in_subprocess(cfg, out, threads: str, cpus=None) -> str:
+        """report.json less its generated_at line, from a run in a new process
+        at the given BLAS thread count and, if ``cpus``, bound to those CPUs."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        bind = f"import os; os.sched_setaffinity(0, {set(cpus)}); " if cpus else ""
+        subprocess.run([sys.executable, "-c",
+                        bind + "from trace_bounds.cli import main; raise SystemExit(main())",
+                        "run", str(cfg), "--output", str(out)],
+                       env=env, check=True, capture_output=True)
+        return re.sub(r'^\s*"generated_at".*$', "", (out / "report.json").read_text(),
+                      flags=re.M)
+
     def test_report_does_not_depend_on_blas_threads(self, tmp_path):
         # disk h 0.01 has more interior nodes (31 K) than the 10 K terms past
         # which OpenBLAS splits a dot product across its threads
         cfg = tmp_path / "battery.cfg"
         cfg.write_text("kind = disk\nradius = 1.0\nh = 0.01\ntasks = battery\n")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        reports = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
-                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-            out = tmp_path / f"threads{threads}"
-            subprocess.run([sys.executable, "-c",
-                            "from trace_bounds.cli import main; raise SystemExit(main())",
-                            "run", str(cfg), "--output", str(out)],
-                           env=env, check=True, capture_output=True)
-            reports.append(re.sub(r'^\s*"generated_at".*$', "",
-                                  (out / "report.json").read_text(), flags=re.M))
+        reports = [self.report_in_subprocess(cfg, tmp_path / f"threads{threads}", threads)
+                   for threads in ("1", "2")]
         assert reports[0] == reports[1]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="Linux only")
+    def test_3d_report_does_not_depend_on_blas_threads_or_workers(self, tmp_path):
+        # ball h 0.05 has 16,644 black nodes, past OpenBLAS's 10 K split; one
+        # CPU gives the basis solves one worker, and every CPU one each
+        cfg = tmp_path / "ball.cfg"
+        cfg.write_text("kind = ball\nradius = 1.0\nh = 0.05\ntasks = sobolev, ld\n")
+        cpus = sorted(os.sched_getaffinity(0))
+        reports = [self.report_in_subprocess(cfg, tmp_path / f"run{i}", threads, bound)
+                   for i, (threads, bound) in enumerate(
+                       [("1", cpus), ("2", cpus), ("2", cpus[:1])])]
+        assert reports[0] == reports[1]
+        assert reports[0] == reports[2]
 
     def test_matnorm_task(self, tmp_path):
         cfg = C.parse_config("""
@@ -588,8 +606,8 @@ class TestMain:
 
     def test_krylov_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         from trace_bounds import laplace
-        monkeypatch.setattr(laplace.spla, "bicgstab",
-                            lambda A, b, **kwargs: (np.zeros_like(b), 417))
+        monkeypatch.setattr(laplace, "_bicgstab",
+                            lambda A, M, b: (np.zeros_like(b), 417, 417))
         cfg_file = tmp_path / "ball.cfg"
         cfg_file.write_text("kind = ball\nradius = 1.0\nh = 0.25\n"
                             f"tasks = sobolev\noutput = {tmp_path}/out\n")

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import re
+import sys
+import threading
 from functools import cached_property
 
 import numpy as np
@@ -184,18 +186,39 @@ class TestKrylov:
         assert list(dom._cache) == ["laplace_operator"]
 
     def test_scale_invariant(self, ball):
-        # SciPy's breakdown tests are absolute; tiny data must still converge
+        # the breakdown tests are absolute; tiny data must still converge
         g = np.prod(ball.boundary_normal, axis=1)
         u = L.solve_dirichlet(ball, g).interior
         for factor in (1e-12, 1e12):
             scaled = L.solve_dirichlet(ball, factor * g).interior / factor
             assert np.abs(scaled - u).max() <= 1e-12 * np.abs(u).max()
 
+    def test_loop_matches_scipy(self, ball):
+        # the loop keeps SciPy's recurrences and tests: the same info and
+        # iterations (a final half step counting as one), and the solution up
+        # to the order in which the inner products add their terms
+        mg = L._operator(dataclasses.replace(ball)).backend
+        swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        for A, cycle, b, expect_info in [
+                (mg.matrix, mg.cycle, np.random.default_rng(5).normal(size=mg.matrix.shape[0]), 0),
+                # rtilde . A b = 0 in the first step: a breakdown, info -11
+                (swap, lambda r: r, np.array([1.0, 0.0]), -11),
+                (sp.identity(3, format="csr"), lambda r: r, np.zeros(3), 0)]:
+            x, info, iterations = L._bicgstab(A, cycle, b)
+            applied = []
+            M = spla.LinearOperator(A.shape, lambda r: applied.append(1) or cycle(r),
+                                    dtype=float)
+            expect, scipy_info = spla.bicgstab(A, b, rtol=L.KRYLOV_RTOL, atol=0.0, M=M)
+            assert info == scipy_info == expect_info
+            assert iterations == (len(applied) + 1) // 2
+            assert np.abs(x - expect).max() <= 1e-13 * max(np.abs(expect).max(), 1.0)
+
     @pytest.mark.parametrize("info, message", [
-        (417, "did not converge in 417 iterations"), (-10, "broke down")])
+        (417, "did not converge in 417 iterations"), (-10, "broke down"),
+        (-11, r"broke down \(info -11\) after 3 iterations")])
     def test_failure_is_named(self, ball, monkeypatch, info, message):
-        monkeypatch.setattr(L.spla, "bicgstab",
-                            lambda A, b, **kwargs: (np.zeros_like(b), info))
+        monkeypatch.setattr(L, "_bicgstab",
+                            lambda A, M, b: (np.zeros_like(b), info, 3))
         before = L.solver_stats(ball)
         with pytest.raises(L.SolverError, match=message) as err:
             L.solve_dirichlet(ball, ball.boundary_normal[:, 0])
@@ -465,6 +488,76 @@ class TestReplacedDomain:
     def test_cache_is_not_an_argument(self, disk):
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(disk, _cache={})
+
+
+class TestSolveAhead:
+    """``solve_basis`` hands a 3D domain's backend solves after the first to
+    worker threads; the fields, the solve record and the first error are
+    those of solving one extension after another on the calling thread."""
+
+    @staticmethod
+    def serial(dom):
+        for key in sorted(L._basis(dom.dim)):
+            L._normal_monomial(dom, key)
+
+    @pytest.mark.parametrize("cpus", [None, 8], ids=["every_cpu", "8_workers"])
+    def test_equals_serial(self, ball, monkeypatch, cpus):
+        if cpus:
+            monkeypatch.setattr(L.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        threads = set()
+        loop = L._bicgstab
+        monkeypatch.setattr(L, "_bicgstab", lambda *args: threads.add(
+            threading.current_thread()) or loop(*args))
+        ahead, serial = dataclasses.replace(ball), dataclasses.replace(ball)
+        interval = sys.getswitchinterval()
+        # 8: more workers than cores, switching threads every microsecond
+        sys.setswitchinterval(1e-6 if cpus else interval)
+        try:
+            L.solve_basis(ahead)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threads - {threading.current_thread()}
+        self.serial(serial)
+        memo = L._operator(ahead).monomials
+        assert memo.keys() == L._basis(3)
+        for key, field in L._operator(serial).monomials.items():
+            assert np.array_equal(memo[key].interior, field.interior)
+            assert np.array_equal(memo[key].boundary, field.boundary)
+        assert L.solver_stats(ahead) == L.solver_stats(serial)
+        assert L.solver_stats(ahead)["solves"] == 10
+        assert not L._operator(ahead).ahead and "backend" not in vars(L._operator(ahead))
+
+    def test_failure_is_the_serial_one(self, ball, monkeypatch):
+        # the loop fails on the data of H[nu_0 nu_1 nu_2], the 6th of the 10
+        # solves in sorted order, as a solve of that extension hands them over
+        failing = (0, 1, 2)
+        loop = L._bicgstab
+        seen = []
+        monkeypatch.setattr(L, "_bicgstab", lambda A, M, b: seen.append(b) or loop(A, M, b))
+        L.solve_dirichlet(dataclasses.replace(ball), L._monomial_values(ball, failing))
+        monkeypatch.setattr(L, "_bicgstab", lambda A, M, b: (
+            (np.zeros_like(b), 417, 417) if np.array_equal(b, seen[0]) else loop(A, M, b)))
+        errors, stats = [], []
+        for run in (L.solve_basis, self.serial):
+            dom = dataclasses.replace(ball)
+            with pytest.raises(L.SolverError, match="417 iterations") as err:
+                run(dom)
+            errors.append((str(err.value), err.value.residual))
+            stats.append(L.solver_stats(dom))
+            op = L._operator(dom)
+            assert failing not in op.monomials and not op.ahead
+        assert errors[0] == errors[1]
+        assert stats[0] == stats[1]
+        assert stats[0]["solves"] == 5
+
+    def test_disk_solves_on_the_calling_thread(self, disk_coarse, monkeypatch):
+        threads = set()
+        solve = L._DissectedLU.solve
+        monkeypatch.setattr(L._DissectedLU, "solve", lambda self, rhs: threads.add(
+            threading.current_thread()) or solve(self, rhs))
+        L.solve_basis(dataclasses.replace(disk_coarse))
+        assert threads == {threading.current_thread()}
 
 
 def _count_backend_builds(monkeypatch) -> list:
