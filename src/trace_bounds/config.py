@@ -17,11 +17,12 @@ parameters (radius | a,b[,c] | r_in,r_out | expression,dim,bbox), ``h``
 ``tasks`` (comma list of sobolev, ld, battery, matnorm-verify,
 optimal-bc-sweep, each at most once; they run in that order, ``TASKS``),
 ``output`` (directory), ``seed`` (int >= 0), ``samples`` (matnorm sample
-count), ``steps`` (theta sweep). Only ``kind`` and ``h`` are required; the
-defaults are ``RunConfig``'s, and a level set's ``DomainSpec.levelset``'s.
-They are required whatever the tasks: a config that lists only the
-domain-free tasks builds no level, optimal-bc-sweep reads only the domain's
-dimension, and matnorm-verify reads nothing of the domain.
+count), ``steps`` (theta sweep). ``kind``, ``h`` and a canonical kind's
+sizes are required; the defaults are ``RunConfig``'s, and a level set's
+``DomainSpec.levelset``'s. They are required whatever the tasks: a config
+that lists only the domain-free tasks builds no level, optimal-bc-sweep
+reads only the domain's dimension, and matnorm-verify reads nothing of the
+domain.
 """
 
 from __future__ import annotations

@@ -841,17 +841,16 @@ def tensor_divergence(field: Field) -> Field:
 
 
 def check_sup_on_boundary(name: str, domain: Domain, interior: np.ndarray,
-                          boundary: np.ndarray,
-                          error: type[CheckError] = CheckError) -> tuple[float, float]:
+                          boundary: np.ndarray) -> tuple[float, float]:
     """Boundary and closure sups of nonnegative nodal magnitudes, checked for the
     maximum principle: a closure sup more than 10h times itself above the
-    boundary sup raises ``error`` naming the interior node that attains it."""
+    boundary sup raises CheckError naming the interior node that attains it."""
     sup_b = float(boundary.max())
     sup_c = max(sup_b, float(interior.max()))
     tol = 10.0 * domain.h * max(sup_c, 1e-300)
     if sup_c - sup_b > tol:
         node = int(interior.argmax())
-        raise error(
+        raise CheckError(
             f"{name} sup {sup_c:.6f} not attained on the boundary "
             f"(boundary {sup_b:.6f}, tol {tol:.2e}) at "
             f"{domain.interior_coords[node].tolist()}, interior node {node}")

@@ -25,15 +25,10 @@ import numpy as np
 from .geometry import CheckError
 
 __all__ = [
-    "NormEquivalenceError",
     "symmetric_norms",
     "EquivalenceRow",
     "verify_equivalence_constants",
 ]
-
-
-class NormEquivalenceError(CheckError):
-    pass
 
 
 def _check_sym(T: np.ndarray) -> np.ndarray:
@@ -113,8 +108,8 @@ def verify_equivalence_constants(n: int, sample_count: int,
 
     Samples ``sample_count`` random symmetric matrices (entries uniform in
     [-1, 1]) plus structured seeds, and asserts every ratio lies inside its
-    exact interval. Raises NormEquivalenceError naming the first offending
-    matrix; returns the observed extreme ratios per pair.
+    exact interval. Raises CheckError naming the first offending matrix;
+    returns the observed extreme ratios per pair.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -135,7 +130,7 @@ def verify_equivalence_constants(n: int, sample_count: int,
         bad_high = ratio > upper_bound * (1.0 + slack) + slack
         if bad_low.any() or bad_high.any():
             which = np.flatnonzero(valid)[np.flatnonzero(bad_low | bad_high)[0]]
-            raise NormEquivalenceError(
+            raise CheckError(
                 f"{num}/{den} = {float(norms[num][which] / norms[den][which]):.15g} "
                 f"outside [{lower_bound:.15g}, {upper_bound:.15g}] for matrix "
                 f"{mats[which].tolist()}")

@@ -199,7 +199,6 @@ def sweep_theta(norm: str, steps: int, dim: int) -> dict:
     brute = np.concatenate([brute_force_optimal(nu[i:i + chunk], t[i:i + chunk], norm)
                             for i in range(0, steps, chunk)])
     return {
-        "norm": norm,
         "theta": thetas,
         "closed_form": closed,
         "max_closed_form": float(closed.max()),

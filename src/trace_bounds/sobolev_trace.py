@@ -31,17 +31,12 @@ from .geometry import CheckError, Domain, Field, integrate_boundary, integrate_v
 
 __all__ = [
     "NormalField",
-    "NormalFieldError",
     "TraceReport",
     "harmonic_normal_field",
     "verify_trace_inequality",
     "ordered_sum",
     "trace_slack",
 ]
-
-
-class NormalFieldError(CheckError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -56,28 +51,23 @@ class NormalField:
 
 def harmonic_normal_field(domain: Domain) -> NormalField:
     """Assemble n0 from the harmonic extensions H[nu_j] and validate Def.-style
-    normal-field conditions: boundary values equal nu, |n0| <= 1 (+5h) on the
-    closure, and the divergence attains its closure sup on the boundary."""
+    normal-field conditions, raising CheckError: |n0| <= 1 (+5h) on the
+    closure, and the divergence attains its closure sup on the boundary. The
+    boundary values equal nu by construction: they are the Dirichlet data."""
     comps = [laplace._normal_monomial(domain, (j,)) for j in range(domain.dim)]
     n0 = Field(domain, np.stack([c.interior for c in comps], axis=1),
                np.stack([c.boundary for c in comps], axis=1))
-
-    bnd_err = np.abs(n0.boundary - domain.boundary_normal).max()
-    if bnd_err > 1e-9:
-        raise NormalFieldError(
-            f"normal field boundary condition violated by {bnd_err:.3e}")
 
     magnitude = np.sqrt(sum(c * c for c in n0.interior.T))
     limit = 1.0 + 5.0 * domain.h
     if magnitude.size and magnitude.max() > limit:
         where = domain.interior_coords[int(magnitude.argmax())]
-        raise NormalFieldError(
+        raise CheckError(
             f"|n0| = {magnitude.max():.6f} exceeds {limit:.6f} at {where.tolist()}")
 
     div = laplace.divergence(n0)
     sup_bnd, sup_cl = laplace.check_sup_on_boundary(
-        "divergence", domain, np.abs(div.interior), np.abs(div.boundary),
-        NormalFieldError)
+        "divergence", domain, np.abs(div.interior), np.abs(div.boundary))
     return NormalField(field=n0, divergence=div,
                        sup_div_boundary=sup_bnd, sup_div_closure=sup_cl)
 

@@ -86,7 +86,7 @@ def test_criterion_2_iso_bound_consistency(disk, ball, ellipse, annulus, neck):
     # the neck has four re-entrant corners, so its continuum B is infinite:
     # this B is the corner-driven grid value, 10.5104 at h 0.05 and 12.3971
     # at h 0.025 (the fixture's), and at h 0.0125 harmonic_normal_field
-    # raises NormalFieldError ("divergence sup 21.96 not attained on the
+    # raises CheckError ("divergence sup 21.96 not attained on the
     # boundary"). The clause holds for the grid value, not a continuum one.
     B = S.harmonic_normal_field(neck).sup_div_boundary
     iso_bound = neck.area / neck.volume
@@ -125,7 +125,7 @@ def test_criterion_4_matrix_norm_relations():
         try:
             rows = M.verify_equivalence_constants(n, 10000, seed=20240401)
             ok, msg = True, f"0 violations over 10^4 seeded samples (n={n})"
-        except M.NormEquivalenceError as exc:
+        except G.CheckError as exc:
             ok, msg = False, str(exc)
         check(lines, f"no_violations_n{n}", ok, msg)
 

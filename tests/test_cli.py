@@ -444,14 +444,14 @@ tasks = ld
         assert report["error"]["type"] == "check"
         assert "not attained on the boundary" in report["error"]["message"]
         assert f"at {spikes[0]}" in report["error"]["message"]
-        with pytest.raises(sobolev_trace.NormalFieldError):
+        with pytest.raises(G.CheckError):
             sobolev_trace.harmonic_normal_field(
                 G.build_domain(G.DomainSpec.disk(1.0, 0.04)))
 
     def test_norm_equivalence_violation_is_a_failed_check(self, tmp_path, monkeypatch,
                                                           capsys):
         # an interval no ratio meets: a run reports a failed check, exit 4,
-        # and names the NormEquivalenceError on stderr
+        # and names the CheckError on stderr
         monkeypatch.setattr(cli.matnorm, "_bounds", lambda n: [("op2", "op1", 10.0, 11.0)])
         cfg = C.parse_config("kind = disk\nradius = 1.0\nh = 0.1\nsamples = 100\n"
                              "tasks = matnorm-verify")

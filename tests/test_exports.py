@@ -1,14 +1,16 @@
 import ast
 import importlib
 import inspect
+import math
 import pathlib
 import pkgutil
+import re
 import sys
 
 import pytest
 
 import trace_bounds
-from trace_bounds import cli, laplace
+from trace_bounds import cli, config, laplace
 
 # the library modules: __main__ is the command-line entry script, with no
 # public names
@@ -19,6 +21,29 @@ MODULES = ["trace_bounds"] + [f"trace_bounds.{m.name}"
 # functions no run calls that stay public: perfbench's tracer looks gradient up
 # by name and wraps it (perfbench/child.py, Tracer.install)
 NOT_RUN = {laplace.gradient}
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_each_public_name_has_one_import_path():
+    # every name is imported from its module, but for the two that
+    # perfbench/child.py reads off the package
+    assert trace_bounds.__all__ == ["load_config"]
+    assert trace_bounds.cli is cli
+    assert trace_bounds.load_config is config.load_config
+    public = {attr for name in MODULES[1:] for attr in importlib.import_module(name).__all__}
+    assert sorted(n for n in public - {"load_config"} if hasattr(trace_bounds, n)) == []
+
+
+def test_readme_library_example(capsys):
+    # the README block as written, run against the package's import paths
+    section = README.read_text().split("## Library example", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(example, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert abs(float(lines[0]) - 2.0) <= 1e-12
+    assert float(lines[2].split()[0]) == 2.0 * math.sqrt(2.0)
 
 
 @pytest.mark.parametrize("name", MODULES)
