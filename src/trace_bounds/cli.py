@@ -40,6 +40,7 @@ import functools
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple
 
 import numpy as np
@@ -305,13 +306,29 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
     tasks = {}     # task -> its report block
     records = []   # the solve record of every level built
 
-    def run_level(h: float, battery: bool) -> None:
-        """The one level loop's body: build level h, solve its normal-monomial
-        basis if a task reads all of it, and run on it every per-level task,
-        then the battery if ``battery``. Only the blocks, the checks and the
-        solve record outlive this call: the domain and every result on it are
-        freed when it returns."""
-        domain = build_domain(config.domain_at(h))
+    def prepare(h: float, battery: bool) -> Domain | Exception:
+        """Build level h and, if a task reads its whole basis, hand the
+        basis solves to the workers. An error is returned, not raised:
+        ``run_level`` raises it at the level's turn, after every level
+        before it has run, so the report and exit code are those of running
+        the levels one after another."""
+        try:
+            domain = build_domain(config.domain_at(h))
+            if "ld" in levels or battery:
+                laplace.hand_off_basis(domain, workers)
+            return domain
+        except Exception as exc:
+            return exc
+
+    def run_level(level: Domain | Exception, battery: bool) -> None:
+        """The one level loop's body: take the prepared level's
+        normal-monomial basis if a task reads all of it, and run on it every
+        per-level task, then the battery if ``battery``. Only the blocks,
+        the checks and the solve record outlive this call: the domain and
+        every result on it are freed when it returns."""
+        if isinstance(level, Exception):
+            raise level
+        domain = level
         try:
             if "ld" in levels or battery:
                 # the whole basis before any task: its completion drops the
@@ -327,13 +344,26 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
         finally:
             records.append(laplace.solver_stats(domain))
 
+    # the levels a task reads, coarsest first; the battery reads the finest
+    plan = [(h, "battery" in checks and h == config.h_levels[-1])
+            for h in config.h_levels]
+    plan = [(h, battery) for h, battery in plan if levels or battery]
+    # In 3D level i + 1 is built and handed off before level i is taken, so
+    # its build overlaps level i's solves and its solves level i's tasks; at
+    # most two levels are alive. 2D runs one level at a time, since the LU
+    # factorization, its one long step, holds the GIL.
+    ahead = 1 if config.domain.dim == 3 else 0
+    prepared = {}   # plan index -> its level, built and handed off
+    # one worker per CPU this process may run on; sched_getaffinity is Linux only
+    workers = ThreadPoolExecutor(len(os.sched_getaffinity(0))
+                                 if hasattr(os, "sched_getaffinity") else os.cpu_count())
     code = EXIT_OK
     try:
-        for h in config.h_levels:
-            # the battery reads only the finest level
-            battery = "battery" in checks and h == config.h_levels[-1]
-            if levels or battery:
-                run_level(h, battery)
+        for i, (_, battery) in enumerate(plan):
+            for j in range(i, min(i + 1 + ahead, len(plan))):
+                if j not in prepared:
+                    prepared[j] = prepare(*plan[j])
+            run_level(prepared.pop(i), battery)
         for task, run in (("matnorm-verify", _task_matnorm),
                           ("optimal-bc-sweep", _task_sweep)):
             if task in checks:
@@ -346,6 +376,10 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
     except (GeometryError, CheckError) as exc:
         report["error"] = {"type": "check", "message": str(exc)}
         code = EXIT_CHECK_FAILED
+    finally:
+        # after a failure: cancel the solves not started, and wait for the
+        # running ones
+        workers.shutdown(cancel_futures=True)
 
     # the refinement summary of each per-level task, over the levels it
     # completed, also when the run failed part way

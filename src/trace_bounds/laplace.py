@@ -122,8 +122,7 @@ one level's domain and solver state at a time.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future
 from functools import cached_property
 from typing import NamedTuple
 
@@ -136,6 +135,7 @@ from .geometry import CheckError, Domain, Field, GeometryError
 __all__ = [
     "SolverError",
     "solve_dirichlet",
+    "hand_off_basis",
     "solve_basis",
     "gradient",
     "divergence",
@@ -725,39 +725,45 @@ def _normal_monomial(domain: Domain, axes: tuple[int, ...]) -> Field:
     return field
 
 
+def hand_off_basis(domain: Domain, workers: Executor) -> None:
+    """The first of a basis's two steps, ``solve_basis`` the second. In 3D:
+    build the backend on this thread, then submit to ``workers`` the backend
+    solve (``solve_black``) of every basis extension that is neither
+    memoized nor derived, the first one included. Each worker reduces its
+    data and runs the backend, which it only reads, and nothing else. In 2D
+    it does nothing: an LU solve is cheap next to the factorization the
+    first one makes, and SuperLU holds the GIL while it factors."""
+    if domain.dim != 3:
+        return
+    op = _operator(domain)
+    missing = [key for key in sorted(_basis(domain.dim))
+               if key not in op.monomials and not _derived(key, domain.dim)]
+    if missing:
+        op.backend   # built here, before any worker reads it
+    for key in missing:
+        g = _monomial_values(domain, key)
+        op.ahead[g.tobytes()] = workers.submit(op.solve_black, g)
+
+
 def solve_basis(domain: Domain) -> None:
     """Memoize every normal-monomial extension of the basis (``_basis``), in
     sorted key order, which puts each derived extension after its partners.
 
-    In 3D the first missing solve builds the backend on this thread. The
-    backend solves of the others are then handed to a pool of one worker per
-    CPU this process may run on: each worker reduces its data and runs the
-    backend (``solve_black``), nothing else. Each extension is still one
-    ``solve_dirichlet`` call on this thread, in the same order, which takes
-    the result solved ahead, back-substitutes, verifies and records it. So
-    the fields, the solve record and the first error are those of solving
-    one after another. In 2D the solves run one after another: an LU solve
-    is cheap next to the factorization the first one makes."""
+    Each extension is one ``solve_dirichlet`` call on this thread, which
+    takes the result that ``hand_off_basis`` solved ahead for its data, or
+    solves now if there is none, then back-substitutes, verifies and records
+    it. So the fields, the solve record and the first error are those of
+    solving one after another, whether the solves were handed off or not.
+    After a failure the handed-off solves not taken are cancelled if they
+    have not started, and dropped."""
     op = _operator(domain)
-    keys = sorted(_basis(domain.dim))
-    missing = [key for key in keys
-               if key not in op.monomials and not _derived(key, domain.dim)]
-    # sched_getaffinity is Linux only
-    workers = ThreadPoolExecutor(len(os.sched_getaffinity(0))
-                                 if hasattr(os, "sched_getaffinity") else os.cpu_count())
     try:
-        if domain.dim == 3 and len(missing) > 1:
-            _normal_monomial(domain, missing[0])
-            for key in missing[1:]:
-                g = _monomial_values(domain, key)
-                op.ahead[g.tobytes()] = workers.submit(op.solve_black, g)
-        for key in keys:
+        for key in sorted(_basis(domain.dim)):
             _normal_monomial(domain, key)
     finally:
-        # after a failed solve: drop the results not taken, cancel the solves
-        # not started and wait for the running ones
+        for future in op.ahead.values():
+            future.cancel()
         op.ahead.clear()
-        workers.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import weakref
 from functools import cached_property
 
@@ -528,7 +529,7 @@ def no_cyclic_gc():
 class TestLevelByLevel:
     """The ladder is evaluated one level at a time, coarsest first: a level
     is built only if a task reads it, and freed, by reference counting
-    alone, before the next one is built."""
+    alone, before the next one is built; in 3D, before the one after it."""
 
     def _watch_builds(self, monkeypatch) -> tuple[list, list]:
         """Patch cli.build_domain; returns the weak references to the domains
@@ -552,6 +553,15 @@ class TestLevelByLevel:
                              "tasks = sobolev, ld, battery")
         assert cli.run_config(cfg, outdir=str(tmp_path))[0] == cli.EXIT_OK
         assert alive == [[], [False], [False, False]]
+
+    def test_3d_builds_one_level_ahead(self, tmp_path, monkeypatch, no_cyclic_gc):
+        # level k + 1 is built while level k is alive, and level k is freed
+        # before level k + 2 is built
+        built, alive = self._watch_builds(monkeypatch)
+        cfg = C.parse_config("kind = ball\nradius = 1.0\nh = 0.15, 0.125, 0.1\n"
+                             "tasks = sobolev, ld, battery")
+        assert cli.run_config(cfg, outdir=str(tmp_path))[0] == cli.EXIT_OK
+        assert alive == [[], [True], [False, True]]
 
     def test_no_domain_outlives_the_run(self, tmp_path, monkeypatch, no_cyclic_gc):
         built, _ = self._watch_builds(monkeypatch)
@@ -596,6 +606,104 @@ class TestLevelByLevel:
         assert report["tasks"]["battery"]["h"] == 0.04
         # the normal field's 2 and the e_k stresses' 2 more, on that level only
         assert report["solver_stats"]["solves"] == 4
+
+
+BALL_LADDER = "kind = ball\nradius = 1.0\nh = 0.15, 0.1\ntasks = sobolev, ld"
+
+
+def _fail_coarse_ld(monkeypatch):
+    """A CheckError from the ld task on the ball ladder's coarse level."""
+    from trace_bounds import laplace
+    real = laplace.tensor_divergence
+
+    def failing(field):
+        if field.domain.h == 0.15:
+            raise G.CheckError("forced check failure on the coarse level")
+        return real(field)
+
+    monkeypatch.setattr(laplace, "tensor_divergence", failing)
+
+
+def _fail_fine_build(monkeypatch):
+    """A GeometryError from the build of the ball ladder's fine level: its
+    grid exceeds the node cap, the coarse one's does not."""
+    monkeypatch.setattr(G, "DEFAULT_NODE_CAP", 20_000)
+
+
+def _fail_fine_solve(monkeypatch):
+    """A SolverError from a Krylov solve on the fine level's data."""
+    from trace_bounds import laplace
+    coarse = laplace._operator(G.build_domain(G.DomainSpec.ball(1.0, 0.15))).black.size
+    loop = laplace._bicgstab
+    monkeypatch.setattr(laplace, "_bicgstab", lambda A, M, b: (
+        (np.zeros_like(b), 417, 417) if b.size > coarse else loop(A, M, b)))
+
+
+def _fail_fine_backend(monkeypatch):
+    """A SolverError from the build of the fine level's multigrid backend."""
+    from trace_bounds import laplace
+    coarse = laplace._operator(G.build_domain(G.DomainSpec.ball(1.0, 0.15))).black.size
+    multigrid = laplace._Multigrid.__init__
+
+    def failing(self, matrix, ijk):
+        if matrix.shape[0] > coarse:
+            raise laplace.SolverError("forced backend failure")
+        multigrid(self, matrix, ijk)
+
+    monkeypatch.setattr(laplace._Multigrid, "__init__", failing)
+
+
+FINE_FAILURES = {"node_cap": (_fail_fine_build, cli.EXIT_CHECK_FAILED),
+                 "krylov": (_fail_fine_solve, cli.EXIT_SOLVER),
+                 "backend": (_fail_fine_backend, cli.EXIT_SOLVER)}
+
+
+def _stripped(report: dict) -> dict:
+    return {key: value for key, value in report.items() if key != "generated_at"}
+
+
+class TestLookAhead:
+    """In 3D the level after the current one is built and its basis solves
+    handed off early, but its failures are raised at its turn: the report
+    and the exit code are those of running the levels one after another,
+    and the run's worker threads are gone when it returns."""
+
+    @pytest.mark.parametrize("fail_fine", FINE_FAILURES, ids=list(FINE_FAILURES))
+    def test_a_fine_level_failure_waits_for_its_turn(self, tmp_path, monkeypatch,
+                                                     fail_fine):
+        inject, exit_code = FINE_FAILURES[fail_fine]
+        inject(monkeypatch)
+        code, report = cli.run_config(C.parse_config(BALL_LADDER), outdir=str(tmp_path))
+        assert code == exit_code
+        # the coarse level ran every task and kept its record
+        for task in ("sobolev", "ld"):
+            assert [level["h"] for level in report["tasks"][task]["levels"]] == [0.15]
+        assert report["solver_stats"]["solves"] == 10
+        assert "ld.B_refinement_agreement" not in [c["name"] for c in report["checks"]]
+
+    @pytest.mark.parametrize("fail_fine", FINE_FAILURES, ids=list(FINE_FAILURES))
+    def test_a_coarse_failure_wins_over_the_fine_level_failure(
+            self, tmp_path, monkeypatch, fail_fine):
+        cfg = C.parse_config(BALL_LADDER)
+        _fail_coarse_ld(monkeypatch)
+        alone = cli.run_config(cfg, outdir=str(tmp_path / "coarse"))
+        FINE_FAILURES[fail_fine][0](monkeypatch)
+        both = cli.run_config(cfg, outdir=str(tmp_path / "both"))
+        assert alone[0] == both[0] == cli.EXIT_CHECK_FAILED
+        assert both[1]["error"]["message"] == "forced check failure on the coarse level"
+        assert _stripped(both[1]) == _stripped(alone[1])
+
+    @pytest.mark.parametrize("failure", [None, "coarse_check", *FINE_FAILURES])
+    def test_no_worker_outlives_the_run(self, tmp_path, monkeypatch, failure):
+        if failure == "coarse_check":
+            _fail_coarse_ld(monkeypatch)
+        elif failure:
+            FINE_FAILURES[failure][0](monkeypatch)
+        before = set(threading.enumerate())
+        code, _ = cli.run_config(C.parse_config(BALL_LADDER + ", battery"),
+                                 outdir=str(tmp_path))
+        assert (code == cli.EXIT_OK) == (failure is None)
+        assert set(threading.enumerate()) == before
 
 
 class TestMain:

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
+import os
 import re
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 
 import numpy as np
@@ -491,20 +493,26 @@ class TestReplacedDomain:
 
 
 class TestSolveAhead:
-    """``solve_basis`` hands a 3D domain's backend solves after the first to
-    worker threads; the fields, the solve record and the first error are
-    those of solving one extension after another on the calling thread."""
+    """``hand_off_basis`` hands a 3D domain's backend solves to worker
+    threads and ``solve_basis`` takes them; the fields, the solve record and
+    the first error are those of solving one extension after another on the
+    calling thread."""
 
     @staticmethod
     def serial(dom):
         for key in sorted(L._basis(dom.dim)):
             L._normal_monomial(dom, key)
 
-    @pytest.mark.parametrize("cpus", [None, 8], ids=["every_cpu", "8_workers"])
-    def test_equals_serial(self, ball, monkeypatch, cpus):
-        if cpus:
-            monkeypatch.setattr(L.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
+    @staticmethod
+    def ahead(dom, workers=None):
+        """The basis handed off to a pool of ``workers`` threads (one per CPU
+        if None), then taken."""
+        with ThreadPoolExecutor(workers or os.cpu_count()) as pool:
+            L.hand_off_basis(dom, pool)
+            L.solve_basis(dom)
+
+    @pytest.mark.parametrize("workers", [None, 8], ids=["every_cpu", "8_workers"])
+    def test_equals_serial(self, ball, monkeypatch, workers):
         threads = set()
         loop = L._bicgstab
         monkeypatch.setattr(L, "_bicgstab", lambda *args: threads.add(
@@ -512,9 +520,9 @@ class TestSolveAhead:
         ahead, serial = dataclasses.replace(ball), dataclasses.replace(ball)
         interval = sys.getswitchinterval()
         # 8: more workers than cores, switching threads every microsecond
-        sys.setswitchinterval(1e-6 if cpus else interval)
+        sys.setswitchinterval(1e-6 if workers else interval)
         try:
-            L.solve_basis(ahead)
+            self.ahead(ahead, workers)
         finally:
             sys.setswitchinterval(interval)
         assert threads - {threading.current_thread()}
@@ -539,7 +547,7 @@ class TestSolveAhead:
         monkeypatch.setattr(L, "_bicgstab", lambda A, M, b: (
             (np.zeros_like(b), 417, 417) if np.array_equal(b, seen[0]) else loop(A, M, b)))
         errors, stats = [], []
-        for run in (L.solve_basis, self.serial):
+        for run in (self.ahead, self.serial):
             dom = dataclasses.replace(ball)
             with pytest.raises(L.SolverError, match="417 iterations") as err:
                 run(dom)
@@ -556,7 +564,7 @@ class TestSolveAhead:
         solve = L._DissectedLU.solve
         monkeypatch.setattr(L._DissectedLU, "solve", lambda self, rhs: threads.add(
             threading.current_thread()) or solve(self, rhs))
-        L.solve_basis(dataclasses.replace(disk_coarse))
+        self.ahead(dataclasses.replace(disk_coarse))
         assert threads == {threading.current_thread()}
 
 
