@@ -512,6 +512,88 @@ class TestVolumeSweep:
 # Reference closed forms per kind: phi, and an outward direction whose
 # normalization is the exact normal. The SHAPES templates must give the same
 # domain bit for bit.
+def bisection_oracle(phi, pos_in, pos_out):
+    """The crossing parameters by 60 halvings of [0, 1], phi >= 0 counting as
+    outside, and t = 1 where raw phi is negative at the outside end."""
+    lo, hi = np.zeros(len(pos_in)), np.ones(len(pos_in))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        went_out = phi(pos_in + mid[:, None] * (pos_out - pos_in), False)[0] >= 0
+        lo, hi = np.where(went_out, lo, mid), np.where(went_out, mid, hi)
+    t = 0.5 * (lo + hi)
+    t[phi(pos_out, False)[0] < 0] = 1.0
+    return t
+
+
+CROSSING_SPECS = {
+    **{name: SWEEP_SPECS[name] for name in ("disk", "annulus", "torus", "neck")},
+    # lattice points on the sphere, such as (-0.8, 0.6, 0): exact roots
+    "ball": G.DomainSpec.ball(1.0, 0.05),
+    "ellipsoid": G.DomainSpec.ellipsoid(1.2, 0.9, 0.7, 0.1),
+    "kink": G.DomainSpec.levelset("abs(x) + y^2 - 1", 0.1, 2, (-2.0, 2.0)),
+}
+
+
+def _segments(spec, monkeypatch):
+    """The domain and the (phi, pos_in, pos_out) its crossing search got."""
+    search, seen = G._crossing_parameters, []
+    monkeypatch.setattr(G, "_crossing_parameters",
+                        lambda *args: seen.append(args) or search(*args))
+    return G.build_domain(spec), seen[0]
+
+
+class TestCrossingSearch:
+    """The search ends where 60 halvings do, to 1e-12 h, with under a third
+    of their evaluations of phi, and build_domain rejects a crossing off
+    phi = 0."""
+
+    @pytest.mark.parametrize("name", CROSSING_SPECS)
+    def test_matches_bisection(self, name, monkeypatch):
+        spec = CROSSING_SPECS[name]
+        dom, (phi, pos_in, pos_out) = _segments(spec, monkeypatch)
+        t = bisection_oracle(phi, pos_in, pos_out)
+        oracle = pos_in + t[:, None] * (pos_out - pos_in)
+        assert np.abs(dom.boundary_pos - oracle).max() <= 1e-12 * spec.h
+
+    def test_exact_roots_are_covered(self, monkeypatch):
+        # raw phi is exactly 0 at some grid nodes of the ball at h 0.05, which
+        # the snap puts outside, and at points of many segments
+        dom, (phi, pos_in, pos_out) = _segments(CROSSING_SPECS["ball"], monkeypatch)
+        on_sphere = phi(pos_out, False)[0] == 0
+        assert [-0.8, 0.6, 0.0] in np.round(pos_out[on_sphere], 12).tolist()
+        assert (phi(dom.boundary_pos, False)[0] == 0).sum() > dom.n_boundary // 4
+
+    def test_evaluates_phi_under_a_third_as_often(self, monkeypatch):
+        points = []
+        compile_expression = G._compile_expression
+
+        def counted(text, dim):
+            phi = compile_expression(text, dim)
+            return lambda p, grad: points.append(len(p)) or phi(p, grad)
+
+        monkeypatch.setattr(G, "_compile_expression", counted)
+        dom = G.build_domain(CROSSING_SPECS["ball"])
+        # the grid, the search and the normals; bisection evaluates 61 per
+        # segment, the search about 17
+        search = sum(points[1:-1])
+        assert search <= 20 * dom.n_boundary
+
+    def test_crossing_off_the_level_set_raises(self, monkeypatch):
+        # a search that, at an exact zero, returned the midpoint of its
+        # bracket [t, 1] instead of t
+        search = G._crossing_parameters
+
+        def midpoint_after_zero(phi, pos_in, pos_out):
+            t = search(phi, pos_in, pos_out)
+            zero = phi(pos_in + t[:, None] * (pos_out - pos_in), False)[0] == 0
+            return np.where(zero & (t < 1), 0.5 * (t + 1), t)
+
+        monkeypatch.setattr(G, "_crossing_parameters", midpoint_after_zero)
+        with pytest.raises(G.GeometryError,
+                           match=r"boundary crossing at \[.*\] is off the level set"):
+            G.build_domain(G.DomainSpec.ball(1.0, 0.1))
+
+
 def per_kind_formulas(spec):
     sizes = dict(spec.sizes)
     if spec.kind in ("disk", "ball"):
