@@ -9,18 +9,25 @@ One command::
 
     trace-bounds run <config> [--output DIR]   # or: python -m trace_bounds run ...
 
-Tasks run in ``config.TASKS`` order. One level loop takes the h levels one
-at a time, coarsest first. It builds a level only if a task reads it (the
+Tasks run in ``config.TASKS`` order. One level loop takes the h levels in
+turn, coarsest first. It builds a level only if a task reads it (the
 per-level tasks sobolev and ld read every level, the battery the finest
 only), runs those tasks on it, and keeps their report blocks and checks and
 the level's solve record: the level's domain and solver state are freed
-before the next level is built. A level that ld or the battery reads solves
-its whole normal-monomial basis before any task runs on it, so its solver
-backend is freed before any task post-processes. Each per-level task's
-refinement summary follows the loop. A run that fails keeps every check
-added so far and each per-level task's blocks of the levels it completed,
-extrapolated over those levels' own h (null below two); the ld refinement
-check and ld_bounds.csv need every level.
+when its turn ends. A level that ld or the battery reads takes its whole
+normal-monomial basis before any task runs on it, so its solver backend is
+freed before any task post-processes. A run owns one pool of worker
+threads, one per CPU it may run on. In 3D the loop builds level k + 1 and
+hands its basis solves to the pool before it takes level k's, so the build
+overlaps level k's solves and level k's tasks overlap level k + 1's solves,
+with at most two levels alive; an error in preparing level k + 1 is raised
+at its turn, so reports and exit codes are those of one level at a time.
+2D runs, and 3D runs that hand off no basis (sobolev alone) run, one level
+at a time. Each per-level task's refinement summary
+follows the loop. A run that fails keeps every check added so far and each
+per-level task's blocks of the levels it completed, extrapolated over those
+levels' own h (null below two); the ld refinement check and ld_bounds.csv
+need every level.
 Exit codes: 0 all checks passed; 2 configuration error, an output path that
 cannot be created or written included ("output error: ..." on stderr); 3
 solver failure ("solver error: ..." on stderr); 4 at least one verification
@@ -317,7 +324,7 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
             if "ld" in levels or battery:
                 laplace.hand_off_basis(domain, workers)
             return domain
-        except Exception as exc:
+        except Exception as exc:   # raised by run_level, with its traceback
             return exc
 
     def run_level(level: Domain | Exception, battery: bool) -> None:
@@ -350,9 +357,10 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
     plan = [(h, battery) for h, battery in plan if levels or battery]
     # In 3D level i + 1 is built and handed off before level i is taken, so
     # its build overlaps level i's solves and its solves level i's tasks; at
-    # most two levels are alive. 2D runs one level at a time, since the LU
-    # factorization, its one long step, holds the GIL.
-    ahead = 1 if config.domain.dim == 3 else 0
+    # most two levels are alive. A run that hands off no basis (sobolev
+    # alone) would gain nothing, and 2D runs one level at a time, since the
+    # LU factorization, its one long step, holds the GIL.
+    ahead = int(config.domain.dim == 3 and ("ld" in levels or "battery" in checks))
     prepared = {}   # plan index -> its level, built and handed off
     # one worker per CPU this process may run on; sched_getaffinity is Linux only
     workers = ThreadPoolExecutor(len(os.sched_getaffinity(0))

@@ -14,8 +14,9 @@ function is located where bisection would end, with Illinois secant steps
 and a few halvings (``_crossing_parameters``), and checked to lie within
 1e-12 h of phi = 0. Crossings on axis-aligned grid edges double as the
 irregular-arm endpoints of the embedded-boundary Laplace stencils, so the
-PDE solver and the surface quadrature see the same boundary points. Every axis edge of the grid is an edge of the simplices, so
-each cut arm's end is looked up in the one deduplicated crossing table.
+PDE solver and the surface quadrature see the same boundary points. Every
+axis edge of the grid is an edge of the simplices, so each cut arm's end is
+looked up in the one deduplicated crossing table.
 
 Volume is computed from the exact sub-simplex volume of the linear
 interpolant of the level set (a boundary-cell correction on top of node
@@ -407,24 +408,31 @@ def _crossing_parameters(phi, pos_in: np.ndarray, pos_out: np.ndarray) -> np.nda
     between adjacent floats a (phi < 0) and b (phi >= 0), at their midpoint.
 
     Bisection evaluates phi 61 times per segment to get there, this search
-    about 17, in two phases. The Illinois method
-    (Dowell & Jarratt, BIT 11, 1971), regula falsi in which an end kept twice
-    in a row has its phi value halved, narrows each bracket to ``_NARROW``.
-    It reads phi's values only. A step that lands on an exact zero s probes
-    s - _NARROW: if phi is negative there, the sign change lies between the
-    two, which become the bracket; if not, the probe is the new outside end.
-    Halving then takes each bracket to adjacent floats. Stopping at the
-    exact zero instead would leave the point anywhere in the run of floats
-    where phi rounds to 0, and at a kink on that run the normal is another
-    branch's: on the neck's four corners this moved B from 12.4 to 28.0 at
+    about 17, in two phases. First the Illinois method (Dowell & Jarratt,
+    BIT 11, 1971), regula falsi in which an end kept twice in a row has its
+    phi value halved, narrows each bracket to ``_NARROW``; it reads phi's
+    values only. A step that lands on an exact zero s probes s - _NARROW: if
+    phi is negative there, the sign change lies between the two, which
+    become the bracket; if not, the probe is the new outside end. Then
+    halving takes each bracket to adjacent floats. Stopping at the exact
+    zero instead would leave the point anywhere in the run of floats where
+    phi rounds to 0, and at a kink in that run the normal is another
+    branch's: at the neck's four corners that moved B from 12.4 to 28.0 at
     h 0.025."""
     t = np.ones(len(pos_in))
     f_out = phi(pos_out, False)[0]
     rows = np.flatnonzero(f_out >= 0)
-    p, step = pos_in[rows], pos_out[rows] - pos_in[rows]
 
-    def value(s, which=slice(None)):
-        return np.array(phi(p[which] + s[:, None] * step[which], False)[0])
+    def segments(rows):
+        # (dim, n): phi reads each coordinate of the points p.T contiguously
+        start = pos_in.take(rows, axis=0)
+        return start.T.copy(), (pos_out.take(rows, axis=0) - start).T.copy()
+
+    def value(s, which=None):
+        q, d = (p, step) if which is None else (p.take(which, axis=1), step.take(which, axis=1))
+        return np.array(phi((q + s * d).T, False)[0])
+
+    p, step = segments(rows)
 
     def probe_zeros(s, fs, a, fa):
         """At each exact zero s more than _NARROW inside the bracket: move
@@ -439,7 +447,7 @@ def _crossing_parameters(phi, pos_in: np.ndarray, pos_out: np.ndarray) -> np.nda
     a, b = np.zeros(rows.size), np.ones(rows.size)
     fa, fb = value(a), f_out[rows]
     probe_zeros(b, fb, a, fa)
-    kept = np.zeros(rows.size, dtype=np.int8)   # the end kept last step: +1 b, -1 a
+    kept = np.zeros(rows.size, dtype=int)   # the end kept last step: +1 b, -1 a
     narrow = []   # (rows, a, b) of the brackets at most _NARROW wide
     steps = 0
     while rows.size:
@@ -447,8 +455,8 @@ def _crossing_parameters(phi, pos_in: np.ndarray, pos_out: np.ndarray) -> np.nda
         if not wide.all():
             narrow.append((rows[~wide], a[~wide], b[~wide]))
             more = np.flatnonzero(wide)
-            rows, p, step, a, b, fa, fb, kept = (
-                x[more] for x in (rows, p, step, a, b, fa, fb, kept))
+            rows, a, b, fa, fb, kept = (x[more] for x in (rows, a, b, fa, fb, kept))
+            p, step = p.take(more, axis=1), step.take(more, axis=1)
             if not rows.size:
                 break
         steps += 1
@@ -463,11 +471,11 @@ def _crossing_parameters(phi, pos_in: np.ndarray, pos_out: np.ndarray) -> np.nda
         fa = np.where(out, np.where(kept == -1, 0.5 * fa, fa), fs)
         fb = np.where(out, fs, np.where(kept == 1, 0.5 * fb, fb))
         a, b = np.where(out, a, s), np.where(out, s, b)
-        kept = np.where(out, -1, 1).astype(np.int8)
+        kept = np.where(out, -1, 1)
     if not narrow:
         return t
     rows, a, b = (np.concatenate(x) for x in zip(*narrow))
-    p, step = pos_in[rows], pos_out[rows] - pos_in[rows]
+    p, step = segments(rows)
     while True:
         # the midpoint of a bracket is strictly inside it unless its ends are
         # adjacent floats; such a bracket stays as it is, so the finished ones
@@ -480,7 +488,8 @@ def _crossing_parameters(phi, pos_in: np.ndarray, pos_out: np.ndarray) -> np.nda
         if 4 * np.count_nonzero(done) > rows.size:
             t[rows[done]] = mid[done]
             more = np.flatnonzero(~done)
-            rows, p, step, a, b, mid = (x[more] for x in (rows, p, step, a, b, mid))
+            rows, a, b, mid = (x[more] for x in (rows, a, b, mid))
+            p, step = p.take(more, axis=1), step.take(more, axis=1)
         out = value(mid) >= 0
         a, b = np.where(out, a, mid), np.where(out, mid, b)
 

@@ -27,10 +27,10 @@ backends below take it as they took the full matrix. The operator checks
 when it is made that every interior arm joins opposite colours, and keeps
 only the two diagonals and the two coupling blocks, read off the arm-end map.
 
-Each operator solves S with one backend, built from S on the first solve
-and chosen once by the dimension: every solve hands it the reduced data and
-takes back u_B and the Krylov iterations it made, which the solve record
-counts. In 2D the backend is the LU factor of S. The black nodes are
+Each operator solves S with one backend, built from S on first use (its
+first solve, or ``hand_off_basis``) and chosen once by the dimension: every
+solve hands it the reduced data and takes back u_B and the Krylov
+iterations it made, which the solve record counts. In 2D the backend is the LU factor of S. The black nodes are
 ordered by nested dissection (George 1973): on their sublattice
 u = (i + j - 1)/2, v = (i - j - 1)/2, S couples only nodes at most one step
 apart along each axis, so the nodes on any lattice line separate those on
@@ -64,10 +64,11 @@ is solved at most once per domain and memoized on the operator, as are the
 per-axis sparse difference stencils. Since |nu|^2 = 1, H[nu_a] =
 sum_b H[nu_a nu_b nu_b], so H[nu_a nu_L^2], L = dim - 1, is always the
 signed sum of the others: 10 solves give all 13 extensions in 3D, 4 give
-all 6 in 2D. ``solve_basis`` memoizes them all; in 3D it runs the Krylov
-solves after the first ahead on worker threads, and still takes, verifies
-and records each on the calling thread, so nothing differs from solving them
-one after another.
+all 6 in 2D. A basis is solved in two steps. In 3D ``hand_off_basis``
+builds the backend on the calling thread and submits every missing Krylov
+solve to a given executor; in 2D it does nothing. ``solve_basis`` then
+memoizes all the extensions, taking, verifying and recording each on the
+calling thread, so nothing differs from solving them one after another.
 
 Every difference operator starts from one primitive, ``_derivative``: a
 field's interior-then-boundary values, stacked as (N + M, k) columns (one
@@ -96,7 +97,7 @@ solves on its own domains.
 The backend is the largest of these, and only solves read it. So once the
 domain's normal-monomial extensions are all memoized, solved or derived,
 the operator drops its backend: the bounds need nothing else that solves.
-A run asks for a level's whole basis before any of its tasks, so the
+A run takes a level's whole basis before any of its tasks, so the
 backend is released after the level's solves and before anything on the
 level is differentiated or checked. Everything else stays, since the checks
 of a derived extension read the colour blocks and the boundary coupling,
@@ -110,13 +111,14 @@ What keeps all of this alive is the domain alone. The operator's state,
 the one entry of ``Domain._cache``, is the operator's attribute dict, and
 ``_operator(domain)`` binds it to the domain in a new view each call. The
 state holds arrays, sparse matrices, the backend, the record, the
-memoized extensions as bare (interior, boundary) arrays and, while
-``solve_basis`` runs, the futures of the solves it hands ahead: nothing in
-it refers back to the domain, so the two form no reference cycle. A domain
-that nothing else refers to (no caller, and no ``Field`` or result made on
-it) is freed at once with its state, without waiting for Python's cyclic
-garbage collector. So a refinement ladder evaluated level by level holds
-one level's domain and solver state at a time.
+memoized extensions as bare (interior, boundary) arrays and, from
+``hand_off_basis`` until ``solve_basis`` takes them, the futures of the
+solves handed off: nothing in it refers back to the domain, so the two form
+no reference cycle. A domain that nothing else refers to (no caller, and no
+``Field`` or result made on it) is freed at once with its state, without
+waiting for Python's cyclic garbage collector. So a refinement ladder holds
+only the levels its caller keeps: one at a time in 2D, and in 3D at most
+two, since a run hands the next level off before it takes the current one.
 """
 
 from __future__ import annotations
@@ -491,7 +493,8 @@ class _Operator:
         self.boundary_coupling = sp.csc_matrix(
             (coeff[~inner], (rows[~inner], ends[~inner] - n)), shape=(n, domain.n_boundary))
         self.monomials: dict[tuple[int, ...], _Extension] = {}
-        # data bytes -> future of its ``solve_black``, while ``solve_basis`` runs
+        # data bytes -> future of its ``solve_black``, from ``hand_off_basis``
+        # until ``solve_basis`` takes it
         self.ahead: dict[bytes, Future] = {}
         self.record = {"solves": 0, "iterations": 0, "max_residual": 0.0,
                        "max_principle_violation": 0.0}
@@ -565,7 +568,7 @@ class _Operator:
                 f"expected {domain.n_boundary} boundary values, got {g.shape}")
         if not np.isfinite(g).all():
             raise GeometryError("boundary data contains non-finite values")
-        # the result solved ahead for these data (``solve_basis``), or a solve now
+        # the result handed off for these data (``hand_off_basis``), or a solve now
         ahead = self.ahead.pop(g.tobytes(), None)
         red_rhs, black, iterations = (ahead.result() if ahead is not None
                                       else self.solve_black(g))

@@ -554,14 +554,20 @@ class TestLevelByLevel:
         assert cli.run_config(cfg, outdir=str(tmp_path))[0] == cli.EXIT_OK
         assert alive == [[], [False], [False, False]]
 
-    def test_3d_builds_one_level_ahead(self, tmp_path, monkeypatch, no_cyclic_gc):
+    @pytest.mark.parametrize("tasks, alive_at_builds", [
+        ("sobolev, ld, battery", [[], [True], [False, True]]),
+        # nothing to hand off: one level at a time, as in 2D
+        ("sobolev", [[], [False], [False, False]]),
+    ], ids=["basis", "sobolev_alone"])
+    def test_3d_builds_one_level_ahead(self, tmp_path, monkeypatch, no_cyclic_gc,
+                                       tasks, alive_at_builds):
         # level k + 1 is built while level k is alive, and level k is freed
         # before level k + 2 is built
         built, alive = self._watch_builds(monkeypatch)
         cfg = C.parse_config("kind = ball\nradius = 1.0\nh = 0.15, 0.125, 0.1\n"
-                             "tasks = sobolev, ld, battery")
+                             f"tasks = {tasks}")
         assert cli.run_config(cfg, outdir=str(tmp_path))[0] == cli.EXIT_OK
-        assert alive == [[], [True], [False, True]]
+        assert alive == alive_at_builds
 
     def test_no_domain_outlives_the_run(self, tmp_path, monkeypatch, no_cyclic_gc):
         built, _ = self._watch_builds(monkeypatch)
