@@ -311,7 +311,7 @@ def run_config(config: RunConfig, outdir: str | None = None) -> tuple[int, dict]
     # per-level task -> the report blocks of the levels it completed
     levels = {task: [] for task in level_tasks if task in checks}
     tasks = {}     # task -> its report block
-    records = []   # the solve record of every level built
+    records = []   # the solve record of every level run
 
     def prepare(h: float, battery: bool) -> Domain | Exception:
         """Build level h and, if a task reads its whole basis, hand the

@@ -393,9 +393,10 @@ _CROSSING_TOL = 1e-12
 _NARROW = 2.0 ** -44
 
 # secant steps after which the search halves every bracket still wider than
-# _NARROW, so it ends whatever phi does. On the shapes above every bracket is
-# that narrow within 17 steps but those that end in a run of exact zeros of
-# phi (a tangent segment, or one along an edge of the neck), which halve
+# _NARROW, so it ends whatever phi does. On the shapes above the secant steps
+# narrow every bracket within 17 steps, but for those that end in a run of
+# exact zeros of phi (a tangent segment, or one along an edge of the neck),
+# which halve
 _SECANT_STEPS = 50
 
 
@@ -432,8 +433,6 @@ def _crossing_parameters(phi, pos_in: np.ndarray, pos_out: np.ndarray) -> np.nda
         q, d = (p, step) if which is None else (p.take(which, axis=1), step.take(which, axis=1))
         return np.array(phi((q + s * d).T, False)[0])
 
-    p, step = segments(rows)
-
     def probe_zeros(s, fs, a, fa):
         """At each exact zero s more than _NARROW inside the bracket: move
         a to s - _NARROW if phi is negative there, else s itself."""
@@ -444,6 +443,7 @@ def _crossing_parameters(phi, pos_in: np.ndarray, pos_out: np.ndarray) -> np.nda
         a[zero[inside]], fa[zero[inside]] = left[inside], f_left[inside]
         s[zero[~inside]], fs[zero[~inside]] = left[~inside], f_left[~inside]
 
+    p, step = segments(rows)
     a, b = np.zeros(rows.size), np.ones(rows.size)
     fa, fb = value(a), f_out[rows]
     probe_zeros(b, fb, a, fa)

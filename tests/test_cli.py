@@ -636,11 +636,17 @@ def _fail_fine_build(monkeypatch):
     monkeypatch.setattr(G, "DEFAULT_NODE_CAP", 20_000)
 
 
+def _coarse_unknowns() -> int:
+    """The size of the ball ladder's coarse reduced system: the fine
+    level's is larger."""
+    from trace_bounds import laplace
+    return laplace._operator(G.build_domain(G.DomainSpec.ball(1.0, 0.15))).black.size
+
+
 def _fail_fine_solve(monkeypatch):
     """A SolverError from a Krylov solve on the fine level's data."""
     from trace_bounds import laplace
-    coarse = laplace._operator(G.build_domain(G.DomainSpec.ball(1.0, 0.15))).black.size
-    loop = laplace._bicgstab
+    coarse, loop = _coarse_unknowns(), laplace._bicgstab
     monkeypatch.setattr(laplace, "_bicgstab", lambda A, M, b: (
         (np.zeros_like(b), 417, 417) if b.size > coarse else loop(A, M, b)))
 
@@ -648,8 +654,7 @@ def _fail_fine_solve(monkeypatch):
 def _fail_fine_backend(monkeypatch):
     """A SolverError from the build of the fine level's multigrid backend."""
     from trace_bounds import laplace
-    coarse = laplace._operator(G.build_domain(G.DomainSpec.ball(1.0, 0.15))).black.size
-    multigrid = laplace._Multigrid.__init__
+    coarse, multigrid = _coarse_unknowns(), laplace._Multigrid.__init__
 
     def failing(self, matrix, ijk):
         if matrix.shape[0] > coarse:
@@ -659,9 +664,10 @@ def _fail_fine_backend(monkeypatch):
     monkeypatch.setattr(laplace._Multigrid, "__init__", failing)
 
 
-FINE_FAILURES = {"node_cap": (_fail_fine_build, cli.EXIT_CHECK_FAILED),
-                 "krylov": (_fail_fine_solve, cli.EXIT_SOLVER),
-                 "backend": (_fail_fine_backend, cli.EXIT_SOLVER)}
+# failure -> (inject it, the exit code, a part of the message)
+FINE_FAILURES = {"node_cap": (_fail_fine_build, cli.EXIT_CHECK_FAILED, "cap 20000"),
+                 "krylov": (_fail_fine_solve, cli.EXIT_SOLVER, "417 iterations"),
+                 "backend": (_fail_fine_backend, cli.EXIT_SOLVER, "forced backend failure")}
 
 
 def _stripped(report: dict) -> dict:
@@ -677,10 +683,11 @@ class TestLookAhead:
     @pytest.mark.parametrize("fail_fine", FINE_FAILURES, ids=list(FINE_FAILURES))
     def test_a_fine_level_failure_waits_for_its_turn(self, tmp_path, monkeypatch,
                                                      fail_fine):
-        inject, exit_code = FINE_FAILURES[fail_fine]
+        inject, exit_code, message = FINE_FAILURES[fail_fine]
         inject(monkeypatch)
         code, report = cli.run_config(C.parse_config(BALL_LADDER), outdir=str(tmp_path))
         assert code == exit_code
+        assert message in report["error"]["message"]
         # the coarse level ran every task and kept its record
         for task in ("sobolev", "ld"):
             assert [level["h"] for level in report["tasks"][task]["levels"]] == [0.15]
